@@ -26,11 +26,16 @@ from .parser import parse_exp, parse_program, parse_state
 from .semantics import ORACLE, calkin_wilf, eval_exp
 from .series import make_product, make_sum
 from .syntax import Var, While, exp_tree_size, print_exp
-from .wp import VarSet, forward_dist, kleene_iterate, wp_loop_free
+from .wp import (
+    DEFAULT_STATE_CAP,
+    VarSet,
+    forward_dist,
+    kleene_iterate,
+    wp_loop_free,
+)
 
 DEFAULT_DEPTH = 32
 DEFAULT_ITERS = 30
-DEFAULT_STATE_CAP = 100_000
 
 
 @dataclass
@@ -62,7 +67,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--iters", type=int, default=DEFAULT_ITERS,
                         help="fixed-point iteration fuel (default 30)")
     parser.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
-                        help="exploration cap (default 100000)")
+                        help=f"exploration cap (default {DEFAULT_STATE_CAP})")
     parser.add_argument("--format", choices=["text", "json"], default="text")
     parser.add_argument("--seed", type=int, default=0)
 
@@ -183,9 +188,10 @@ def cmd_encode_loop(args) -> int:
     varset = VarSet.for_program(program, post)
     encoding = encode_loop(program, post, varset)
     sigma = parse_state(args.eval_at or "")
-    values = []
-    for k in range(args.k + 1):
-        values.append({"k": k, "value": str(encoding.plan_eval(sigma, k))})
+    truncations = encoding.plan_truncations(sigma, args.k,
+                                            state_cap=config.state_cap)
+    values = [{"k": k, "value": str(value)}
+              for k, value in enumerate(truncations)]
     payload: dict = {"values": values}
     lines = [f"k={entry['k']}: {entry['value']}" for entry in values]
     if args.emit_pure:

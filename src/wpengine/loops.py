@@ -68,14 +68,14 @@ from .syntax import (
     vars_program,
     with_intrinsic,
 )
-from .wp import VarSet, forward_dist, wp_loop_free
-from .xreal import XReal, ZERO, is_natural
-
-
-def char_assertion(sigma: State, varset: VarSet) -> Exp:
-    """{0,1} indicator of the states that agree with sigma on the variables."""
-    conj = and_all([eq_(VarRef(v), RatLit(sigma[v])) for v in varset])
-    return Guard(conj, Arith(RatLit(Fraction(1))))
+from .wp import (
+    DEFAULT_STATE_CAP,
+    VarSet,
+    char_assertion,  # re-exported: the indicator lives in wp
+    path_frontiers,
+    wp_loop_free,
+)
+from .xreal import ONE, XReal, ZERO, is_natural, sup
 
 
 def primed(var: Var) -> Var:
@@ -449,46 +449,53 @@ class LoopEncoding:
             value = value * self.step_factor(codes[i], codes[i + 1], sigma, dom, rec)
         return value
 
-    def plan_eval(self, sigma: State, k: int, dom=None) -> XReal:
-        """Truncation-k value: the sum over supported length-k sequences.
+    def plan_truncations(self, sigma: State, max_k: int, dom=None,
+                         state_cap: int = DEFAULT_STATE_CAP) -> list[XReal]:
+        """Truncation values for k = 0, ..., ``max_k`` from one forward pass.
 
-        Sequences are extended only along one-step transitions with positive
-        probability; the omitted ones contribute zero factors, so the sum is
-        unchanged.
+        Truncation k sums the path values of the supported length-k
+        sequences.  ``path_frontiers`` sums the step-factor products of the
+        length-k sequences by last state, so truncation k is
+        sum_s w(s) * final_factor(s): the final factor distributes over the
+        sequences, and the cost follows the (step, state) pairs rather than
+        the 2^k paths.  ``state_cap`` bounds the (step, state) entries.
         """
+        if max_k <= 0:
+            return [ZERO] * (max_k + 1)
         if dom is None:
             dom = calkin_wilf(0)
         rec = lambda f, s: eval_exp(f, s, dom, mode="oracle_assisted")
+
+        def factor(s: State, t: State) -> XReal:
+            return self.step_factor(self.state_code(s), self.state_code(t),
+                                    sigma, dom, rec)
+
+        finals: dict[State, XReal] = {}
+        frontiers = path_frontiers(self.loop, self.varset,
+                                   sigma.restrict(self.varset), factor, ONE,
+                                   max_k - 1, state_cap)
+        values = [ZERO]
+        for frontier in frontiers:
+            total = ZERO
+            for s, weight in frontier.items():
+                if s not in finals:
+                    finals[s] = self.final_factor(self.state_code(s), sigma,
+                                                  dom, rec)
+                total = total + weight * finals[s]
+            values.append(total)
+        return values
+
+    def plan_eval(self, sigma: State, k: int, dom=None,
+                  state_cap: int = DEFAULT_STATE_CAP) -> XReal:
+        """Truncation-k value: the sum over supported length-k sequences."""
         if k <= 0:
             return ZERO
-        c_iter = Ite(self.loop.cond, self.loop.body, Skip())
-        start = sigma.restrict(self.varset)
-        support: dict[State, tuple[State, ...]] = {}
+        return self.plan_truncations(sigma, k, dom, state_cap)[-1]
 
-        def successors(s: State) -> tuple[State, ...]:
-            if s not in support:
-                support[s] = tuple(forward_dist(c_iter, s, self.varset, 1).weights)
-            return support[s]
-
-        total = ZERO
-        stack: list[tuple[State, list[int]]] = [(start, [self.state_code(start)])]
-        while stack:
-            current, codes = stack.pop()
-            if len(codes) == k:
-                total = total + self.path_value(codes, sigma, dom, rec)
-                continue
-            for target in successors(current):
-                stack.append((target, codes + [self.state_code(target)]))
-        return total
-
-    def plan_sup(self, sigma: State, max_k: int, dom=None) -> XReal:
+    def plan_sup(self, sigma: State, max_k: int, dom=None,
+                 state_cap: int = DEFAULT_STATE_CAP) -> XReal:
         """Monotone supremum of the truncations up to ``max_k``."""
-        best = ZERO
-        for k in range(max_k + 1):
-            value = self.plan_eval(sigma, k, dom)
-            if best < value:
-                best = value
-        return best
+        return sup(self.plan_truncations(sigma, max_k, dom, state_cap))
 
 
 def path_expectation(loop: While, post: Exp, varset: VarSet,

@@ -6,7 +6,8 @@ finite stand-in for the non-negative rationals (a ``QDomain``, by default a
 Calkin-Wilf prefix enriched with the constants in sight); this restriction
 is neither a sound lower nor upper bound for mixed quantifier prefixes and
 is documented as the desk-scale approximation it is.  Quantifier-free
-expectations evaluate exactly, independent of the domain.
+expectations evaluate exactly, independent of the domain, and without
+building one.
 
 ``eval_exp`` has two modes: ``restricted`` ignores intrinsic tags, while
 ``oracle_assisted`` lets a tagged subtree delegate to its attached
@@ -220,17 +221,23 @@ def eval_exp(f: Exp, sigma: State, dom: QDomain | None = None,
              mode: Mode = RESTRICTED) -> XReal:
     """Evaluate an expectation to an extended non-negative rational.
 
-    Quantifiers range over ``dom`` (default: a domain derived from the
-    expectation's and state's constants).  A sup over the empty domain is 0
-    and an inf over the empty domain is infinity.  Iverson guards contribute
-    a factor of 0 or 1, and 0 * inf = 0 throughout.
+    Quantifiers range over ``dom`` (default: ``default_domain(f, sigma)``,
+    built when evaluation first meets a quantifier or, in oracle-assisted
+    mode, an intrinsic plan, so quantifier-free terms never build it).  A
+    sup over the empty domain is 0 and an inf over the empty domain is
+    infinity.  Iverson guards contribute a factor of 0 or 1, and
+    0 * inf = 0 throughout.
     """
-    if dom is None:
-        dom = default_domain(f, sigma)
+
+    def domain() -> QDomain:
+        nonlocal dom
+        if dom is None:
+            dom = default_domain(f, sigma)
+        return dom
 
     def rec(g: Exp, sig: State) -> XReal:
         if mode == ORACLE and g.intrinsic is not None:
-            return g.intrinsic.evaluate(g, sig, dom, rec)
+            return g.intrinsic.evaluate(g, sig, domain(), rec)
         match g:
             case Arith(a):
                 return XReal.of(eval_aexpr(a, sig))
@@ -247,14 +254,14 @@ def eval_exp(f: Exp, sigma: State, dom: QDomain | None = None,
                 return factor * rec(body, sig)
             case Sup(v, body):
                 best = ZERO
-                for q in dom:
+                for q in domain():
                     candidate = rec(body, sig.set(v, q))
                     if best < candidate:
                         best = candidate
                 return best
             case Inf(v, body):
                 best = XReal.INF
-                for q in dom:
+                for q in domain():
                     candidate = rec(body, sig.set(v, q))
                     if candidate < best:
                         best = candidate

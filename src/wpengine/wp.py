@@ -7,7 +7,8 @@ three mutually independent oracles that must agree at every depth k:
 * ``kleene_iterate`` -- k-fold application of the loop's characteristic
   function, computed by memoized recursion over states;
 * ``path_sum`` -- the k-truncated sum over state sequences, each weighted by
-  the product of one-step transition values;
+  the product of one-step transition values, computed by one forward pass
+  over (step, state) pairs;
 * ``char_apply`` iterated syntactically from the zero expectation.
 
 ``forward_dist`` is the forward (distribution-transformer) semantics used to
@@ -205,7 +206,9 @@ def forward_dist(prog: Program, sigma: State, varset: VarSet, fuel: int,
 
     ``fuel`` bounds the number of guarded iterations of every loop
     (including nested ones); in-flight mass beyond the bound is dropped, so
-    weights grow monotonically with fuel.
+    weights grow monotonically with fuel.  For a loop with a loop-free
+    body, the expectation under fuel k equals the Kleene iterate k + 1,
+    which also allows k executions of the body before the final guard test.
     """
     result = _forward(prog, {sigma.restrict(varset): Fraction(1)}, varset,
                       fuel, state_cap)
@@ -214,7 +217,9 @@ def forward_dist(prog: Program, sigma: State, varset: VarSet, fuel: int,
 
 def _check_cap(frontier: dict, state_cap: int):
     if len(frontier) > state_cap:
-        raise FuelExceeded(f"state set exceeded cap of {state_cap}")
+        raise FuelExceeded(
+            f"state set reached {len(frontier)} states, above the cap of {state_cap}"
+        )
 
 
 def _forward(prog: Program, frontier: dict[State, Fraction], varset: VarSet,
@@ -324,7 +329,9 @@ def _kleene_value(loop: While, cont, sigma: State, k: int, fuel: int,
         if key in cache:
             return cache[key]
         if len(cache) > state_cap:
-            raise FuelExceeded(f"memo table exceeded cap of {state_cap}")
+            raise FuelExceeded(
+                f"memo table reached {len(cache)} entries, above the cap of {state_cap}"
+            )
         if eval_bexpr(loop.cond, s):
             value = _sem_wp(loop.body, lambda tau: go(level - 1, tau), s, fuel)
         else:
@@ -350,10 +357,46 @@ def kleene_iterate(loop: While, post: Exp, sigma: State, k: int,
 # Path-sum oracle
 # ---------------------------------------------------------------------------
 
-def char_exp(sigma: State, varset: VarSet) -> Exp:
-    """The {0,1} indicator of ``sigma`` modulo the variable set."""
+def char_assertion(sigma: State, varset: VarSet) -> Exp:
+    """{0,1} indicator of the states that agree with sigma on the variables."""
     conj = and_all([eq_(VarRef(v), RatLit(sigma[v])) for v in varset])
     return Guard(conj, Arith(RatLit(Fraction(1))))
+
+
+def path_frontiers(loop: While, varset: VarSet, start: State, factor, unit,
+                   steps: int, cap: int = DEFAULT_STATE_CAP) -> list[dict]:
+    """Weights of the supported state sequences, summed by last state.
+
+    Entry n maps each state t to the total weight of the supported state
+    sequences of length n + 1 from ``start`` that end in t, for n = 0, ...,
+    ``steps``; a sequence's weight is ``unit`` times ``factor(s, t)`` for each
+    of its transitions s -> t.  Weight is pushed only along the one-step
+    support of the guarded iteration: the omitted transitions would
+    contribute zero factors.  This is one forward pass over (step, state),
+    so the cost follows the distinct (step, state) pairs, not the number of
+    sequences.  Raises ``FuelExceeded`` once more than ``cap`` (step, state)
+    entries have been made.
+    """
+    c_iter = Ite(loop.cond, loop.body, Skip())
+    support: dict[State, tuple[State, ...]] = {}
+    frontiers = [{start: unit}]
+    entries = 1
+    for n in range(1, steps + 1):
+        frontier: dict = {}
+        for s, w in frontiers[-1].items():
+            if s not in support:
+                support[s] = tuple(forward_dist(c_iter, s, varset, 1).weights)
+            for t in support[s]:
+                pushed = w * factor(s, t)
+                frontier[t] = frontier[t] + pushed if t in frontier else pushed
+        entries += len(frontier)
+        if entries > cap:
+            raise FuelExceeded(
+                f"path oracle reached {entries} (step, state) entries at "
+                f"step {n}, above the cap of {cap}"
+            )
+        frontiers.append(frontier)
+    return frontiers
 
 
 def path_sum(loop: While, post: Exp, sigma: State, varset: VarSet, k: int,
@@ -363,43 +406,32 @@ def path_sum(loop: While, post: Exp, sigma: State, varset: VarSet, k: int,
     Each sequence contributes the final value of [!guard] * post weighted by
     the product of one-step values of the guarded iteration, where a step's
     value is read off the syntactic transformer applied to the target
-    state's indicator.  Sequences are extended only along transitions with
-    positive weight; the omitted ones contribute zero factors.
+    state's indicator.  The sum is computed by ``path_frontiers`` as
+    sum_s w(s) * ([!guard] * post)(s) over the sequence weights w summed by
+    last state, which distributes the final factor over the sequences, so
+    its cost follows the (step, state) pairs rather than the 2^k paths.
+    ``path_cap`` bounds the (step, state) entries.
     """
     if not varset.issuperset(vars_program(loop) | free_vars(post)):
         raise ValueError("variable set must cover the loop and postexpectation")
     if k <= 0:
         return ZERO
     c_iter = Ite(loop.cond, loop.body, Skip())
-    support_cache: dict[State, tuple[State, ...]] = {}
+    into: dict[State, Exp] = {}
     factor_cache: dict[tuple[State, State], Fraction] = {}
-
-    def successors(s: State) -> tuple[State, ...]:
-        # candidate next states; transitions outside the support would only
-        # contribute zero factors to the sum
-        if s not in support_cache:
-            support_cache[s] = tuple(forward_dist(c_iter, s, varset, 1).weights)
-        return support_cache[s]
 
     def step_value(s: State, t: State) -> Fraction:
         key = (s, t)
         if key not in factor_cache:
-            g = wp_loop_free(c_iter, char_exp(t, varset))
-            factor_cache[key] = eval_exp(g, s).finite
+            if t not in into:
+                into[t] = wp_loop_free(c_iter, char_assertion(t, varset))
+            factor_cache[key] = eval_exp(into[t], s).finite
         return factor_cache[key]
 
+    last = path_frontiers(loop, varset, sigma.restrict(varset), step_value,
+                          Fraction(1), k - 1, path_cap)[-1]
     final_guard = Guard(Not(loop.cond), post)
     total = ZERO
-    stack: list[tuple[State, int, Fraction]] = [(sigma.restrict(varset), 1, Fraction(1))]
-    explored = 0
-    while stack:
-        current, length, weight = stack.pop()
-        explored += 1
-        if explored > path_cap:
-            raise FuelExceeded(f"sequence space exceeded cap of {path_cap}")
-        if length == k:
-            total = total + XReal.of(weight) * eval_exp(final_guard, current)
-            continue
-        for target in successors(current):
-            stack.append((target, length + 1, weight * step_value(current, target)))
+    for s, weight in last.items():
+        total = total + XReal.of(weight) * eval_exp(final_guard, s)
     return total

@@ -117,6 +117,21 @@ def test_encode_loop_values_json(capsys, geo_file):
     assert values == {0: "0", 1: "0", 2: "1/2", 3: "1", 4: "11/8"}
 
 
+def test_encode_loop_readme_example(capsys, geo_file):
+    code, out, _ = run(capsys, "encode-loop", "--program", geo_file,
+                       "--post", "x", "--eval-at", "c=1,x=0", "--depth-k", "8")
+    assert code == 0
+    assert out == ("k=0: 0\nk=1: 0\nk=2: 1/2\nk=3: 1\nk=4: 11/8\nk=5: 13/8\n"
+                   "k=6: 57/32\nk=7: 15/8\nk=8: 247/128\n")
+
+
+def test_encode_loop_depth_zero(capsys, geo_file):
+    code, out, _ = run(capsys, "encode-loop", "--program", geo_file,
+                       "--post", "x", "--eval-at", "c=0,x=7", "--depth-k", "0")
+    assert code == 0
+    assert out == "k=0: 0\n"
+
+
 def test_forward_json_schema(capsys, coin_file):
     code, out, _ = run(capsys, "forward", "-p", coin_file, "--format", "json")
     assert code == 0

@@ -1,0 +1,107 @@
+"""The path-sum and plan oracles: forward passes over (step, state) pairs,
+checked against the depth-first references and the fixed-point iterate."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from path_reference import dfs_path_sum, dfs_plan_eval
+from wpengine.checks import rand_loop
+from wpengine.cli import main
+from wpengine.errors import FuelExceeded
+from wpengine.loops import encode_loop
+from wpengine.parser import parse_exp, parse_program
+from wpengine.semantics import State, calkin_wilf, state
+from wpengine.syntax import Var
+from wpengine.wp import VarSet, kleene_iterate, path_sum
+from wpengine.xreal import ZERO, XReal
+
+WALK_TEXT = "while (x < 40) { {x := x + 1} [1/2] {x := x + 2} }"
+WALK = parse_program(WALK_TEXT)
+POST_X = parse_exp("x")
+WALK_VS = VarSet.of("x")
+
+
+def _agree(loop, post, sigma, varset, depth):
+    encoding = encode_loop(loop, post, varset)
+    truncations = encoding.plan_truncations(sigma, depth)
+    assert len(truncations) == depth + 1
+    for k in range(depth + 1):
+        want = kleene_iterate(loop, post, sigma, k)
+        assert dfs_path_sum(loop, post, sigma, varset, k) == want
+        assert dfs_plan_eval(encoding, sigma, k, calkin_wilf(0)) == want
+        assert path_sum(loop, post, sigma, varset, k) == want
+        assert encoding.plan_eval(sigma, k) == want
+        assert truncations[k] == want
+
+
+def test_dp_oracles_match_dfs_references_on_random_loops():
+    rng = random.Random(2010)
+    for _ in range(12):
+        loop, post, varset = rand_loop(rng)
+        sigma = State({Var("c"): F(1), Var("x"): F(rng.randint(0, 2))})
+        _agree(loop, post, sigma, varset, 8)
+
+
+def test_dp_oracles_match_dfs_references_on_branching_walk():
+    # every step branches, so paths share (step, state) pairs; the ambient
+    # binding of y lies outside the variable set
+    _agree(WALK, parse_exp("[x < 42] * x + 1/2"), state(x=30, y=3), WALK_VS, 8)
+
+
+def test_walk_depth_20_within_default_cap():
+    """2^19 paths, but fewer than 500 (step, state) entries."""
+    s0 = state(x=20)
+    want = kleene_iterate(WALK, POST_X, s0, 20)
+    assert want > kleene_iterate(WALK, POST_X, s0, 19)
+    assert path_sum(WALK, POST_X, s0, WALK_VS, 20) == want
+    encoding = encode_loop(WALK, POST_X, WALK_VS)
+    assert encoding.plan_eval(s0, 20) == want
+    assert encoding.plan_sup(s0, 20) == want
+
+
+def test_caps_count_step_state_entries():
+    # from x=20 the frontiers hold 1, 2, 3, 4, 5, ... states
+    message = (r"^path oracle reached 15 \(step, state\) entries at step 4, "
+               r"above the cap of 10$")
+    s0 = state(x=20)
+    with pytest.raises(FuelExceeded, match=message):
+        path_sum(WALK, POST_X, s0, WALK_VS, 20, path_cap=10)
+    encoding = encode_loop(WALK, POST_X, WALK_VS)
+    with pytest.raises(FuelExceeded, match=message):
+        encoding.plan_eval(s0, 20, state_cap=10)
+    with pytest.raises(FuelExceeded, match=message):
+        encoding.plan_sup(s0, 20, state_cap=10)
+    # k = 4 needs the frontiers of steps 0 to 3: 10 entries
+    assert path_sum(WALK, POST_X, s0, WALK_VS, 4, path_cap=10) == \
+        encoding.plan_eval(s0, 4, state_cap=10)
+
+
+def test_encode_loop_passes_state_cap(capsys, tmp_path):
+    walk = tmp_path / "walk.pgcl"
+    walk.write_text(WALK_TEXT)
+    argv = ["encode-loop", "--program", str(walk), "--post", "x",
+            "--eval-at", "x=20", "--depth-k", "20"]
+    assert main(argv + ["--state-cap", "10"]) == 4
+    assert "above the cap of 10" in capsys.readouterr().err
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 21
+    assert lines[-1] == f"k=20: {kleene_iterate(WALK, POST_X, state(x=20), 20)}"
+
+
+def test_truncation_zero_is_zero():
+    # from x=40 the loop is already done, so truncation 1 is already x = 40
+    encoding = encode_loop(WALK, POST_X, WALK_VS)
+    s0 = state(x=40)
+    assert encoding.plan_eval(s0, 1) == XReal.of(F(40))
+    assert encoding.plan_truncations(s0, 0) == [ZERO]
+    assert encoding.plan_truncations(s0, -1) == []
+    assert encoding.plan_sup(s0, 0) == ZERO
+    assert encoding.plan_eval(s0, 0) == ZERO
+    assert path_sum(WALK, POST_X, s0, WALK_VS, 0) == ZERO
+    geo = parse_program("while (c = 1) { {c := 0} [1/2] {c := 1}; x := x + 1 }")
+    geo_encoding = encode_loop(geo, POST_X, VarSet.of("c", "x"))
+    assert geo_encoding.plan_sup(state(c=0, x=7), 0) == ZERO
+    assert geo_encoding.plan_sup(state(c=0, x=7), 1) == XReal.of(F(7))

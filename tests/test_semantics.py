@@ -5,8 +5,12 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from wpengine.parser import parse_aexpr, parse_bexpr, parse_exp
+from wpengine import semantics
+from wpengine.checks import rand_exp
+from wpengine.parser import parse_aexpr, parse_bexpr, parse_exp, parse_program
 from wpengine.semantics import (
+    ORACLE,
+    RESTRICTED,
     QDomain,
     calkin_wilf,
     default_domain,
@@ -15,7 +19,19 @@ from wpengine.semantics import (
     eval_exp,
     state,
 )
-from wpengine.syntax import Arith, Guard, Inf, RatLit, Scale, Sup, Var, VarRef
+from wpengine.syntax import (
+    Arith,
+    Guard,
+    Inf,
+    Plus,
+    RatLit,
+    Scale,
+    Sup,
+    Var,
+    VarRef,
+    with_intrinsic,
+)
+from wpengine.wp import VarSet, char_iterates, forward_dist, kleene_iterate, path_sum
 from wpengine.xreal import XReal, ZERO, inf as xinf, sup as xsup, xsum
 
 
@@ -91,6 +107,68 @@ def test_quantifier_free_independent_of_domain():
         sigma = state(x=rng.randint(0, 3), y=F(rng.randint(0, 6), 2))
         values = {eval_exp(f, sigma, calkin_wilf(k)) for k in (0, 3, 9)}
         assert len(values) == 1
+
+
+def test_quantifier_free_eval_builds_no_domain(monkeypatch):
+    """Without an explicit domain, quantifier-free terms never build one,
+    including the ones the loop oracles and forward expectations evaluate."""
+    from checks_support import rand_qf_exp_for_tests
+
+    def refuse(*_):
+        raise AssertionError("default domain built for a quantifier-free term")
+
+    monkeypatch.setattr(semantics, "default_domain", refuse)
+    rng = random.Random(6)
+    for _ in range(40):
+        f = rand_qf_exp_for_tests(rng)
+        sigma = state(x=rng.randint(0, 3), y=F(rng.randint(0, 6), 2))
+        want = eval_exp(f, sigma, calkin_wilf(0))
+        for mode in (RESTRICTED, ORACLE):
+            assert eval_exp(f, sigma, mode=mode) == want
+    geo = parse_program("while (c = 1) { {c := 0} [1/2] {c := 1}; x := x + 1 }")
+    post, s0, vs = parse_exp("x"), state(c=1, x=0), VarSet.of("c", "x")
+    assert kleene_iterate(geo, post, s0, 6) == path_sum(geo, post, s0, vs, 6)
+    assert eval_exp(char_iterates(geo, post, 6), s0) == kleene_iterate(geo, post, s0, 6)
+    assert forward_dist(geo, s0, vs, 5).expectation(post) == \
+        kleene_iterate(geo, post, s0, 6)
+
+
+class _DomainProbe:
+    """Intrinsic plan that records the domain it is handed."""
+
+    survives_rewrite = False
+
+    def __init__(self):
+        self.seen = []
+
+    def evaluate(self, node, sigma, dom, rec):
+        self.seen.append(list(dom))
+        return rec(node.body, sigma)
+
+
+def test_default_domain_built_on_first_quantifier():
+    """dom=None gives exactly the values of the explicit default domain."""
+    rng = random.Random(8)
+    x, y, v = Var("x"), Var("y"), Var("v")
+    for i in range(30):
+        quant = Sup if i % 2 else Inf
+        f = Plus(rand_exp(rng, [x, y], 1), quant(v, rand_exp(rng, [x, y, v], 1)))
+        sigma = state(x=rng.randint(0, 3), y=F(rng.randint(0, 6), 2))
+        explicit = default_domain(f, sigma)
+        for mode in (RESTRICTED, ORACLE):
+            assert eval_exp(f, sigma, mode=mode) == \
+                eval_exp(f, sigma, explicit, mode=mode)
+    # a constant outside the quantified subterm is the best witness
+    inner = Sup(v, Guard(parse_bexpr("v < 12/5"), parse_exp("v")))
+    f = Plus(Guard(parse_bexpr("x < 19/8"), Arith(RatLit(F(0)))), inner)
+    assert eval_exp(f, state()) == XReal.of(F(19, 8))
+    assert eval_exp(inner, state()) < XReal.of(F(19, 8))
+    probe = _DomainProbe()
+    tagged = Plus(Arith(RatLit(F(1, 3))),
+                  with_intrinsic(Guard(parse_bexpr("x < 5/2"), parse_exp("x")), probe))
+    sigma = state(x=F(7, 4))
+    assert eval_exp(tagged, sigma, mode=ORACLE) == XReal.of(F(25, 12))
+    assert probe.seen == [list(default_domain(tagged, sigma))]
 
 
 def test_monotone_in_domain_for_sup_prefix():
