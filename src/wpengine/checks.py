@@ -52,7 +52,7 @@ from .syntax import (
     Assign,
     Ite,
     eq_,
-    free_vars_fo,
+    free_vars,
     le_,
     print_exp,
     print_program,
@@ -506,7 +506,7 @@ def check_fo(seed: int = 0, cases: int = 200) -> CheckReport:
             dom = calkin_wilf(6, set(range(bound + 2)))
             # non-natural assignment: always false
             report.cases += 1
-            if Var("y") in free_vars_fo(formula):
+            if Var("y") in free_vars(formula):
                 bad = state(y=Fraction(1, 2))
                 if eval_fo(lifted, bad, dom):
                     report.fail(case=i, reason="guarding failed",

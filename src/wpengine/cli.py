@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .checks import SUITES
 from .errors import ContainsLoop, EngineError, FuelExceeded, ParseError
@@ -35,47 +34,29 @@ from .wp import (
 )
 
 DEFAULT_DEPTH = 32
-DEFAULT_ITERS = 30
+DEFAULT_FUEL = 30
 
 
-@dataclass
-class RunConfig:
-    depth: int = DEFAULT_DEPTH
-    iters: int = DEFAULT_ITERS
-    state_cap: int = DEFAULT_STATE_CAP
-    format: str = "text"
-    seed: int = 0
+def _at_least(low: int):
+    """Argument type: an integer no smaller than ``low`` (else a usage error)."""
 
-    def __post_init__(self):
-        if self.depth < 0 or self.iters < 0:
-            raise ValueError("depth and iteration counts must be non-negative")
-        if self.state_cap <= 0:
-            raise ValueError("caps must be positive")
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
-def _env_depth() -> int:
-    value = os.environ.get("WPENGINE_DEPTH")
-    if value is None:
-        return DEFAULT_DEPTH
-    return int(value)
+_COUNT = _at_least(0)
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--depth", type=int, default=None,
-                        help="quantifier domain size (default 32; "
-                             "env WPENGINE_DEPTH overrides)")
-    parser.add_argument("--iters", type=int, default=DEFAULT_ITERS,
-                        help="fixed-point iteration fuel (default 30)")
-    parser.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
-                        help=f"exploration cap (default {DEFAULT_STATE_CAP})")
-    parser.add_argument("--format", choices=["text", "json"], default="text")
-    parser.add_argument("--seed", type=int, default=0)
-
-
-def _config(args) -> RunConfig:
-    depth = args.depth if args.depth is not None else _env_depth()
-    return RunConfig(depth=depth, iters=args.iters, state_cap=args.state_cap,
-                     format=args.format, seed=args.seed)
+def _option(*flags, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser with one option, for the subcommands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
 
 
 def _read_program(path: str):
@@ -91,7 +72,6 @@ def _emit(args, payload: dict, text: str):
 
 
 def cmd_wp(args) -> int:
-    config = _config(args)
     program = _read_program(args.program)
     post = parse_exp(args.post)
     payload: dict = {}
@@ -102,7 +82,7 @@ def cmd_wp(args) -> int:
         lines.append(print_exp(pre))
         if args.at is not None:
             sigma = parse_state(args.at)
-            value = eval_exp(pre, sigma, calkin_wilf(config.depth))
+            value = eval_exp(pre, sigma, calkin_wilf(args.depth))
             payload["value"] = str(value)
             lines.append(f"at {args.at}: {value}")
     else:
@@ -110,7 +90,7 @@ def cmd_wp(args) -> int:
             raise ContainsLoop("--kleene expects a single while loop")
         sigma = parse_state(args.at or "")
         value = kleene_iterate(program, post, sigma, args.kleene,
-                               state_cap=config.state_cap)
+                               state_cap=args.state_cap)
         payload["k"] = args.kleene
         payload["value"] = str(value)
         lines.append(str(value))
@@ -119,9 +99,8 @@ def cmd_wp(args) -> int:
 
 
 def cmd_check(args) -> int:
-    config = _config(args)
     suite = SUITES[args.suite]
-    report = suite(seed=config.seed)
+    report = suite(seed=args.seed)
     payload = report.to_json()
     lines = [f"suite {report.suite}: "
              f"{'pass' if report.passed else 'FAIL'}, {report.cases} cases"]
@@ -160,7 +139,6 @@ def cmd_goedel(args) -> int:
 
 
 def cmd_series(args) -> int:
-    config = _config(args)
     body = parse_exp(args.body)
     bound = Var("$n")
     if args.kind == "sum":
@@ -168,7 +146,7 @@ def cmd_series(args) -> int:
     else:
         aggregate = make_product(body, bound)
     sigma = parse_state(args.at or "").set(bound, args.n)
-    dom = calkin_wilf(config.depth)
+    dom = calkin_wilf(args.depth)
     value = eval_exp(aggregate.pure, sigma, dom, mode=ORACLE)
     payload = {"value": str(value)}
     lines = [str(value)]
@@ -180,7 +158,6 @@ def cmd_series(args) -> int:
 
 
 def cmd_encode_loop(args) -> int:
-    config = _config(args)
     program = _read_program(args.program)
     if not isinstance(program, While):
         raise ContainsLoop("encode-loop expects a single while loop")
@@ -189,7 +166,7 @@ def cmd_encode_loop(args) -> int:
     encoding = encode_loop(program, post, varset)
     sigma = parse_state(args.eval_at or "")
     truncations = encoding.plan_truncations(sigma, args.k,
-                                            state_cap=config.state_cap)
+                                            state_cap=args.state_cap)
     values = [{"k": k, "value": str(value)}
               for k, value in enumerate(truncations)]
     payload: dict = {"values": values}
@@ -210,13 +187,11 @@ def cmd_encode_loop(args) -> int:
 
 
 def cmd_forward(args) -> int:
-    config = _config(args)
     program = _read_program(args.program)
     sigma = parse_state(args.at or "")
     varset = VarSet.for_program(program)
-    fuel = args.fuel if args.fuel is not None else config.iters
-    dist = forward_dist(program, sigma, varset, fuel,
-                        state_cap=config.state_cap)
+    dist = forward_dist(program, sigma, varset, args.fuel,
+                        state_cap=args.state_cap)
     payload = dist.to_json(varset)
     lines = [f"{entry['state']} -> {entry['weight']}"
              for entry in payload["entries"]]
@@ -232,25 +207,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "guarded commands",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    fmt = _option("--format", choices=["text", "json"], default="text")
+    depth = _option("--depth", type=_COUNT,
+                    default=os.environ.get("WPENGINE_DEPTH", str(DEFAULT_DEPTH)),
+                    help=f"quantifier domain size (default {DEFAULT_DEPTH}; "
+                         "env WPENGINE_DEPTH sets the default)")
+    cap = _option("--state-cap", type=_at_least(1), default=DEFAULT_STATE_CAP,
+                  help=f"exploration cap (default {DEFAULT_STATE_CAP})")
 
-    wp = sub.add_parser("wp", help="preexpectation of a program")
+    wp = sub.add_parser("wp", parents=[depth, cap, fmt],
+                        help="preexpectation of a program")
     wp.add_argument("-p", "--program", required=True, help="program file")
     wp.add_argument("-f", "--post", required=True, help="postexpectation")
     group = wp.add_mutually_exclusive_group()
     group.add_argument("--syntactic", action="store_true",
                        help="loop-free syntactic transform (default)")
-    group.add_argument("--kleene", type=int, metavar="K",
+    group.add_argument("--kleene", type=_COUNT, metavar="K",
                        help="K-fold fixed-point iterate of a loop")
     wp.add_argument("--at", help="state as var=p/q,var=p/q")
-    _add_common(wp)
     wp.set_defaults(fn=cmd_wp)
 
-    check = sub.add_parser("check", help="run a property suite")
+    check = sub.add_parser("check", parents=[fmt], help="run a property suite")
     check.add_argument("suite", choices=sorted(SUITES))
-    _add_common(check)
+    check.add_argument("--seed", type=int, default=0)
     check.set_defaults(fn=cmd_check)
 
-    normalize = sub.add_parser("normalize", help="rewrite an expectation")
+    normalize = sub.add_parser("normalize", parents=[fmt],
+                               help="rewrite an expectation")
     form = normalize.add_mutually_exclusive_group(required=True)
     form.add_argument("--prenex", dest="form", action="store_const",
                       const="prenex")
@@ -259,50 +242,47 @@ def build_parser() -> argparse.ArgumentParser:
     form.add_argument("--recover", dest="form", action="store_const",
                       const="recover")
     normalize.add_argument("-f", "--exp", required=True)
-    _add_common(normalize)
     normalize.set_defaults(fn=cmd_normalize)
 
     goedel_cmd = sub.add_parser("goedel", help="sequence encodings")
     goedel_sub = goedel_cmd.add_subparsers(dest="action", required=True)
-    enc = goedel_sub.add_parser("encode-seq")
+    enc = goedel_sub.add_parser("encode-seq", parents=[fmt])
     enc.add_argument("values", help="comma-separated naturals")
-    _add_common(enc)
     enc.set_defaults(fn=cmd_goedel, action="encode-seq")
-    dec = goedel_sub.add_parser("decode-seq")
+    dec = goedel_sub.add_parser("decode-seq", parents=[fmt])
     dec.add_argument("num")
     dec.add_argument("length")
-    _add_common(dec)
     dec.set_defaults(fn=cmd_goedel, action="decode-seq")
 
-    series = sub.add_parser("series", help="sum or product aggregates")
+    series = sub.add_parser("series", parents=[depth, fmt],
+                            help="sum or product aggregates")
     series.add_argument("kind", choices=["sum", "product"])
     series.add_argument("--body", required=True,
                         help="body over $s (sum) or $p (product)")
-    series.add_argument("--n", type=int, required=True, help="upper index")
+    series.add_argument("--n", type=_COUNT, required=True, help="upper index")
     series.add_argument("--at", help="state as var=p/q,...")
     series.add_argument("--emit-pure", action="store_true")
-    _add_common(series)
     series.set_defaults(fn=cmd_series)
 
-    encode = sub.add_parser("encode-loop", help="compile a loop")
+    encode = sub.add_parser("encode-loop", parents=[cap, fmt],
+                            help="compile a loop")
     encode.add_argument("--program", required=True)
     encode.add_argument("--post", required=True)
     encode.add_argument("--eval-at", dest="eval_at")
-    encode.add_argument("--depth-k", dest="k", type=int, default=8,
+    encode.add_argument("--depth-k", dest="k", type=_COUNT, default=8,
                         help="truncation depth for plan values")
     encode.add_argument("--emit-pure", action="store_true")
-    encode.add_argument("--max-pure-nodes", type=int, default=1_000_000,
+    encode.add_argument("--max-pure-nodes", type=_COUNT, default=1_000_000,
                         help="refuse to print compiled terms whose tree "
                              "expansion exceeds this many nodes")
-    _add_common(encode)
     encode.set_defaults(fn=cmd_encode_loop)
 
-    forward = sub.add_parser("forward", help="forward distribution")
+    forward = sub.add_parser("forward", parents=[cap, fmt],
+                             help="forward distribution")
     forward.add_argument("-p", "--program", required=True)
     forward.add_argument("--at")
-    forward.add_argument("--fuel", type=int, default=None,
-                         help="loop-unrolling rounds (default: --iters)")
-    _add_common(forward)
+    forward.add_argument("--fuel", type=_COUNT, default=DEFAULT_FUEL,
+                         help=f"loop-unrolling rounds (default {DEFAULT_FUEL})")
     forward.set_defaults(fn=cmd_forward)
 
     return parser

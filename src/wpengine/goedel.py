@@ -55,12 +55,15 @@ from .syntax import (
     Var,
     VarRef,
     aexpr,
+    balanced,
     eq_,
-    fo_and_all,
-    free_vars_fo,
+    free_vars,
     implies_,
+    is_quantifier_free,
     le_,
     or_,
+    substitution,
+    true_,
     with_intrinsic,
 )
 from .xreal import ONE, XReal, ZERO, is_natural
@@ -404,7 +407,8 @@ def relem_formula(num: AExpr, i: AExpr, r: AExpr) -> FOFormula:
     """
     num, i, r = aexpr(num), aexpr(i), aexpr(r)
     n, n1, n2 = logical_var("n"), logical_var("n1"), logical_var("n2")
-    core = fo_and_all(
+    core = balanced(
+        FOAnd,
         [
             pair_formula(VarRef(n), VarRef(n1), VarRef(n2)),
             elem_formula(num, i, VarRef(n)),
@@ -415,7 +419,8 @@ def relem_formula(num: AExpr, i: AExpr, r: AExpr) -> FOFormula:
                     Atom(eq_(VarRef(n2), RatLit(Fraction(1)))),
                 ),
             ),
-        ]
+        ],
+        lambda: Atom(true_()),
     )
     lifted = fo_nat_to_rat(fo_prenex(core))
     value = Atom(eq_(Mul(VarRef(n2), r), VarRef(n1)))
@@ -480,7 +485,7 @@ def encstate_formula(varset, num: AExpr) -> FOFormula:
     parts = [rseq_formula(num, RatLit(Fraction(len(variables))))]
     for index, var in enumerate(variables):
         parts.append(relem_formula(num, RatLit(Fraction(index)), VarRef(var)))
-    return fo_and_all(parts)
+    return balanced(FOAnd, parts, lambda: Atom(true_()))
 
 
 def stateseq_formula(varset, num: AExpr, length: AExpr) -> FOFormula:
@@ -504,7 +509,8 @@ def stateseq_formula(varset, num: AExpr, length: AExpr) -> FOFormula:
             ),
         ),
     )
-    return fo_and_all([seq_formula(num, length), head, all_states])
+    return balanced(FOAnd, [seq_formula(num, length), head, all_states],
+                    lambda: Atom(true_()))
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +553,7 @@ def rename_fo(p: FOFormula, mapping: dict[Var, Var]) -> FOFormula:
     """Parallel variable renaming; targets must be globally fresh."""
     if not mapping:
         return p
-    from .syntax import rename_bexpr
-
-    atom_memo: dict = {}
+    rename_atom = substitution({v: VarRef(w) for v, w in mapping.items()})
     memo: dict = {}
 
     def go(q: FOFormula) -> FOFormula:
@@ -563,7 +567,7 @@ def rename_fo(p: FOFormula, mapping: dict[Var, Var]) -> FOFormula:
             q = q.body
         match q:
             case Atom(pred):
-                out: FOFormula = Atom(rename_bexpr(pred, mapping, atom_memo))
+                out: FOFormula = Atom(rename_atom(pred))
             case Nat(v):
                 out = Nat(mapping.get(v, v))
             case FOAnd(l, r):
@@ -623,7 +627,7 @@ def fo_prenex(p: FOFormula) -> FOFormula:
         lead_names = {v for _, v in lead}
         match q:
             case Atom() | Nat():
-                result = lead, q, free_vars_fo(q) | lead_names
+                result = lead, q, free_vars(q) | lead_names
             case FONot(arg):
                 prefix, matrix, names = go(arg)
                 result = lead + flip(prefix), FONot(matrix), names | lead_names
@@ -666,32 +670,9 @@ def fo_prenex_split(p: FOFormula) -> tuple[FOPrefix, FOFormula]:
                 p = body
             case _:
                 break
-    if _has_quantifier(p):
+    if not is_quantifier_free(p):
         raise NotPrenex("quantifier below a connective")
     return prefix, p
-
-
-def _has_quantifier(p: FOFormula) -> bool:
-    seen: set[int] = set()
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        if id(q) in seen:
-            continue
-        seen.add(id(q))
-        match q:
-            case Atom() | Nat():
-                pass
-            case FOAnd(l, r) | FOOr(l, r) | FOImplies(l, r):
-                stack.append(l)
-                stack.append(r)
-            case FONot(arg):
-                stack.append(arg)
-            case Exists(_, _) | Forall(_, _):
-                return True
-            case _:
-                raise TypeError(q)
-    return False
 
 
 def fo_nat_to_rat(p: FOFormula) -> FOFormula:
@@ -703,7 +684,7 @@ def fo_nat_to_rat(p: FOFormula) -> FOFormula:
     a non-natural value sneaks in.
     """
     prefix, matrix = fo_prenex_split(p)
-    guards = [Nat(v) for v in sorted(free_vars_fo(matrix))]
+    guards = [Nat(v) for v in sorted(free_vars(matrix))]
     out: FOFormula = matrix
     for g in guards:
         out = FOAnd(out, g)

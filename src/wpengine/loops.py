@@ -46,6 +46,7 @@ from .semantics import State, calkin_wilf, eval_exp
 from .series import PROD_VAR, SUM_VAR, make_product, make_sum, odot
 from .syntax import (
     Add,
+    And,
     Arith,
     Exp,
     Guard,
@@ -59,12 +60,13 @@ from .syntax import (
     Var,
     VarRef,
     While,
-    and_all,
+    balanced,
     contains_loop,
     eq_,
     free_vars,
     le_,
     subst_exp_many,
+    true_,
     vars_program,
     with_intrinsic,
 )
@@ -218,7 +220,7 @@ def body_wp_template(loop: While, varset: VarSet) -> Exp:
         raise ContainsLoop("the loop body must be loop-free")
     variables = tuple(varset)
     post = Guard(
-        and_all([eq_(VarRef(v), VarRef(primed(v))) for v in variables]),
+        balanced(And, [eq_(VarRef(v), VarRef(primed(v))) for v in variables], true_),
         Arith(RatLit(Fraction(1))),
     )
     c_iter = Ite(loop.cond, loop.body, Skip())

@@ -18,6 +18,7 @@ from itertools import product as iter_product
 
 from .errors import SummandBlowup
 from .syntax import (
+    Add,
     AExpr,
     And,
     Arith,
@@ -34,16 +35,16 @@ from .syntax import (
     Sup,
     Var,
     VarRef,
-    add_all,
+    alit,
     all_vars,
-    and_all,
+    balanced,
+    free_vars,
     fresh_var,
     implies_,
+    is_quantifier_free,
     quantify,
-    rename_qf_exp,
+    substitution,
     true_,
-    vars_aexpr,
-    vars_bexpr,
 )
 
 DEFAULT_SUMMAND_CAP = 16
@@ -104,29 +105,6 @@ class DNF:
         return quantify(list(self.prefix), Guard(self.matrix, Arith(RatLit(Fraction(1)))))
 
 
-def _is_quantifier_free(f: Exp) -> bool:
-    seen: set[int] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if id(g) in seen:
-            continue
-        seen.add(id(g))
-        match g:
-            case Arith():
-                pass
-            case Guard(_, body) | Scale(_, body):
-                stack.append(body)
-            case Plus(l, r):
-                stack.append(l)
-                stack.append(r)
-            case Sup(_, _) | Inf(_, _):
-                return False
-            case _:
-                raise TypeError(g)
-    return True
-
-
 def to_prenex(f: Exp) -> PrenexExp:
     """Pull all quantifiers to the front, renaming bound variables fresh.
 
@@ -141,7 +119,7 @@ def to_prenex(f: Exp) -> PrenexExp:
 
     def freshen(prefix: Prefix, matrix: Exp, context_vars: set[Var]) -> tuple[Prefix, Exp]:
         context_names = {v.name for v in context_vars}
-        mapping: dict[Var, Var] = {}
+        mapping: dict[Var, VarRef] = {}
         kept: set[Var] = set()
         renamed: Prefix = []
         for quant, var in prefix:
@@ -156,9 +134,9 @@ def to_prenex(f: Exp) -> PrenexExp:
             fresh = Var(name)
             used_names.add(name)
             used.add(fresh)
-            mapping[var] = fresh
+            mapping[var] = VarRef(fresh)
             renamed.append((quant, fresh))
-        return renamed, rename_qf_exp(matrix, mapping)
+        return renamed, substitution(mapping)(matrix)
 
     def go(g: Exp) -> tuple[Prefix, Exp]:
         spine: Prefix = []
@@ -170,11 +148,11 @@ def to_prenex(f: Exp) -> PrenexExp:
                 return spine, g
             case Guard(cond, body):
                 prefix, matrix = go(body)
-                prefix, matrix = freshen(prefix, matrix, vars_bexpr(cond))
+                prefix, matrix = freshen(prefix, matrix, free_vars(cond))
                 return spine + prefix, Guard(cond, matrix)
             case Scale(a, body):
                 prefix, matrix = go(body)
-                prefix, matrix = freshen(prefix, matrix, vars_aexpr(a))
+                prefix, matrix = freshen(prefix, matrix, free_vars(a))
                 return spine + prefix, Scale(a, matrix)
             case Plus(l, r):
                 pl, ml = go(l)
@@ -186,7 +164,7 @@ def to_prenex(f: Exp) -> PrenexExp:
         raise TypeError(g)
 
     prefix, matrix = go(f)
-    assert _is_quantifier_free(matrix)
+    assert is_quantifier_free(matrix)
     # a repeated name can only be a vacuous outer binder; rename it so the
     # prefix variables are pairwise distinct
     seen: set[Var] = set()
@@ -246,10 +224,10 @@ def to_dnf(f: Exp, summand_cap: int = DEFAULT_SUMMAND_CAP) -> DNF:
     zero = RatLit(Fraction(0))
     conjuncts = []
     for signs in iter_product(*(((phi, a), (Not(phi), zero)) for phi, a in snf.summands)):
-        sign_guards = and_all([b for b, _ in signs])
-        total = add_all([t for _, t in signs])
+        sign_guards = balanced(And, [b for b, _ in signs], true_)
+        total = balanced(Add, [t for _, t in signs], lambda: alit(0))
         conjuncts.append(implies_(sign_guards, Lt(VarRef(cut), total)))
-    return DNF(snf.prefix, cut, and_all(conjuncts))
+    return DNF(snf.prefix, cut, balanced(And, conjuncts, true_))
 
 
 def dnf_recover(d: DNF) -> Exp:

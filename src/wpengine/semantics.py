@@ -47,7 +47,7 @@ from .syntax import (
     Sup,
     Var,
     VarRef,
-    constants_exp,
+    constants,
 )
 from .xreal import XReal, ZERO, is_natural, rat
 
@@ -153,9 +153,6 @@ class QDomain:
     def __contains__(self, q) -> bool:
         return rat(q) in self.values
 
-    def union(self, extra: Iterable[Fraction]) -> "QDomain":
-        return QDomain(list(self.values) + sorted(rat(q) for q in extra))
-
     def __repr__(self) -> str:
         return f"QDomain({list(self.values)})"
 
@@ -183,7 +180,7 @@ def default_domain(f: Exp, sigma: State, k: int = 32) -> QDomain:
     Including the constants in sight greatly improves guard hits under the
     restricted quantifier semantics.
     """
-    return calkin_wilf(k, constants_exp(f) | sigma.values())
+    return calkin_wilf(k, constants(f) | sigma.values())
 
 
 # ---------------------------------------------------------------------------

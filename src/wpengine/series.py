@@ -44,15 +44,16 @@ from .syntax import (
     Sup,
     Var,
     VarRef,
+    FOAnd,
     aexpr,
     all_vars,
+    balanced,
     eq_,
-    fo_and_all,
+    free_vars,
     fresh_var,
     quantify,
-    rename_bexpr,
-    subst_bexpr,
-    vars_aexpr,
+    substitution,
+    true_,
     with_intrinsic,
 )
 from .goedel import fo_prenex, fo_to_exp, expand_nat_atoms, logical_var, relem_formula
@@ -132,19 +133,22 @@ def _aggregate_pure(body: Exp, bound: AExpr, kind: str, agg: Var) -> Exp:
     cut = dnf.cut_var
     neutral = RatLit(Fraction(0 if kind == "sum" else 1))
     combine = Add if kind == "sum" else Mul
-    matrix = subst_bexpr(dnf.matrix, agg, VarRef(u))
+    matrix = substitution({agg: VarRef(u)})(dnf.matrix)
     step_guard = FOOr(Atom(matrix), Atom(eq_(VarRef(cut), RatLit(Fraction(0)))))
-    bracket = fo_and_all(
+    bracket = balanced(
+        FOAnd,
         [
             relem_formula(VarRef(num), RatLit(Fraction(0)), neutral),
             relem_formula(VarRef(num), Add(bound, RatLit(Fraction(1))), VarRef(vp)),
             FOImplies(
-                fo_and_all(
+                balanced(
+                    FOAnd,
                     [
                         Atom(Lt(VarRef(u), Add(bound, RatLit(Fraction(1))))),
                         relem_formula(VarRef(num), VarRef(u), VarRef(z)),
                         step_guard,
-                    ]
+                    ],
+                    lambda: Atom(true_()),
                 ),
                 relem_formula(
                     VarRef(num),
@@ -152,7 +156,8 @@ def _aggregate_pure(body: Exp, bound: AExpr, kind: str, agg: Var) -> Exp:
                     combine(VarRef(z), VarRef(cut)),
                 ),
             ),
-        ]
+        ],
+        lambda: Atom(true_()),
     )
     embedded = fo_to_exp(fo_prenex(expand_nat_atoms(bracket)))
     inner = Inf(u, Inf(z, Sup(cut, quantify(list(dnf.prefix), embedded))))
@@ -168,7 +173,7 @@ def make_sum(body: Exp, bound, agg_var: Var = SUM_VAR) -> SumExp:
     equals the n+1-term sum.
     """
     bound = aexpr(bound)
-    if agg_var in vars_aexpr(bound):
+    if agg_var in free_vars(bound):
         raise ValueError("the bound must not mention the aggregation variable")
     pure = _aggregate_pure(body, bound, "sum", agg_var)
     tagged = with_intrinsic(pure, AggregatePlan(body, agg_var, bound, "sum"))
@@ -178,7 +183,7 @@ def make_sum(body: Exp, bound, agg_var: Var = SUM_VAR) -> SumExp:
 def make_product(body: Exp, bound, agg_var: Var = PROD_VAR) -> ProdExp:
     """Product of ``body`` instances at aggregation indices 0..bound."""
     bound = aexpr(bound)
-    if agg_var in vars_aexpr(bound):
+    if agg_var in free_vars(bound):
         raise ValueError("the bound must not mention the aggregation variable")
     pure = _aggregate_pure(body, bound, "product", agg_var)
     tagged = with_intrinsic(pure, AggregatePlan(body, agg_var, bound, "product"))
@@ -234,7 +239,7 @@ def dedekind_product(f: Exp, g: Exp, summand_cap: int = 16) -> Exp:
     if cut2 == d1.cut_var:
         cut2 = fresh_var(avoid, base="$cut")
         d2 = type(d2)(d2.prefix, cut2,
-                      subst_bexpr(d2.matrix, d2.cut_var, VarRef(cut2)))
+                      substitution({d2.cut_var: VarRef(cut2)})(d2.matrix))
     shared = {v for _, v in d1.prefix} & {v for _, v in d2.prefix}
     if shared:
         mapping = {}
@@ -244,7 +249,7 @@ def dedekind_product(f: Exp, g: Exp, summand_cap: int = 16) -> Exp:
         d2 = type(d2)(
             tuple((q, mapping.get(v, v)) for q, v in d2.prefix),
             cut2,
-            rename_bexpr(d2.matrix, mapping),
+            substitution({v: VarRef(v2) for v, v2 in mapping.items()})(d2.matrix),
         )
     body = quantify(
         list(d1.prefix) + list(d2.prefix),

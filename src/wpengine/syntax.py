@@ -7,6 +7,13 @@ core connectives ``<``, ``&&``, ``!``.  Expectations may carry an *intrinsic*
 tag: an opaque evaluation hint attached by higher layers that is ignored by
 printing, equality, and hashing.
 
+Generated terms share subterms heavily, so they are DAGs in memory.  The
+variable, constant and substitution walkers visit each distinct node once
+per call, keying their memos on the nodes of their own input, which stay
+alive for the whole walk; the only fact kept across calls is the variable
+set of a term or guard, cached on the node itself so that it is freed with
+the node.
+
 Identifiers match ``\\$?[a-zA-Z_][a-zA-Z0-9_']*``; the ``$`` prefix marks the
 reserved namespace used for machine-generated helper variables, which the
 program parser rejects.
@@ -15,6 +22,7 @@ program parser rejects.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -52,6 +60,20 @@ def fresh_var(avoid: Iterable[Var], base: str = "v") -> Var:
     while name in taken:
         name += "'"
     return Var(name)
+
+
+def balanced(join, parts: list, empty):
+    """Join ``parts`` left to right as a balanced tree (keeps depth logarithmic).
+
+    ``join`` is a binary constructor such as ``Add``, ``And`` or ``FOAnd``;
+    ``empty()`` gives the result for no parts.
+    """
+    if not parts:
+        return empty()
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    return join(balanced(join, parts[:mid], empty), balanced(join, parts[mid:], empty))
 
 
 # ---------------------------------------------------------------------------
@@ -113,16 +135,6 @@ def aexpr(value) -> AExpr:
     return alit(value)
 
 
-def add_all(terms: list[AExpr]) -> AExpr:
-    """Left-to-right sum built as a balanced tree (keeps depth logarithmic)."""
-    if not terms:
-        return alit(0)
-    if len(terms) == 1:
-        return terms[0]
-    mid = len(terms) // 2
-    return Add(add_all(terms[:mid]), add_all(terms[mid:]))
-
-
 # ---------------------------------------------------------------------------
 # Boolean expressions (core: <, &&, !)
 # ---------------------------------------------------------------------------
@@ -170,15 +182,6 @@ def le_(a: AExpr, b: AExpr) -> BExpr:
 
 def eq_(a: AExpr, b: AExpr) -> BExpr:
     return And(Not(Lt(a, b)), Not(Lt(b, a)))
-
-
-def and_all(phis: list[BExpr]) -> BExpr:
-    if not phis:
-        return true_()
-    if len(phis) == 1:
-        return phis[0]
-    mid = len(phis) // 2
-    return And(and_all(phis[:mid]), and_all(phis[mid:]))
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +313,6 @@ def with_intrinsic(node: Exp, tag: object) -> Exp:
     return replace(node, intrinsic=tag)
 
 
-def plus_all(terms: list[Exp]) -> Exp:
-    if not terms:
-        return Arith(alit(0))
-    if len(terms) == 1:
-        return terms[0]
-    mid = len(terms) // 2
-    return Plus(plus_all(terms[:mid]), plus_all(terms[mid:]))
-
-
 def quantify(prefix: list[tuple[type, Var]], body: Exp) -> Exp:
     """Wrap ``body`` in a quantifier prefix given as (Sup|Inf, var) pairs."""
     for quant, var in reversed(prefix):
@@ -385,65 +379,51 @@ class Forall:
 FOFormula = Union[Atom, Nat, FOAnd, FOOr, FONot, FOImplies, Exists, Forall]
 
 
-def fo_and_all(parts: list[FOFormula]) -> FOFormula:
-    if not parts:
-        return Atom(true_())
-    if len(parts) == 1:
-        return parts[0]
-    mid = len(parts) // 2
-    return FOAnd(fo_and_all(parts[:mid]), fo_and_all(parts[mid:]))
-
-
 # ---------------------------------------------------------------------------
-# Variable analysis
+# Variable analysis and other walkers
 # ---------------------------------------------------------------------------
 
-# Generated expectations share subterms heavily (they are DAGs in memory),
-# and the big shared guards get queried from many call sites, so variable
-# sets are cached per physical node.  The cache pins its keys, which is fine
-# at the scale of the terms this package builds.
-_VARS_CACHE: dict[int, tuple[object, frozenset]] = {}
+_QF_TYPES = (RatLit, VarRef, Add, Mul, Monus, Lt, And, Not)
+_BINDERS = (Sup, Inf, Exists, Forall)
+_NO_VARS: frozenset[Var] = frozenset()
 
 
-def _vars_cached(node, compute) -> frozenset:
-    hit = _VARS_CACHE.get(id(node))
-    if hit is not None and hit[0] is node:
-        return hit[1]
-    result = compute(node)
-    _VARS_CACHE[id(node)] = (node, result)
-    return result
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """``a | b``, reusing an operand that already contains the other."""
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
 
 
-def vars_aexpr(a: AExpr) -> frozenset[Var]:
-    """Variables of a term; shared subtrees are computed once, globally."""
+def _qf_vars(node) -> frozenset[Var]:
+    """Variables of a term or guard.
 
-    def compute(node) -> frozenset:
-        match node:
-            case RatLit():
-                return frozenset()
-            case VarRef(v):
-                return frozenset((v,))
-            case Add(l, r) | Mul(l, r) | Monus(l, r):
-                return vars_aexpr(l) | vars_aexpr(r)
-        raise TypeError(node)
-
-    return _vars_cached(a, compute)
-
-
-def vars_bexpr(phi: BExpr) -> frozenset[Var]:
-    """Variables of a guard; shared subtrees are computed once, globally."""
-
-    def compute(node) -> frozenset:
-        match node:
-            case Lt(a, b):
-                return vars_aexpr(a) | vars_aexpr(b)
-            case And(l, r):
-                return vars_bexpr(l) | vars_bexpr(r)
-            case Not(arg):
-                return vars_bexpr(arg)
-        raise TypeError(node)
-
-    return _vars_cached(phi, compute)
+    Generated terms share subterms heavily (they are DAGs in memory), so
+    the set is cached on the node itself, as an attribute outside its
+    dataclass fields: it is computed once per node and freed with the node.
+    It is set with ``object.__setattr__`` and read as an attribute, not
+    through ``node.__dict__``, which would give every node a dictionary of
+    its own and slow down reading its fields.
+    """
+    try:
+        return node._vars
+    except AttributeError:
+        pass
+    match node:
+        case RatLit():
+            out = _NO_VARS
+        case VarRef(v):
+            out = frozenset((v,))
+        case Add(l, r) | Mul(l, r) | Monus(l, r) | Lt(l, r) | And(l, r):
+            out = _union(_qf_vars(l), _qf_vars(r))
+        case Not(arg):
+            out = _qf_vars(arg)
+        case _:
+            raise TypeError(node)
+    object.__setattr__(node, "_vars", out)
+    return out
 
 
 def _peel_quantifiers(f: Exp) -> tuple[list[tuple[type, Var, object]], Exp]:
@@ -460,58 +440,52 @@ def _peel_quantifiers(f: Exp) -> tuple[list[tuple[type, Var, object]], Exp]:
     return spine, f
 
 
-def free_vars(f: Exp, _memo: dict | None = None) -> set[Var]:
-    """Free variables of an expectation (quantifiers bind).
+def _vars(node, free: bool, memo: dict) -> frozenset[Var]:
+    """Free (or free and bound) variables of any term, guard, expectation
+    or formula.
 
-    The free-variable set of a subterm is intrinsic, so shared subterms are
-    computed once per call.
+    Sets of expectations and formulas live in ``memo``, which belongs to
+    one walk, and only for the head of each quantifier spine: caching them
+    on the nodes would keep one set per binder alive, and generated spines
+    stack hundreds of binders, which makes that quadratic in memory.
     """
-    memo = {} if _memo is None else _memo
-    cached = memo.get(id(f))
-    if cached is not None:
-        return cached
-    root = f
-    spine, f = _peel_quantifiers(f)
-    bound = {v for _, v, _ in spine}
-    match f:
-        case Arith(a):
-            inner = vars_aexpr(a)
-        case Guard(cond, body):
-            inner = vars_bexpr(cond) | free_vars(body, memo)
-        case Plus(l, r):
-            inner = free_vars(l, memo) | free_vars(r, memo)
-        case Scale(a, body):
-            inner = vars_aexpr(a) | free_vars(body, memo)
+    if isinstance(node, _QF_TYPES):
+        return _qf_vars(node)
+    hit = memo.get(id(node))
+    if hit is not None:
+        return hit
+    root = node
+    bound = []
+    while isinstance(node, _BINDERS):
+        bound.append(node.var)
+        node = node.body
+    match node:
+        case Arith(a) | Atom(a):
+            out = _qf_vars(a)
+        case Nat(v):
+            out = frozenset((v,))
+        case Guard(a, body) | Scale(a, body):
+            out = _union(_qf_vars(a), _vars(body, free, memo))
+        case Plus(l, r) | FOAnd(l, r) | FOOr(l, r) | FOImplies(l, r):
+            out = _union(_vars(l, free, memo), _vars(r, free, memo))
+        case FONot(arg):
+            out = _vars(arg, free, memo)
         case _:
-            raise TypeError(f)
-    result = inner - bound
-    memo[id(root)] = result
-    return result
+            raise TypeError(node)
+    if bound:
+        out = out.difference(bound) if free else out.union(bound)
+    memo[id(root)] = out
+    return out
 
 
-def all_vars(f: Exp, _memo: dict | None = None) -> set[Var]:
-    """Free and bound variables of an expectation."""
-    memo = {} if _memo is None else _memo
-    cached = memo.get(id(f))
-    if cached is not None:
-        return cached
-    root = f
-    spine, f = _peel_quantifiers(f)
-    bound = {v for _, v, _ in spine}
-    match f:
-        case Arith(a):
-            inner = vars_aexpr(a)
-        case Guard(cond, body):
-            inner = vars_bexpr(cond) | all_vars(body, memo)
-        case Plus(l, r):
-            inner = all_vars(l, memo) | all_vars(r, memo)
-        case Scale(a, body):
-            inner = vars_aexpr(a) | all_vars(body, memo)
-        case _:
-            raise TypeError(f)
-    result = inner | bound
-    memo[id(root)] = result
-    return result
+def free_vars(node) -> frozenset[Var]:
+    """Free variables of a term, guard, expectation or formula."""
+    return _vars(node, True, {})
+
+
+def all_vars(node) -> frozenset[Var]:
+    """Free and bound variables of a term, guard, expectation or formula."""
+    return _vars(node, False, {})
 
 
 def vars_program(prog: Program) -> set[Var]:
@@ -519,287 +493,209 @@ def vars_program(prog: Program) -> set[Var]:
         case Skip():
             return set()
         case Assign(v, e):
-            return {v} | vars_aexpr(e)
+            return {v} | free_vars(e)
         case Seq(a, b):
             return vars_program(a) | vars_program(b)
         case PChoice(a, _, b):
             return vars_program(a) | vars_program(b)
         case Ite(cond, a, b):
-            return vars_bexpr(cond) | vars_program(a) | vars_program(b)
+            return vars_program(a) | vars_program(b) | free_vars(cond)
         case While(cond, body):
-            return vars_bexpr(cond) | vars_program(body)
+            return vars_program(body) | free_vars(cond)
     raise TypeError(prog)
 
 
-def _peel_fo_quantifiers(p: FOFormula) -> tuple[list[Var], FOFormula]:
-    bound = []
-    while isinstance(p, (Exists, Forall)):
-        bound.append(p.var)
-        p = p.body
-    return bound, p
+def constants(node) -> set[Fraction]:
+    """Rational literals occurring anywhere in a term, guard or expectation.
+
+    Iterative, and each distinct node is visited once, so the cost follows
+    the in-memory structure, not its tree expansion.
+    """
+    found: set[Fraction] = set()
+    seen: set[int] = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        match n:
+            case RatLit(q):
+                found.add(q)
+            case VarRef():
+                pass
+            case Arith(child) | Not(child) | Sup(_, child) | Inf(_, child):
+                stack.append(child)
+            case (Add(l, r) | Mul(l, r) | Monus(l, r) | Lt(l, r) | And(l, r)
+                  | Guard(l, r) | Scale(l, r) | Plus(l, r)):
+                stack.append(l)
+                stack.append(r)
+            case _:
+                raise TypeError(n)
+    return found
 
 
-def free_vars_fo(p: FOFormula) -> set[Var]:
-    bound, p = _peel_fo_quantifiers(p)
-    match p:
-        case Atom(pred):
-            inner = vars_bexpr(pred)
-        case Nat(v):
-            inner = {v}
-        case FOAnd(l, r) | FOOr(l, r) | FOImplies(l, r):
-            inner = free_vars_fo(l) | free_vars_fo(r)
-        case FONot(arg):
-            inner = free_vars_fo(arg)
-        case _:
-            raise TypeError(p)
-    return inner - set(bound)
+def is_quantifier_free(node) -> bool:
+    """Whether an expectation or formula contains no quantifier.
 
-
-def all_vars_fo(p: FOFormula) -> set[Var]:
-    bound, p = _peel_fo_quantifiers(p)
-    match p:
-        case Atom(pred):
-            inner = vars_bexpr(pred)
-        case Nat(v):
-            inner = {v}
-        case FOAnd(l, r) | FOOr(l, r) | FOImplies(l, r):
-            inner = all_vars_fo(l) | all_vars_fo(r)
-        case FONot(arg):
-            inner = all_vars_fo(arg)
-        case _:
-            raise TypeError(p)
-    return inner | set(bound)
-
-
-def constants_aexpr(a: AExpr) -> set[Fraction]:
-    match a:
-        case RatLit(q):
-            return {q}
-        case VarRef():
-            return set()
-        case Add(l, r) | Mul(l, r) | Monus(l, r):
-            return constants_aexpr(l) | constants_aexpr(r)
-    raise TypeError(a)
-
-
-def constants_bexpr(phi: BExpr) -> set[Fraction]:
-    match phi:
-        case Lt(a, b):
-            return constants_aexpr(a) | constants_aexpr(b)
-        case And(l, r):
-            return constants_bexpr(l) | constants_bexpr(r)
-        case Not(arg):
-            return constants_bexpr(arg)
-    raise TypeError(phi)
-
-
-def constants_exp(f: Exp) -> set[Fraction]:
-    """Rational literals occurring anywhere in an expectation."""
-    _, f = _peel_quantifiers(f)
-    match f:
-        case Arith(a):
-            return constants_aexpr(a)
-        case Guard(cond, body):
-            return constants_bexpr(cond) | constants_exp(body)
-        case Plus(l, r):
-            return constants_exp(l) | constants_exp(r)
-        case Scale(a, body):
-            return constants_aexpr(a) | constants_exp(body)
-    raise TypeError(f)
+    Iterative, and each distinct node is visited once.
+    """
+    seen: set[int] = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        match n:
+            case Sup() | Inf() | Exists() | Forall():
+                return False
+            case Arith() | Atom() | Nat():
+                pass
+            case Guard(_, child) | Scale(_, child) | FONot(child):
+                stack.append(child)
+            case Plus(l, r) | FOAnd(l, r) | FOOr(l, r) | FOImplies(l, r):
+                stack.append(l)
+                stack.append(r)
+            case _:
+                raise TypeError(n)
+    return True
 
 
 # ---------------------------------------------------------------------------
 # Substitution
 # ---------------------------------------------------------------------------
 
-def subst_aexpr(a: AExpr, x: Var, value: AExpr, _memo: dict | None = None) -> AExpr:
-    memo = {} if _memo is None else _memo
-    cached = memo.get(id(a))
-    if cached is not None:
-        return cached
-    match a:
-        case RatLit():
-            out: AExpr = a
-        case VarRef(v):
-            out = value if v == x else a
-        case Add(l, r):
-            out = Add(subst_aexpr(l, x, value, memo), subst_aexpr(r, x, value, memo))
-        case Mul(l, r):
-            out = Mul(subst_aexpr(l, x, value, memo), subst_aexpr(r, x, value, memo))
-        case Monus(l, r):
-            out = Monus(subst_aexpr(l, x, value, memo), subst_aexpr(r, x, value, memo))
-        case _:
-            raise TypeError(a)
-    memo[id(a)] = out
-    return out
-
-
-def subst_bexpr(phi: BExpr, x: Var, value: AExpr, _memo: dict | None = None) -> BExpr:
-    memo = {} if _memo is None else _memo
-    cached = memo.get(id(phi))
-    if cached is not None:
-        return cached
-    match phi:
-        case Lt(a, b):
-            out: BExpr = Lt(subst_aexpr(a, x, value, memo),
-                            subst_aexpr(b, x, value, memo))
-        case And(l, r):
-            out = And(subst_bexpr(l, x, value, memo), subst_bexpr(r, x, value, memo))
-        case Not(arg):
-            out = Not(subst_bexpr(arg, x, value, memo))
-        case _:
-            raise TypeError(phi)
-    memo[id(phi)] = out
-    return out
-
-
 def _tag_survives(tag: object) -> bool:
     return bool(getattr(tag, "survives_rewrite", False))
 
 
 def _rebuilt(node: Exp, **changes) -> Exp:
-    """Rebuild a node after a rewrite, keeping only shape-reading tags."""
+    """Rebuild a node after a rewrite, keeping only shape-reading tags.
+
+    A node whose parts all came back unchanged is returned as it is.
+    """
+    if all(getattr(node, name) is part for name, part in changes.items()):
+        return node
     tag = node.intrinsic if _tag_survives(node.intrinsic) else None
     return replace(node, intrinsic=tag, **changes)
 
 
-def subst_exp(f: Exp, x: Var, value: AExpr) -> Exp:
-    """Capture-avoiding substitution of ``x`` by the term ``value``.
+def substitution(mapping: dict[Var, AExpr]):
+    """Parallel, capture-avoiding substitution of each variable by its term.
 
-    Bound variables that would capture a variable of ``value`` are renamed
-    by priming.  Subtrees without a free ``x`` are returned as-is (intrinsic
-    tags included); rewritten nodes keep a tag only if it is declared
-    shape-reading.  Shared subterms are substituted once.
+    Returns a function that applies the substitution to terms, guards and
+    expectations.  A bound variable that would capture a variable of an
+    incoming term is renamed by priming; the renaming extends the mapping
+    instead of copying the binder's body, so a walk visits only nodes of
+    its own input.  Subtrees without a free mapped variable are returned
+    as-is (intrinsic tags included); rebuilt nodes keep a tag only if it
+    is declared shape-reading.
+
+    Results are memoized per mapping and keyed on input nodes, so shared
+    subterms are substituted once, across calls of the returned function
+    too.  The function keeps every node it is given alive, so no memo key
+    can be reused by another object.
     """
-    value_vars = vars_aexpr(value)
-    fv_memo: dict = {}
-    term_memo: dict = {}
-    atom_memo: dict = {}
+    if not mapping:
+        return lambda node: node
+    inputs: list = []
+    fv_memo: dict[int, frozenset] = {}
+    derived: dict[tuple, tuple] = {}
 
-    def walk(g: Exp) -> Exp:
-        if x not in free_vars(g, fv_memo):
-            return g
-        orig = g
-        cached = term_memo.get(id(g))
-        if cached is not None:
-            return cached
-        match g:
-            case Arith(a):
-                out = _rebuilt(g, expr=subst_aexpr(a, x, value, atom_memo))
-            case Guard(cond, body):
-                out = _rebuilt(g, cond=subst_bexpr(cond, x, value, atom_memo),
-                               body=walk(body))
-            case Plus(l, r):
-                out = _rebuilt(g, left=walk(l), right=walk(r))
-            case Scale(a, body):
-                out = _rebuilt(g, factor=subst_aexpr(a, x, value, atom_memo),
-                               body=walk(body))
-            case Sup(_, _) | Inf(_, _):
-                spine: list[tuple[type, Var, object]] = []
-                shadowed = False
-                while isinstance(g, (Sup, Inf)):
-                    v = g.var
-                    if v == x:
-                        shadowed = True
-                        break
-                    if v in value_vars:
-                        avoid = value_vars | free_vars(g.body, fv_memo) | {x, v}
-                        v2 = fresh_var(avoid, base=v.name)
-                        spine.append((type(g), v2, g.intrinsic))
-                        g = subst_exp(g.body, v, VarRef(v2))
-                    else:
-                        spine.append((type(g), v, g.intrinsic))
-                        g = g.body
-                out = g if shadowed else walk(g)
-                for ctor, v, tag in reversed(spine):
-                    kept = tag if _tag_survives(tag) else None
-                    out = ctor(v, out, intrinsic=kept)
-            case _:
-                raise TypeError(g)
-        term_memo[id(orig)] = out
+    def context(m: dict[Var, AExpr]) -> tuple:
+        # the key set makes the test whether a term or guard mentions a
+        # mapped variable a set operation on stored hashes (a Var hash is a
+        # Python call); the memo belongs to this mapping
+        return m, frozenset(m), {}
+
+    def derive(ctx: tuple, v: Var, v2: Var | None) -> tuple:
+        """The mapping without ``v``, then with ``v`` renamed to ``v2``."""
+        key = (id(ctx), v, v2)
+        out = derived.get(key)
+        if out is None:
+            m = {k: a for k, a in ctx[0].items() if k != v}
+            if v2 is not None:
+                m[v] = VarRef(v2)
+            out = derived[key] = context(m)
         return out
 
-    return walk(f)
+    def walk(g, ctx: tuple):
+        m, keys, memo = ctx
+        if isinstance(g, _QF_TYPES) and _qf_vars(g).isdisjoint(keys):
+            return g
+        out = memo.get(id(g))
+        if out is not None:
+            return out
+        match g:
+            case VarRef(v):
+                out = m[v]
+            case Add(l, r) | Mul(l, r) | Monus(l, r) | Lt(l, r) | And(l, r):
+                out = type(g)(walk(l, ctx), walk(r, ctx))
+            case Not(arg):
+                out = Not(walk(arg, ctx))
+            case Arith(a):
+                out = _rebuilt(g, expr=walk(a, ctx))
+            case Guard(cond, body):
+                out = _rebuilt(g, cond=walk(cond, ctx), body=walk(body, ctx))
+            case Plus(l, r):
+                out = _rebuilt(g, left=walk(l, ctx), right=walk(r, ctx))
+            case Scale(a, body):
+                out = _rebuilt(g, factor=walk(a, ctx), body=walk(body, ctx))
+            case Sup(_, _) | Inf(_, _):
+                out = under_binders(g, ctx)
+            case _:
+                raise TypeError(g)
+        memo[id(g)] = out
+        return out
+
+    def under_binders(g: Exp, ctx: tuple) -> Exp:
+        if _vars(g, True, fv_memo).isdisjoint(ctx[1]):
+            return g
+        spine = []
+        while isinstance(g, (Sup, Inf)):
+            spine.append(g)
+            g = g.body
+        matrix_fv = _vars(g, True, fv_memo)
+        below = Counter(b.var for b in spine)  # binders under the current one
+        heads = []
+        for b in spine:
+            v = b.var
+            below[v] -= 1
+            if v in ctx[1]:
+                ctx = derive(ctx, v, None)
+            # terms coming in for the variables free in this binder's body
+            incoming = [ctx[0][k] for k in ctx[1] & matrix_fv if not below[k]]
+            if any(v in _qf_vars(a) for a in incoming):
+                avoid = {u for u in matrix_fv if not below[u]} | {v}
+                for a in incoming:
+                    avoid |= _qf_vars(a)
+                v2 = fresh_var(avoid, base=v.name)
+                ctx = derive(ctx, v, v2)
+                v = v2
+            heads.append((type(b), v, b.intrinsic))
+        out = walk(g, ctx)
+        for ctor, v, tag in reversed(heads):
+            out = ctor(v, out, intrinsic=tag if _tag_survives(tag) else None)
+        return out
+
+    root = context(dict(mapping))
+
+    def apply(node):
+        inputs.append(node)
+        return walk(node, root)
+
+    return apply
+
+
+def subst_exp(f: Exp, x: Var, value: AExpr) -> Exp:
+    """Capture-avoiding substitution of ``x`` by the term ``value``."""
+    return substitution({x: value})(f)
 
 
 def subst_exp_many(f: Exp, pairs: list[tuple[Var, AExpr]]) -> Exp:
-    for x, value in pairs:
-        f = subst_exp(f, x, value)
-    return f
-
-
-def rename_aexpr(a: AExpr, mapping: dict[Var, Var],
-                 _memo: dict | None = None) -> AExpr:
-    memo = {} if _memo is None else _memo
-    cached = memo.get(id(a))
-    if cached is not None:
-        return cached
-    match a:
-        case RatLit():
-            out: AExpr = a
-        case VarRef(v):
-            out = VarRef(mapping[v]) if v in mapping else a
-        case Add(l, r):
-            out = Add(rename_aexpr(l, mapping, memo), rename_aexpr(r, mapping, memo))
-        case Mul(l, r):
-            out = Mul(rename_aexpr(l, mapping, memo), rename_aexpr(r, mapping, memo))
-        case Monus(l, r):
-            out = Monus(rename_aexpr(l, mapping, memo), rename_aexpr(r, mapping, memo))
-        case _:
-            raise TypeError(a)
-    memo[id(a)] = out
-    return out
-
-
-def rename_bexpr(phi: BExpr, mapping: dict[Var, Var],
-                 _memo: dict | None = None) -> BExpr:
-    memo = {} if _memo is None else _memo
-    cached = memo.get(id(phi))
-    if cached is not None:
-        return cached
-    match phi:
-        case Lt(a, b):
-            out: BExpr = Lt(rename_aexpr(a, mapping, memo),
-                            rename_aexpr(b, mapping, memo))
-        case And(l, r):
-            out = And(rename_bexpr(l, mapping, memo), rename_bexpr(r, mapping, memo))
-        case Not(arg):
-            out = Not(rename_bexpr(arg, mapping, memo))
-        case _:
-            raise TypeError(phi)
-    memo[id(phi)] = out
-    return out
-
-
-def rename_qf_exp(f: Exp, mapping: dict[Var, Var],
-                  _memo: dict | None = None) -> Exp:
-    """Parallel rename over a quantifier-free expectation.
-
-    Targets must be fresh for the term; shape-reading tags survive, other
-    tags are dropped on rebuilt nodes.
-    """
-    if not mapping:
-        return f
-    memo = {} if _memo is None else _memo
-    cached = memo.get(id(f))
-    if cached is not None:
-        return cached
-    match f:
-        case Arith(a):
-            out = _rebuilt(f, expr=rename_aexpr(a, mapping, memo))
-        case Guard(cond, body):
-            out = _rebuilt(f, cond=rename_bexpr(cond, mapping, memo),
-                           body=rename_qf_exp(body, mapping, memo))
-        case Plus(l, r):
-            out = _rebuilt(f, left=rename_qf_exp(l, mapping, memo),
-                           right=rename_qf_exp(r, mapping, memo))
-        case Scale(a, body):
-            out = _rebuilt(f, factor=rename_aexpr(a, mapping, memo),
-                           body=rename_qf_exp(body, mapping, memo))
-        case _:
-            raise TypeError(f)
-    memo[id(f)] = out
-    return out
+    """Simultaneous capture-avoiding substitution of each variable by its term."""
+    return substitution(dict(pairs))(f)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from fractions import Fraction
 from .errors import ContainsLoop, FuelExceeded
 from .semantics import State, eval_aexpr, eval_bexpr, eval_exp
 from .syntax import (
+    And,
     Arith,
     Assign,
     Exp,
@@ -40,11 +41,12 @@ from .syntax import (
     Var,
     VarRef,
     While,
-    and_all,
+    balanced,
     contains_loop,
     eq_,
     free_vars,
     subst_exp,
+    true_,
     vars_program,
 )
 from .xreal import XReal, ZERO, format_rat
@@ -359,7 +361,7 @@ def kleene_iterate(loop: While, post: Exp, sigma: State, k: int,
 
 def char_assertion(sigma: State, varset: VarSet) -> Exp:
     """{0,1} indicator of the states that agree with sigma on the variables."""
-    conj = and_all([eq_(VarRef(v), RatLit(sigma[v])) for v in varset])
+    conj = balanced(And, [eq_(VarRef(v), RatLit(sigma[v])) for v in varset], true_)
     return Guard(conj, Arith(RatLit(Fraction(1))))
 
 

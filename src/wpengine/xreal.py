@@ -150,15 +150,6 @@ def xsum(values: Iterable[XReal]) -> XReal:
     return total
 
 
-def xprod(values: Iterable[XReal]) -> XReal:
-    total = ONE
-    for v in values:
-        total = total * v
-        if total == ZERO:
-            return ZERO
-    return total
-
-
 def sup(values: Iterable[XReal]) -> XReal:
     """Supremum of a finite set; the supremum of the empty set is 0."""
     best = ZERO
@@ -177,10 +168,3 @@ def inf(values: Iterable[XReal]) -> XReal:
         if v < best:
             best = v
     return best
-
-
-def parse_xreal(text: str) -> XReal:
-    text = text.strip()
-    if text == "inf":
-        return XReal.INF
-    return XReal.of(parse_rat(text))

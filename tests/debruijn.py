@@ -32,7 +32,7 @@ def _nameless_aexpr(a, env):
             return ("lit", q)
         case VarRef(v):
             if v in env:
-                return ("bound", len(env) - 1 - env.index(v))
+                return ("bound", env[::-1].index(v))
             return ("free", v.name)
         case Add(l, r):
             return ("add", _nameless_aexpr(l, env), _nameless_aexpr(r, env))

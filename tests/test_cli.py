@@ -178,3 +178,22 @@ def test_encode_loop_emit_pure_cap(capsys, geo_file):
                        "--max-pure-nodes", "1000")
     assert code == 4
     assert "max-pure-nodes" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["wp", "--kleene", "-1", "-p", "geo", "-f", "x"],
+    ["wp", "--syntactic", "-p", "coin", "-f", "x", "--depth", "-1"],
+    ["encode-loop", "--program", "geo", "--post", "x", "--depth-k", "-1"],
+    ["forward", "-p", "geo", "--fuel", "-2"],
+    ["forward", "-p", "geo", "--state-cap", "0"],
+    ["series", "sum", "--body", "1/$s", "--n", "-1"],
+    ["forward", "-p", "geo", "--iters", "3"],
+    ["normalize", "--dnf", "-f", "x", "--seed", "1"],
+])
+def test_bad_counts_and_unread_flags_are_usage_errors(capsys, geo_file, coin_file,
+                                                      argv):
+    files = {"geo": geo_file, "coin": coin_file}
+    with pytest.raises(SystemExit) as exc:
+        main([files.get(arg, arg) for arg in argv])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err

@@ -52,9 +52,9 @@ from wpengine.syntax import (
     VarRef,
     alit,
     avar,
-    all_vars_fo,
+    all_vars as all_vars_fo,
     eq_,
-    free_vars_fo,
+    free_vars as free_vars_fo,
     print_fo,
 )
 from wpengine.wp import VarSet

@@ -1,5 +1,9 @@
 """Parsing, printing, substitution, and variable analysis."""
 
+import gc
+import random
+import weakref
+from dataclasses import fields, is_dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -41,6 +45,7 @@ from wpengine.syntax import (
     Var,
     VarRef,
     While,
+    constants,
     eq_,
     free_vars,
     fresh_var,
@@ -50,6 +55,7 @@ from wpengine.syntax import (
     print_fo,
     print_program,
     subst_exp,
+    subst_exp_many,
     true_,
 )
 
@@ -333,3 +339,141 @@ def test_compound_arith_leaves_roundtrip_semantically(f, seed):
                      for n in ["x", "y", "z", "v", "w"]})
     reparsed = parse_exp(print_exp(f))
     assert eval_exp(reparsed, sigma) == eval_exp(f, sigma)
+
+
+# ---------------------------------------------------------------------------
+# Substitution against the nameless reference, sharing, and memory
+# ---------------------------------------------------------------------------
+
+# few names, one of them a primed name that fresh renaming produces, so that
+# binders shadow each other and capture incoming terms often
+FUZZ_NAMES = ["x", "y", "v", "v'", "w"]
+
+
+def _fuzz_aexpr(rng, depth):
+    if depth == 0 or rng.random() < 0.4:
+        if rng.random() < 0.3:
+            return RatLit(F(rng.randint(0, 3)))
+        return VarRef(Var(rng.choice(FUZZ_NAMES)))
+    ctor = rng.choice([Add, Mul, Monus])
+    return ctor(_fuzz_aexpr(rng, depth - 1), _fuzz_aexpr(rng, depth - 1))
+
+
+def _fuzz_exp(rng, depth, pool):
+    """A random expectation that reuses earlier subterms, so it is a DAG."""
+    if pool and rng.random() < 0.2:
+        return rng.choice(pool)
+    roll = rng.random()
+    if depth == 0 or roll < 0.1:
+        out = Arith(_fuzz_aexpr(rng, 1))
+    elif roll < 0.5:
+        ctor = rng.choice([Sup, Inf])
+        out = ctor(Var(rng.choice(FUZZ_NAMES)), _fuzz_exp(rng, depth - 1, pool))
+    elif roll < 0.7:
+        out = Plus(_fuzz_exp(rng, depth - 1, pool), _fuzz_exp(rng, depth - 1, pool))
+    elif roll < 0.85:
+        cond = Lt(_fuzz_aexpr(rng, 1), _fuzz_aexpr(rng, 1))
+        out = Guard(cond if rng.random() < 0.7 else Not(cond),
+                    _fuzz_exp(rng, depth - 1, pool))
+    else:
+        out = Scale(_fuzz_aexpr(rng, 1), _fuzz_exp(rng, depth - 1, pool))
+    pool.append(out)
+    return out
+
+
+def _parallel_nameless(f, pairs):
+    """Simultaneous substitution on the nameless image, via placeholders."""
+    tree = nameless(f)
+    for x, _ in pairs:
+        tree = subst_nameless(tree, x.name, ("free", "#" + x.name))
+    for x, value in pairs:
+        tree = subst_nameless(tree, "#" + x.name, nameless(Arith(value))[1])
+    return tree
+
+
+def test_subst_fuzz_matches_nameless_reference():
+    """Seeded fuzz with shadowing, nested capture and shared subterms.
+
+    Each case is a sum of many random terms, so that one walk renames many
+    binders: a memo keyed on nodes that die during the walk goes wrong there.
+    """
+    rng = random.Random(2021)
+    for case in range(1000):
+        pool: list = []
+        f = _fuzz_exp(rng, 4, pool)
+        for _ in range(rng.randrange(8, 24)):
+            f = Plus(f, _fuzz_exp(rng, 4, pool))
+        if rng.random() < 0.75:
+            pairs = [(Var(rng.choice(FUZZ_NAMES)), _fuzz_aexpr(rng, 2))]
+            got = subst_exp(f, *pairs[0])
+        else:
+            xs = rng.sample(FUZZ_NAMES, 2)
+            pairs = [(Var(x), _fuzz_aexpr(rng, 2)) for x in xs]
+            got = subst_exp_many(f, pairs)
+        assert nameless(got) == _parallel_nameless(f, pairs), \
+            (case, print_exp(f), [(x.name, str(a)) for x, a in pairs])
+
+
+def test_subst_renamed_summands_keep_their_own_bodies():
+    """x := y renames the binder of every summand; each must come back as
+    its own summand, however the renamed copies of earlier summands were
+    allocated and freed."""
+    count = 200
+    text = " + ".join(f"(sup y: [x + {i} < y] * (y * {i} + x))"
+                      for i in range(1, count + 1))
+    f = parse_exp(text)
+    got = subst_exp(f, Var("x"), VarRef(Var("y")))
+
+    def summands(g):
+        out = []
+        while isinstance(g, Plus):
+            out.append(g.right)
+            g = g.left
+        return [g] + out[::-1]
+
+    before, after = summands(f), summands(got)
+    assert len(before) == len(after) == count
+    wrong = [i for i, (s, t) in enumerate(zip(before, after), 1)
+             if nameless(t) != subst_nameless(nameless(s), "x", ("free", "y"))]
+    assert wrong == []
+    assert print_exp(after[11]) == "sup y': [y + 12 < y'] * (y' * 12 + y)"
+
+
+def test_constants_visits_each_distinct_node_once():
+    visits = {}
+
+    class CountedPlus(Plus):
+        def __getattribute__(self, name):
+            if name == "left":
+                visits[id(self)] = visits.get(id(self), 0) + 1
+            return super().__getattribute__(name)
+
+    # a doubling DAG: 2 * 40 + 1 distinct nodes, 2^41 - 1 tree nodes
+    g = Arith(RatLit(F(1)))
+    for level in range(40):
+        g = CountedPlus(g, Scale(RatLit(F(level + 2)), g))
+    assert constants(g) == {F(k) for k in range(1, 42)}
+    assert len(visits) == 40
+    assert set(visits.values()) == {1}
+
+
+def test_dropped_terms_are_freed():
+    """No cache outlives the terms: the guards of a dropped pure term die."""
+    from wpengine.series import make_sum
+
+    pure = make_sum(parse_exp("[x < $s] * $s + 1/$s"), Var("n")).pure
+    free_vars(pure)
+    guards, seen, stack = [], set(), [pure]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not is_dataclass(node):
+            continue
+        seen.add(id(node))
+        if isinstance(node, (Lt, And, Not)):
+            guards.append(weakref.ref(node))
+        stack.extend(getattr(node, field.name) for field in fields(node))
+    assert guards
+    del pure, node, stack
+    gc.collect()
+    alive = [ref for ref in guards if ref() is not None]
+    assert alive == []
