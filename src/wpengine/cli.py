@@ -5,8 +5,9 @@ normal forms, sequence encodings, aggregates, and loop compilation into
 reproducible batch runs.  States are written ``var=p/q,var=p/q`` (unnamed
 variables are 0), rationals print as ``p/q``, and infinities as ``inf``.
 
-Exit codes: 0 success, 1 property-suite failure, 2 parse error,
-3 loop where a loop-free program was required, 4 exploration cap exceeded.
+Exit codes: 0 success, 1 property-suite failure, 2 parse or other engine
+error, 3 loop where a loop-free program was required, 4 exploration cap
+exceeded.
 """
 
 from __future__ import annotations

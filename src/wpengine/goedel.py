@@ -517,43 +517,9 @@ def stateseq_formula(varset, num: AExpr, length: AExpr) -> FOFormula:
 # Translations between the formula layers
 # ---------------------------------------------------------------------------
 
-def expand_nat_atoms(p: FOFormula, _memo: dict | None = None) -> FOFormula:
-    """Replace each opaque naturalness atom by its verbatim construction."""
-    memo = {} if _memo is None else _memo
-    orig = p
-    cached = memo.get(id(p))
-    if cached is not None:
-        return cached
-    spine = []
-    while isinstance(p, (Exists, Forall)):
-        spine.append((type(p), p.var))
-        p = p.body
-    match p:
-        case Atom():
-            out: FOFormula = p
-        case Nat(v):
-            out = robinson_nat_formula(v)
-        case FOAnd(l, r):
-            out = FOAnd(expand_nat_atoms(l, memo), expand_nat_atoms(r, memo))
-        case FOOr(l, r):
-            out = FOOr(expand_nat_atoms(l, memo), expand_nat_atoms(r, memo))
-        case FOImplies(l, r):
-            out = FOImplies(expand_nat_atoms(l, memo), expand_nat_atoms(r, memo))
-        case FONot(arg):
-            out = FONot(expand_nat_atoms(arg, memo))
-        case _:
-            raise TypeError(p)
-    for ctor, v in reversed(spine):
-        out = ctor(v, out)
-    memo[id(orig)] = out
-    return out
-
-
-def rename_fo(p: FOFormula, mapping: dict[Var, Var]) -> FOFormula:
-    """Parallel variable renaming; targets must be globally fresh."""
-    if not mapping:
-        return p
-    rename_atom = substitution({v: VarRef(w) for v, w in mapping.items()})
+def _map_fo(p: FOFormula, leaf, binder=lambda v: v) -> FOFormula:
+    """Rebuild a formula with each atom mapped by ``leaf`` and each bound
+    variable by ``binder``; shared subformulas are mapped once."""
     memo: dict = {}
 
     def go(q: FOFormula) -> FOFormula:
@@ -563,13 +529,11 @@ def rename_fo(p: FOFormula, mapping: dict[Var, Var]) -> FOFormula:
             return cached
         spine = []
         while isinstance(q, (Exists, Forall)):
-            spine.append((type(q), mapping.get(q.var, q.var)))
+            spine.append((type(q), binder(q.var)))
             q = q.body
         match q:
-            case Atom(pred):
-                out: FOFormula = Atom(rename_atom(pred))
-            case Nat(v):
-                out = Nat(mapping.get(v, v))
+            case Atom() | Nat():
+                out = leaf(q)
             case FOAnd(l, r):
                 out = FOAnd(go(l), go(r))
             case FOOr(l, r):
@@ -586,6 +550,27 @@ def rename_fo(p: FOFormula, mapping: dict[Var, Var]) -> FOFormula:
         return out
 
     return go(p)
+
+
+def expand_nat_atoms(p: FOFormula) -> FOFormula:
+    """Replace each opaque naturalness atom by its verbatim construction."""
+    return _map_fo(
+        p, lambda q: robinson_nat_formula(q.var) if isinstance(q, Nat) else q
+    )
+
+
+def rename_fo(p: FOFormula, mapping: dict[Var, Var]) -> FOFormula:
+    """Parallel variable renaming; targets must be globally fresh."""
+    if not mapping:
+        return p
+    rename_atom = substitution({v: VarRef(w) for v, w in mapping.items()})
+
+    def leaf(q: FOFormula) -> FOFormula:
+        if isinstance(q, Nat):
+            return Nat(mapping.get(q.var, q.var))
+        return Atom(rename_atom(q.pred))
+
+    return _map_fo(p, leaf, lambda v: mapping.get(v, v))
 
 
 FOPrefix = list[tuple[str, Var]]  # "E" | "A"
@@ -744,8 +729,6 @@ class FormulaOracleTag:
 
     ``fn(sigma)`` must return the truth value of the formula at the state.
     """
-
-    survives_rewrite = False
 
     def __init__(self, fn, label: str):
         self.fn = fn

@@ -7,10 +7,11 @@ one-step transition values along it.  The pieces are
 
 * the characteristic assertion of a state (a {0,1} indicator over the
   relevant variables);
-* a state-substitution expectation that reads variable values out of an
-  encoded state and substitutes them into a target expectation;
-* a state-application expectation that additionally evaluates the target at
-  the decoded state, independent of the ambient one;
+* a state term that reads variable values out of an encoded state and
+  puts them in for the relevant variables (or their primed copies) of a
+  target expectation; state application is the same term over a target
+  whose free variables are all relevant, so its value does not depend on
+  the ambient state;
 * a one-step template: the backward transform of the primed characteristic
   assertion through one guarded iteration, with the primed copies standing
   for the target state's values;
@@ -21,8 +22,11 @@ Every constructed term is emitted in full.  Evaluating the pure terms by
 restricted quantifier search is hopeless (the witnesses are astronomical
 sequence codes), so each carries a plan whose step-k truncation mirrors the
 construction equation by equation and agrees exactly with the k-fold
-fixed-point iterate and the explicit path sum.  Helper variables live in
-the reserved ``$`` namespace, which user programs cannot mention.
+fixed-point iterate and the explicit path sum.  Plans read an encoded state
+by binding its decoded values in the state, never by substituting them
+into a copy of the target, so tags inside the target keep working.  Helper
+variables live in the reserved ``$`` namespace, which user programs cannot
+mention.
 """
 
 from __future__ import annotations
@@ -89,48 +93,39 @@ def primed(var: Var) -> Var:
 # Encoded-state substitution and application
 # ---------------------------------------------------------------------------
 
-class SubstPlan:
-    """Decode the state code bound at ``num``, substitute its values."""
+def _bind_decoded(sigma: State, decoded: State, variables: tuple[Var, ...],
+                 slots: tuple[Var, ...]) -> State:
+    """``sigma`` with each slot bound to its variable's decoded value."""
+    for v, slot in zip(variables, slots):
+        sigma = sigma.set(slot, decoded[v])
+    return sigma
 
-    survives_rewrite = False
+
+class StatePlan:
+    """Decode the state code bound at ``num`` and evaluate the target there.
+
+    Each decoded value is bound to its slot (the variable itself or its
+    primed copy); every other variable keeps its ambient binding.  Binding
+    gives the value of the substituted target and keeps the intrinsic tags
+    inside the target intact.  A code that is not a state yields 0.
+    """
 
     def __init__(self, target: Exp, variables: tuple[Var, ...],
-                 num: Var, substituted: tuple[Var, ...]):
+                 num: Var, slots: tuple[Var, ...]):
         self.target = target
         self.variables = variables
         self.num = num
-        self.substituted = substituted
+        self.slots = slots
 
-    def decoded(self, sigma: State) -> State | None:
+    def evaluate(self, node, sigma, dom, rec) -> XReal:
         code = sigma[self.num]
         if not is_natural(code):
-            return None
-        return decode_state(code.numerator, self.variables)
-
-    def evaluate(self, node, sigma, dom, rec) -> XReal:
-        decoded = self.decoded(sigma)
+            return ZERO
+        decoded = decode_state(code.numerator, self.variables)
         if decoded is None:
             return ZERO
-        values = [decoded[v] for v in self.variables]
-        pairs = [(s, RatLit(q)) for s, q in zip(self.substituted, values)]
-        return rec(subst_exp_many(self.target, pairs), sigma)
-
-
-class ApplyPlan(SubstPlan):
-    """Decode the state code and evaluate the target there.
-
-    The decoded values override the relevant variables; everything else
-    (helper variables of surrounding terms) keeps its ambient binding.
-    """
-
-    def evaluate(self, node, sigma, dom, rec) -> XReal:
-        decoded = self.decoded(sigma)
-        if decoded is None:
-            return ZERO
-        merged = sigma
-        for v in self.variables:
-            merged = merged.set(v, decoded[v])
-        return rec(self.target, merged)
+        return rec(self.target, _bind_decoded(sigma, decoded, self.variables,
+                                              self.slots))
 
 
 def _conjoin_embeds(parts: list[Exp]) -> Exp:
@@ -143,21 +138,22 @@ def _conjoin_embeds(parts: list[Exp]) -> Exp:
     return out
 
 
-def _subst_skeleton(target: Exp, variables: tuple[Var, ...], num: Var,
-                    substituted: tuple[Var, ...]) -> Exp:
-    """sup over helpers: [each helper is the coded value] (x) target[...]"""
+def _state_term(target: Exp, variables: tuple[Var, ...], num: Var,
+                slots: tuple[Var, ...]) -> Exp:
+    """sup over helpers: [each helper is the coded value] (x)
+    target[slots := helpers], tagged with the plan that binds the slots."""
     helpers = [logical_var(v.name) for v in variables]
     bracket = _conjoin_embeds(
         [relem_exp(VarRef(num), RatLit(Fraction(i)), VarRef(h))
          for i, h in enumerate(helpers)]
     )
     replaced = subst_exp_many(
-        target, [(s, VarRef(h)) for s, h in zip(substituted, helpers)]
+        target, [(s, VarRef(h)) for s, h in zip(slots, helpers)]
     )
     term: Exp = odot(bracket, replaced)
     for helper in reversed(helpers):
         term = Sup(helper, term)
-    return term
+    return with_intrinsic(term, StatePlan(target, variables, num, slots))
 
 
 def goedel_subst(f: Exp, varset: VarSet, num: Var) -> Exp:
@@ -168,41 +164,22 @@ def goedel_subst(f: Exp, varset: VarSet, num: Var) -> Exp:
     state's value for it.
     """
     variables = tuple(varset)
-    term = _subst_skeleton(f, variables, num, variables)
-    return with_intrinsic(term, SubstPlan(f, variables, num, variables))
+    return _state_term(f, variables, num, variables)
 
 
 def goedel_apply(f: Exp, varset: VarSet, num: Var) -> Exp:
     """Evaluation of ``f`` at an encoded state.
 
     Requires the free variables of ``f`` to lie inside the variable set, so
-    the value does not depend on the ambient state.
+    the value does not depend on the ambient state; it is then the
+    substitution of every free variable.
     """
-    variables = tuple(varset)
-    extra = free_vars(f) - set(variables)
+    extra = free_vars(f) - set(varset)
     if extra:
         raise FreeVarsOutsideVarSet(
             f"free variables outside the variable set: {sorted(v.name for v in extra)}"
         )
-    term = _subst_skeleton(f, variables, num, variables)
-    return with_intrinsic(term, ApplyPlan(f, variables, num, variables))
-
-
-def goedel_subst_primed(g: Exp, variables: tuple[Var, ...], num: Var) -> Exp:
-    """Substitute the primed variable copies by an encoded state's values."""
-    primed_vars = tuple(primed(v) for v in variables)
-    term = _subst_skeleton(g, variables, num, primed_vars)
-    return with_intrinsic(term, SubstPlan(g, variables, num, primed_vars))
-
-
-def _apply_open(f: Exp, variables: tuple[Var, ...], num: Var) -> Exp:
-    """State application without the closedness check.
-
-    Used for the one-step factor, whose target intentionally keeps the
-    second state-code variable free.
-    """
-    term = _subst_skeleton(f, variables, num, variables)
-    return with_intrinsic(term, ApplyPlan(f, variables, num, variables))
+    return goedel_subst(f, varset, num)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +217,6 @@ class PathPlan:
     zero lengths yield 0.
     """
 
-    survives_rewrite = False
-
     def __init__(self, owner: "LoopEncoding"):
         self.owner = owner
 
@@ -258,8 +233,6 @@ class PathPlan:
 
 class _PairFactorPlan:
     """One product factor: decode two adjacent state codes and apply."""
-
-    survives_rewrite = False
 
     def __init__(self, owner: "LoopEncoding"):
         self.owner = owner
@@ -281,7 +254,8 @@ class LoopEncoding:
     ``pure`` is the closed-form term; ``path_term`` the per-path piece with
     the length and sequence-code variables free; ``body_template`` the
     one-step template over primed copies.  The two big terms are built on
-    first access; the plan only needs the small decode-and-apply pieces.
+    first access; the plan only needs the template and the final-state
+    expectation.
     """
 
     def __init__(self, loop: While, post: Exp, varset: VarSet,
@@ -302,27 +276,10 @@ class LoopEncoding:
         self._path_term: Exp | None = None
         self._pure: Exp | None = None
 
+        self._primed = tuple(primed(v) for v in self.variables)
         self._final_exp = Guard(Not(loop.cond), post)
         self._num_final = logical_var("num")
         self._num1, self._num2 = logical_var("num"), logical_var("num")
-        self._apply_final_term: Exp | None = None
-        self._apply_step_term: Exp | None = None
-
-    @property
-    def _apply_final(self) -> Exp:
-        if self._apply_final_term is None:
-            self._apply_final_term = goedel_apply(self._final_exp, self.varset,
-                                                  self._num_final)
-        return self._apply_final_term
-
-    @property
-    def _apply_step(self) -> Exp:
-        if self._apply_step_term is None:
-            step_target = goedel_subst_primed(self.body_template, self.variables,
-                                              self._num2)
-            self._apply_step_term = _apply_open(step_target, self.variables,
-                                                self._num1)
-        return self._apply_step_term
 
     @property
     def path_term(self) -> Exp:
@@ -354,12 +311,14 @@ class LoopEncoding:
                 Guard(
                     eq_(Add(VarRef(idx), RatLit(Fraction(1))), VarRef(v1)),
                     odot(elem_exp(VarRef(v2), VarRef(idx), VarRef(self._num_final)),
-                         self._apply_final),
+                         goedel_apply(self._final_exp, self.varset,
+                                      self._num_final)),
                 ),
             ),
         )
 
-        # one-step factor at aggregation index i: codes at i and i+1
+        # one-step factor at aggregation index i: codes at i and i+1; the
+        # template's primes read the second code, its variables the first
         pair_factor = Sup(
             self._num1,
             Sup(
@@ -371,7 +330,11 @@ class LoopEncoding:
                                  Add(VarRef(PROD_VAR), RatLit(Fraction(1))),
                                  VarRef(self._num2)),
                     ),
-                    self._apply_step,
+                    _state_term(
+                        _state_term(self.body_template, self.variables,
+                                    self._num2, self._primed),
+                        self.variables, self._num1, self.variables,
+                    ),
                 ),
             ),
         )
@@ -417,14 +380,12 @@ class LoopEncoding:
         decoded = decode_state(state_code, self.variables)
         if decoded is None:
             return ZERO
-        merged = sigma
-        for v in self.variables:
-            merged = merged.set(v, decoded[v])
-        return rec(self._final_exp, merged)
+        return rec(self._final_exp,
+                   _bind_decoded(sigma, decoded, self.variables, self.variables))
 
     def step_factor(self, code_from: int, code_to: int, sigma, dom, rec) -> XReal:
-        """One-step value: the primed template, primes instantiated from the
-        target state's code, evaluated at the source state's code."""
+        """One-step value: the primed template with its variables bound to
+        the source state's values and its primes to the target state's."""
         key = (code_from, code_to)
         if key not in self._factor_cache:
             target = decode_state(code_to, self.variables)
@@ -432,14 +393,9 @@ class LoopEncoding:
             if target is None or source is None:
                 self._factor_cache[key] = ZERO
                 return ZERO
-            instantiated = subst_exp_many(
-                self.body_template,
-                [(primed(v), RatLit(target[v])) for v in self.variables],
-            )
-            merged = sigma
-            for v in self.variables:
-                merged = merged.set(v, source[v])
-            self._factor_cache[key] = rec(instantiated, merged)
+            merged = _bind_decoded(sigma, source, self.variables, self.variables)
+            merged = _bind_decoded(merged, target, self.variables, self._primed)
+            self._factor_cache[key] = rec(self.body_template, merged)
         return self._factor_cache[key]
 
     def path_value(self, codes: list[int], sigma: State, dom, rec) -> XReal:

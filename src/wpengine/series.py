@@ -2,8 +2,9 @@
 
 ``Sum[f, v]`` and ``Product[f, v]`` are single expectations denoting the
 sum (resp. product) of ``f`` instantiated at the aggregation variable
-``0..v``.  The pure terms guess a sequence of partial aggregates as one
-encoded number: the sequence starts at the neutral element, every step
+``0..v``; one builder makes both, as an ``Aggregate`` of body, bound and
+tagged pure term.  The pure terms guess a sequence of partial aggregates as
+one encoded number: the sequence starts at the neutral element, every step
 extends the previous aggregate by a rational drawn from the lower cut of
 the corresponding instance of ``f`` (through the cut normal form of ``f``),
 and the outer supremum squeezes the final aggregate up to the true value.
@@ -11,7 +12,8 @@ and the outer supremum squeezes the final aggregate up to the true value.
 The pure terms are emitted in full but are astronomically infeasible to
 evaluate by restricted quantifier search; each carries an evaluation plan
 (an intrinsic tag on the root) that computes the same value directly by
-iterating the aggregation index, which is the testable semantics.
+iterating the aggregation index, bound in the state, which is the testable
+semantics.
 
 The unrestricted product of two expectations is the two-factor product
 aggregate; the alternative cut product multiplies the suprema of the two
@@ -73,8 +75,6 @@ class AggregatePlan:
     of the embedded naturalness guards.
     """
 
-    survives_rewrite = False
-
     def __init__(self, body: Exp, agg_var: Var, bound: AExpr, kind: str):
         assert kind in ("sum", "product")
         self.body = body
@@ -103,14 +103,9 @@ class AggregatePlan:
 
 
 @dataclass(frozen=True)
-class SumExp:
-    body: Exp
-    bound: AExpr
-    pure: Exp
+class Aggregate:
+    """A sum or product aggregate: its body, its bound and its tagged term."""
 
-
-@dataclass(frozen=True)
-class ProdExp:
     body: Exp
     bound: AExpr
     pure: Exp
@@ -164,30 +159,29 @@ def _aggregate_pure(body: Exp, bound: AExpr, kind: str, agg: Var) -> Exp:
     return Sup(vp, Sup(num, Scale(VarRef(vp), inner)))
 
 
-def make_sum(body: Exp, bound, agg_var: Var = SUM_VAR) -> SumExp:
-    """Sum of ``body`` instances at aggregation indices 0..bound.
+def _aggregate(body: Exp, bound, kind: str, agg: Var) -> Aggregate:
+    """The aggregate of ``body`` instances at ``agg`` = 0..bound.
 
-    ``body`` uses the aggregation variable (by convention the reserved
-    ``$s``); ``bound`` is a variable or term.  The returned pure term
-    carries a plan whose evaluation at a state with a natural bound n
-    equals the n+1-term sum.
+    ``bound`` is a variable or term.  The pure term carries a plan whose
+    evaluation at a state with a natural bound n equals the n+1-term sum
+    (resp. product).
     """
     bound = aexpr(bound)
-    if agg_var in free_vars(bound):
+    if agg in free_vars(bound):
         raise ValueError("the bound must not mention the aggregation variable")
-    pure = _aggregate_pure(body, bound, "sum", agg_var)
-    tagged = with_intrinsic(pure, AggregatePlan(body, agg_var, bound, "sum"))
-    return SumExp(body, bound, tagged)
+    pure = _aggregate_pure(body, bound, kind, agg)
+    return Aggregate(body, bound,
+                     with_intrinsic(pure, AggregatePlan(body, agg, bound, kind)))
 
 
-def make_product(body: Exp, bound, agg_var: Var = PROD_VAR) -> ProdExp:
-    """Product of ``body`` instances at aggregation indices 0..bound."""
-    bound = aexpr(bound)
-    if agg_var in free_vars(bound):
-        raise ValueError("the bound must not mention the aggregation variable")
-    pure = _aggregate_pure(body, bound, "product", agg_var)
-    tagged = with_intrinsic(pure, AggregatePlan(body, agg_var, bound, "product"))
-    return ProdExp(body, bound, tagged)
+def make_sum(body: Exp, bound) -> Aggregate:
+    """Sum of ``body`` instances at ``$s`` = 0..bound."""
+    return _aggregate(body, bound, "sum", SUM_VAR)
+
+
+def make_product(body: Exp, bound) -> Aggregate:
+    """Product of ``body`` instances at ``$p`` = 0..bound."""
+    return _aggregate(body, bound, "product", PROD_VAR)
 
 
 def odot(f: Exp, g: Exp) -> Exp:
@@ -203,13 +197,11 @@ def odot(f: Exp, g: Exp) -> Exp:
         Guard(eq_(VarRef(agg), RatLit(Fraction(0))), f),
         Guard(eq_(VarRef(agg), RatLit(Fraction(1))), g),
     )
-    return make_product(mix, RatLit(Fraction(1)), agg_var=agg).pure
+    return _aggregate(mix, RatLit(Fraction(1)), "product", agg).pure
 
 
 class CutProductPlan:
     """Structured semantics of the cut product: multiply the factor values."""
-
-    survives_rewrite = False
 
     def __init__(self, left: Exp, right: Exp):
         self.left = left
@@ -219,7 +211,7 @@ class CutProductPlan:
         return rec(self.left, sigma) * rec(self.right, sigma)
 
 
-def dedekind_product(f: Exp, g: Exp, summand_cap: int = 16) -> Exp:
+def dedekind_product(f: Exp, g: Exp) -> Exp:
     """Product via suprema of the two lower cuts.
 
     Frame both factors in cut normal form over distinct cut variables,
@@ -228,8 +220,8 @@ def dedekind_product(f: Exp, g: Exp, summand_cap: int = 16) -> Exp:
     the two cut variables under the conjoined matrices.  Empty cuts
     annihilate, so 0 * inf = 0 holds.
     """
-    d1 = to_dnf(f, summand_cap)
-    d2 = to_dnf(g, summand_cap)
+    d1 = to_dnf(f)
+    d2 = to_dnf(g)
     avoid = (
         set(all_vars(f)) | set(all_vars(g))
         | {v for _, v in d1.prefix} | {v for _, v in d2.prefix}

@@ -299,15 +299,6 @@ class Inf:
 
 Exp = Union[Arith, Guard, Plus, Scale, Sup, Inf]
 
-_EXP_TYPES = (Arith, Guard, Plus, Scale, Sup, Inf)
-
-
-def exp_of(value) -> Exp:
-    """Coerce arithmetic-like values into expectations."""
-    if isinstance(value, _EXP_TYPES):
-        return value
-    return Arith(aexpr(value))
-
 
 def with_intrinsic(node: Exp, tag: object) -> Exp:
     return replace(node, intrinsic=tag)

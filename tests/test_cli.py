@@ -84,6 +84,49 @@ def test_normalize_prenex(capsys):
     assert out.strip() == "sup v': v' + 1"
 
 
+def test_normalize_snf_and_recover(capsys):
+    from wpengine.normalform import dnf_recover, to_dnf
+    from wpengine.parser import parse_exp
+    from wpengine.syntax import print_exp
+
+    code, out, _ = run(capsys, "normalize", "--snf", "-f", "x")
+    assert code == 0
+    assert out.strip() == "[true] * x"
+    code, out, _ = run(capsys, "normalize", "--recover", "-f", "x + 1")
+    assert code == 0
+    assert out.strip() == print_exp(dnf_recover(to_dnf(parse_exp("x + 1"))))
+    assert out.startswith("sup $cut: $cut * [")
+
+
+def test_loop_free_program_where_a_loop_is_required(capsys, coin_file):
+    code, _, err = run(capsys, "wp", "--kleene", "3", "-p", coin_file, "-f", "x")
+    assert code == 3
+    assert err.startswith("loop error:")
+    code, _, err = run(capsys, "encode-loop", "--program", coin_file,
+                       "--post", "x")
+    assert code == 3
+    assert err.startswith("loop error:")
+
+
+def test_kleene_memo_cap_exit_code(capsys, geo_file):
+    code, _, err = run(capsys, "wp", "--kleene", "50", "--state-cap", "3",
+                       "--at", "c=1,x=0", "-p", geo_file, "-f", "x")
+    assert code == 4
+    assert "memo table reached 4 entries" in err
+
+
+@pytest.mark.parametrize("exp, message", [
+    (" + ".join(f"[x < {i}] * {i}" for i in range(17)),
+     "17 summands exceed the 2^n cap of 16"),
+    ("(sup v: v) * (sup w: w)",
+     "only guards and arithmetic terms may multiply an expectation"),
+])
+def test_engine_errors_exit_2(capsys, exp, message):
+    code, _, err = run(capsys, "normalize", "--dnf", "-f", exp)
+    assert code == 2
+    assert err.strip() == f"error: {message}"
+
+
 def test_goedel_roundtrip(capsys):
     code, out, _ = run(capsys, "goedel", "encode-seq", "3,1,4")
     assert code == 0

@@ -33,6 +33,7 @@ from wpengine.goedel import (
     relem_exp,
     relem_holds,
     relprime_formula,
+    rename_fo,
     robinson_nat_formula,
     rseq_holds,
     seq_formula,
@@ -339,6 +340,15 @@ def test_fo_prenex_flips_through_negation():
     p = FONot(Exists(Var("v"), Atom(Lt(VarRef(Var("v")), RatLit(F(1))))))
     prenexed = fo_prenex(p)
     assert isinstance(prenexed, Forall)
+
+
+def test_rename_fo_renames_binders_atoms_and_nat():
+    from wpengine.parser import parse_fo
+
+    p = parse_fo("exists v: v < x && N(v)")
+    renamed = rename_fo(p, {Var("v"): Var("$v9"), Var("x"): Var("$x9")})
+    assert print_fo(renamed) == "exists $v9: $v9 < $x9 && N($v9)"
+    assert rename_fo(p, {}) is p
 
 
 def test_expand_nat_atoms_gives_robinson():

@@ -19,6 +19,7 @@ from wpengine.loops import (
 )
 from wpengine.parser import parse_exp, parse_program
 from wpengine.semantics import ORACLE, calkin_wilf, eval_exp, state
+from wpengine.series import make_sum, odot
 from wpengine.syntax import (
     RatLit,
     Var,
@@ -99,7 +100,8 @@ def test_goedel_apply_requires_covered_vars():
 
 
 def test_goedel_subst_apply_roundtrip():
-    """Substituting an encoded state agrees with evaluating there: 50 pairs."""
+    """Substituting an encoded state agrees with evaluating there: 50 pairs,
+    plus tagged targets, whose plans must survive the state term."""
     rng = random.Random(29)
     from wpengine.checks import rand_qf_exp
 
@@ -113,6 +115,16 @@ def test_goedel_subst_apply_roundtrip():
             code = encode_state(target, VS).num
             sigma = state(c=9, x=9).set(num, code)
             assert oracle(applied, sigma) == eval_exp(f, target)
+
+    x_only = VarSet.of("x")
+    sigma = state(x=9).set(num, encode_state(state(x=3), x_only).num)
+    tagged = [(odot(parse_exp("x"), parse_exp("2")), XReal.of(6)),
+              (make_sum(parse_exp("1"), Var("x")).pure, XReal.of(4))]
+    for f, want in tagged:
+        for build in (goedel_subst, goedel_apply):
+            term = build(f, x_only, num)
+            assert oracle(term, sigma) == want
+            assert eval_exp(term, sigma, calkin_wilf(4), mode=ORACLE) == want
 
 
 def test_body_template_geometric():

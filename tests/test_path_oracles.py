@@ -12,9 +12,9 @@ from wpengine.cli import main
 from wpengine.errors import FuelExceeded
 from wpengine.loops import encode_loop
 from wpengine.parser import parse_exp, parse_program
-from wpengine.semantics import State, calkin_wilf, state
+from wpengine.semantics import State, calkin_wilf, eval_exp, state
 from wpengine.syntax import Var
-from wpengine.wp import VarSet, kleene_iterate, path_sum
+from wpengine.wp import VarSet, char_iterates, kleene_iterate, path_sum
 from wpengine.xreal import ZERO, XReal
 
 WALK_TEXT = "while (x < 40) { {x := x + 1} [1/2] {x := x + 2} }"
@@ -48,6 +48,19 @@ def test_dp_oracles_match_dfs_references_on_branching_walk():
     # every step branches, so paths share (step, state) pairs; the ambient
     # binding of y lies outside the variable set
     _agree(WALK, parse_exp("[x < 42] * x + 1/2"), state(x=30, y=3), WALK_VS, 8)
+
+
+def test_dp_oracles_match_dfs_references_on_conditional_body():
+    # the body branches on the state, so the one-step template and the
+    # syntactic unrolling go through an if-then-else
+    loop = parse_program("while (x < 6) { if (x < 2) { x := x + 1 } else "
+                         "{ {x := x + 1} [1/3] {x := x + 2} } }")
+    s0 = state(x=0)
+    _agree(loop, POST_X, s0, WALK_VS, 8)
+    for k in range(9):
+        assert eval_exp(char_iterates(loop, POST_X, k), s0) == \
+            kleene_iterate(loop, POST_X, s0, k)
+    assert kleene_iterate(loop, POST_X, s0, 8) == XReal.of(F(512, 81))
 
 
 def test_walk_depth_20_within_default_cap():

@@ -146,6 +146,24 @@ def test_dedekind_product_annihilates():
     assert structured(dp, state()) == ZERO
 
 
+def test_dedekind_product_renames_shared_binders():
+    from wpengine.semantics import QDomain
+
+    dp = dedekind_product(parse_exp("sup v: [v < 2] * v"),
+                          parse_exp("sup v: [v < 3] * v"))
+    prefix, body = [], dp
+    while isinstance(body, (Sup, Inf)):
+        prefix.append(body.var.name)
+        body = body.body
+    assert prefix == ["$cut", "$cut'", "v", "v'"]
+    dom = QDomain([F(0), F(1), F(3, 2), F(5, 2), F(3)])
+    # restricted: each cut lies strictly below a witness in the domain,
+    # so the best product is 1 * 3/2
+    assert eval_exp(dp, state(), dom) == XReal.of(F(3, 2))
+    # oracle-assisted: the product of the two restricted suprema
+    assert structured(dp, state(), dom) == XReal.of(F(3, 2) * F(5, 2))
+
+
 def test_dedekind_agrees_with_odot():
     rng = random.Random(31)
     from wpengine.checks import rand_qf_exp

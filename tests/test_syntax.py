@@ -49,6 +49,7 @@ from wpengine.syntax import (
     eq_,
     free_vars,
     fresh_var,
+    implies_,
     le_,
     or_,
     print_exp,
@@ -87,6 +88,11 @@ def test_parse_exp_examples():
     v = Var("v")
     assert e2 == Sup(v, Guard(Lt(Mul(VarRef(v), VarRef(v)), RatLit(F(2))),
                               Arith(VarRef(v))))
+    # a quantifier as a later factor of a product chain
+    e3 = parse_exp("2 * sup v: [v < 1] * v")
+    assert e3 == Scale(RatLit(F(2)), Sup(v, Guard(Lt(VarRef(v), RatLit(F(1))),
+                                                  Arith(VarRef(v)))))
+    assert print_exp(e3) == "2 * (sup v: [v < 1] * v)"
 
 
 def test_illegal_product():
@@ -134,6 +140,11 @@ def test_sugar_lowering():
     assert parse_bexpr("x <= y") == le_(VarRef(Var("x")), VarRef(Var("y")))
     assert parse_bexpr("x > y") == Lt(VarRef(Var("y")), VarRef(Var("x")))
     assert parse_bexpr("true") == true_()
+    assert parse_bexpr("x >= 1") == le_(RatLit(F(1)), VarRef(Var("x")))
+    x1, y2 = Lt(VarRef(Var("x")), RatLit(F(1))), Lt(VarRef(Var("y")), RatLit(F(2)))
+    assert parse_exp("[x < 1 -> y < 2] * 3") == Guard(implies_(x1, y2),
+                                                      Arith(RatLit(F(3))))
+    assert parse_fo("true") == Atom(true_())
     lowered = parse_bexpr("x < 1 || y < 1")
     assert lowered == or_(Lt(VarRef(Var("x")), RatLit(F(1))),
                           Lt(VarRef(Var("y")), RatLit(F(1))))
