@@ -6,8 +6,8 @@ reproducible batch runs.  States are written ``var=p/q,var=p/q`` (unnamed
 variables are 0), rationals print as ``p/q``, and infinities as ``inf``.
 
 Exit codes: 0 success, 1 property-suite failure, 2 parse or other engine
-error, 3 loop where a loop-free program was required, 4 exploration cap
-exceeded.
+error, or an input nested too deeply for the recursive walkers, 3 loop
+where a loop-free program was required, 4 exploration cap exceeded.
 """
 
 from __future__ import annotations
@@ -305,6 +305,10 @@ def main(argv=None) -> int:
         return 4
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply (Python recursion limit "
+              f"{sys.getrecursionlimit()})", file=sys.stderr)
         return 2
 
 

@@ -55,6 +55,7 @@ from .syntax import (
     Var,
     VarRef,
     aexpr,
+    all_vars,
     balanced,
     eq_,
     free_vars,
@@ -517,9 +518,9 @@ def stateseq_formula(varset, num: AExpr, length: AExpr) -> FOFormula:
 # Translations between the formula layers
 # ---------------------------------------------------------------------------
 
-def _map_fo(p: FOFormula, leaf, binder=lambda v: v) -> FOFormula:
-    """Rebuild a formula with each atom mapped by ``leaf`` and each bound
-    variable by ``binder``; shared subformulas are mapped once."""
+def _map_fo(p: FOFormula, leaf) -> FOFormula:
+    """Rebuild a formula with each atom mapped by ``leaf``; shared
+    subformulas are mapped once."""
     memo: dict = {}
 
     def go(q: FOFormula) -> FOFormula:
@@ -529,7 +530,7 @@ def _map_fo(p: FOFormula, leaf, binder=lambda v: v) -> FOFormula:
             return cached
         spine = []
         while isinstance(q, (Exists, Forall)):
-            spine.append((type(q), binder(q.var)))
+            spine.append((type(q), q.var))
             q = q.body
         match q:
             case Atom() | Nat():
@@ -559,86 +560,64 @@ def expand_nat_atoms(p: FOFormula) -> FOFormula:
     )
 
 
-def rename_fo(p: FOFormula, mapping: dict[Var, Var]) -> FOFormula:
-    """Parallel variable renaming; targets must be globally fresh."""
-    if not mapping:
-        return p
-    rename_atom = substitution({v: VarRef(w) for v, w in mapping.items()})
-
-    def leaf(q: FOFormula) -> FOFormula:
-        if isinstance(q, Nat):
-            return Nat(mapping.get(q.var, q.var))
-        return Atom(rename_atom(q.pred))
-
-    return _map_fo(p, leaf, lambda v: mapping.get(v, v))
-
-
 FOPrefix = list[tuple[str, Var]]  # "E" | "A"
+
+_DUAL = {Exists: Forall, Forall: Exists}
 
 
 def fo_prenex(p: FOFormula) -> FOFormula:
     """Equivalent prenex form: a quantifier block over a quantifier-free matrix.
 
-    Quantifiers flip through negations and implication premises; pulled
-    variables are renamed to fresh reserved names so no clashes can occur.
+    One pre-order, left-first pass appends each binder to the prefix when
+    it meets it, flipping the quantifier under a negation and under an
+    implication premise.  A binder is renamed when its name is free in
+    ``p`` or already in the prefix; the new name is the first priming of
+    the old one that is neither a name of ``p`` nor chosen before, so the
+    result depends on ``p`` alone.  Generated formulas use distinct
+    reserved names and come back with their binders as they are.  The
+    renaming travels down to the atoms, so each binder is renamed at most
+    once and each atom at most once.
     """
+    free = free_vars(p)
+    taken = {v.name for v in all_vars(p)}
+    prefix: list[tuple[type, Var]] = []
+    bound: set[Var] = set()
 
-    def freshen(prefix: FOPrefix, matrix: FOFormula,
-                clashes: set[Var]) -> tuple[FOPrefix, FOFormula]:
-        mapping = {
-            v: logical_var(v.name.lstrip("$").rstrip("'0123456789") or "v")
-            for _, v in prefix
-            if v in clashes
-        }
-        if not mapping:
-            return prefix, matrix
-        return [(q, mapping.get(v, v)) for q, v in prefix], rename_fo(matrix, mapping)
+    def bind(quant: type, var: Var, ren: dict) -> dict:
+        new = var
+        if var in free or var in bound:
+            name = var.name + "'"
+            while name in taken:
+                name += "'"
+            taken.add(name)
+            new = Var(name)
+        prefix.append((quant, new))
+        bound.add(new)
+        return {**ren, var: new} if new != var else ren
 
-    def flip(prefix: FOPrefix) -> FOPrefix:
-        return [("A" if q == "E" else "E", v) for q, v in prefix]
-
-    memo: dict = {}
-
-    def go(q: FOFormula) -> tuple[FOPrefix, FOFormula, set[Var]]:
-        """Returns (prefix, matrix, all variable names of the subformula)."""
-        orig = q
-        cached = memo.get(id(q))
-        if cached is not None:
-            return cached
-        lead: FOPrefix = []
+    def go(q: FOFormula, ren: dict, flip: bool) -> FOFormula:
         while isinstance(q, (Exists, Forall)):
-            lead.append(("E" if isinstance(q, Exists) else "A", q.var))
+            ren = bind(_DUAL[type(q)] if flip else type(q), q.var, ren)
             q = q.body
-        lead_names = {v for _, v in lead}
         match q:
-            case Atom() | Nat():
-                result = lead, q, free_vars(q) | lead_names
+            case Atom(pred):
+                clashes = ren.keys() & free_vars(pred)
+                if not clashes:
+                    return q
+                return Atom(substitution({v: VarRef(ren[v]) for v in clashes})(pred))
+            case Nat(v):
+                return Nat(ren[v]) if v in ren else q
             case FONot(arg):
-                prefix, matrix, names = go(arg)
-                result = lead + flip(prefix), FONot(matrix), names | lead_names
-            case FOAnd(l, r) | FOOr(l, r) | FOImplies(l, r):
-                pl, ml, nl = go(l)
-                pr, mr, nr = go(r)
-                # renaming is needed only when a pulled binder would clash
-                # with the sibling or an outer binder; generated reserved
-                # names never do, except when a subformula object is shared
-                pl, ml = freshen(pl, ml, {v for _, v in pl} & (nr | lead_names))
-                nl = nl | {v for _, v in pl}
-                pr, mr = freshen(pr, mr, {v for _, v in pr} & (nl | lead_names))
-                nr = nr | {v for _, v in pr}
-                if isinstance(q, FOImplies):
-                    pl = flip(pl)
-                ctor = type(q)
-                result = lead + pl + pr, ctor(ml, mr), nl | nr | lead_names
-            case _:
-                raise TypeError(q)
-        memo[id(orig)] = result
-        return result
+                return FONot(go(arg, ren, not flip))
+            case FOImplies(l, r):
+                return FOImplies(go(l, ren, not flip), go(r, ren, flip))
+            case FOAnd(l, r) | FOOr(l, r):
+                return type(q)(go(l, ren, flip), go(r, ren, flip))
+        raise TypeError(q)
 
-    prefix, matrix, _ = go(p)
-    out = matrix
+    out = go(p, {}, False)
     for quant, var in reversed(prefix):
-        out = Exists(var, out) if quant == "E" else Forall(var, out)
+        out = quant(var, out)
     return out
 
 

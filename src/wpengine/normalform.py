@@ -1,9 +1,9 @@
 """Prenex, summation, and cut normal forms for expectations.
 
 Any expectation rewrites into a quantifier prefix over a quantifier-free
-matrix by pulling quantifiers outward (renaming the bound variable fresh at
-every pull, leftmost-outermost, left argument first).  The matrix then
-flattens into a sum of guarded terms, and from that shape the cut form
+matrix by pulling quantifiers outward in one pass (leftmost-outermost, left
+argument first) that renames each bound variable at most once.  The matrix
+then flattens into a sum of guarded terms, and from that shape the cut form
 replaces the value by its lower cut: a {0,1}-valued expectation over a
 fresh cut variable that holds exactly when the cut variable lies strictly
 below the original value.  The original expectation is recovered as the
@@ -41,7 +41,6 @@ from .syntax import (
     free_vars,
     fresh_var,
     implies_,
-    is_quantifier_free,
     quantify,
     substitution,
     true_,
@@ -106,77 +105,58 @@ class DNF:
 
 
 def to_prenex(f: Exp) -> PrenexExp:
-    """Pull all quantifiers to the front, renaming bound variables fresh.
+    """Pull all quantifiers to the front in one pass.
 
-    Application order is leftmost-outermost, pulling from the left argument
-    first, so the output is deterministic.  Every user-named variable is
-    renamed (by priming) when its quantifier crosses another subterm;
-    reserved machine-generated names, which are unique by construction, are
-    renamed only on an actual clash.
+    The pass is pre-order and left-first: it appends each binder to the
+    prefix when it meets it, so the prefix lists binders outermost first,
+    left argument before right.  A binder is renamed when its name is free
+    in ``f``, when it is already in the prefix, or when it is user-named
+    and sits below a connective; the new name is the first priming of the
+    old one that is neither a name of ``f`` nor chosen before.  Reserved
+    machine-generated names, unique by construction, are thus renamed only
+    on an actual clash.  The renaming travels down to the leaves, so each
+    binder is renamed at most once and each leaf term at most once.
     """
-    used = set(all_vars(f))
-    used_names = {v.name for v in used}
+    free = free_vars(f)
+    taken = {v.name for v in all_vars(f)}
+    prefix: Prefix = []
+    bound: set[Var] = set()
 
-    def freshen(prefix: Prefix, matrix: Exp, context_vars: set[Var]) -> tuple[Prefix, Exp]:
-        context_names = {v.name for v in context_vars}
-        mapping: dict[Var, VarRef] = {}
-        kept: set[Var] = set()
-        renamed: Prefix = []
-        for quant, var in prefix:
-            if var.reserved and var.name not in context_names \
-                    and var not in mapping and var not in kept:
-                kept.add(var)
-                renamed.append((quant, var))
-                continue
-            name = var.name
-            while name in used_names or name in context_names:
+    def bind(quant: Quantifier, var: Var, ren: dict, nested: bool) -> dict:
+        new = var
+        if var in free or var in bound or (nested and not var.reserved):
+            name = var.name + "'"
+            while name in taken:
                 name += "'"
-            fresh = Var(name)
-            used_names.add(name)
-            used.add(fresh)
-            mapping[var] = VarRef(fresh)
-            renamed.append((quant, fresh))
-        return renamed, substitution(mapping)(matrix)
+            taken.add(name)
+            new = Var(name)
+        prefix.append((quant, new))
+        bound.add(new)
+        return {**ren, var: new} if new != var else ren
 
-    def go(g: Exp) -> tuple[Prefix, Exp]:
-        spine: Prefix = []
+    def rename(node, ren: dict):
+        clashes = ren.keys() & free_vars(node)
+        if not clashes:
+            return node
+        return substitution({v: VarRef(ren[v]) for v in clashes})(node)
+
+    def go(g: Exp, ren: dict, nested: bool) -> Exp:
         while isinstance(g, (Sup, Inf)):
-            spine.append((type(g), g.var))
+            ren = bind(type(g), g.var, ren, nested)
             g = g.body
         match g:
             case Arith():
-                return spine, g
+                return rename(g, ren)
             case Guard(cond, body):
-                prefix, matrix = go(body)
-                prefix, matrix = freshen(prefix, matrix, free_vars(cond))
-                return spine + prefix, Guard(cond, matrix)
+                return Guard(rename(cond, ren), go(body, ren, True))
             case Scale(a, body):
-                prefix, matrix = go(body)
-                prefix, matrix = freshen(prefix, matrix, free_vars(a))
-                return spine + prefix, Scale(a, matrix)
+                return Scale(rename(a, ren), go(body, ren, True))
             case Plus(l, r):
-                pl, ml = go(l)
-                pr, mr = go(r)
-                # left prefix first; each side renamed against the other
-                pl, ml = freshen(pl, ml, set(all_vars(r)) | {v for _, v in pr})
-                pr, mr = freshen(pr, mr, set(all_vars(l)) | {v for _, v in pl})
-                return spine + pl + pr, Plus(ml, mr)
+                return Plus(go(l, ren, True), go(r, ren, True))
         raise TypeError(g)
 
-    prefix, matrix = go(f)
-    assert is_quantifier_free(matrix)
-    # a repeated name can only be a vacuous outer binder; rename it so the
-    # prefix variables are pairwise distinct
-    seen: set[Var] = set()
-    deduped: Prefix = []
-    for quant, var in reversed(prefix):
-        if var in seen:
-            var = fresh_var(used | seen, base=var.name)
-            used.add(var)
-        seen.add(var)
-        deduped.append((quant, var))
-    deduped.reverse()
-    return PrenexExp(tuple(deduped), matrix)
+    matrix = go(f, {}, False)
+    return PrenexExp(tuple(prefix), matrix)
 
 
 def to_snf(f: Exp) -> SNF:

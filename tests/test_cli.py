@@ -72,6 +72,25 @@ def test_fuel_exit_code(capsys, tmp_path):
     assert "cap" in err
 
 
+def test_deep_program_exit_code(capsys, tmp_path):
+    chain = tmp_path / "chain.pgcl"
+    chain.write_text("; ".join(["x := x + 1"] * 2000))
+    code, out, err = run(capsys, "wp", "--syntactic", "-p", str(chain), "-f", "x")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: input nested too deeply")
+    assert len(err.splitlines()) == 1
+
+
+def test_deep_sum_exit_code(capsys):
+    exp = " + ".join(f"(sup v: [v < x] * {i})" for i in range(1500))
+    code, out, err = run(capsys, "normalize", "--prenex", "-f", exp)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: input nested too deeply")
+    assert len(err.splitlines()) == 1
+
+
 def test_normalize_dnf_uses_reserved_cut(capsys):
     code, out, _ = run(capsys, "normalize", "--dnf", "-f", "x")
     assert code == 0

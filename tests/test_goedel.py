@@ -1,7 +1,10 @@
 """Sequence encodings, their formulas, and the first-order translations."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -33,7 +36,6 @@ from wpengine.goedel import (
     relem_exp,
     relem_holds,
     relprime_formula,
-    rename_fo,
     robinson_nat_formula,
     rseq_holds,
     seq_formula,
@@ -46,8 +48,13 @@ from wpengine.semantics import ORACLE, QDomain, calkin_wilf, eval_exp, eval_fo, 
 from wpengine.syntax import (
     Atom,
     Exists,
+    FOAnd,
+    FOImplies,
+    FONot,
+    FOOr,
     Forall,
     Lt,
+    Nat,
     RatLit,
     Var,
     VarRef,
@@ -342,13 +349,103 @@ def test_fo_prenex_flips_through_negation():
     assert isinstance(prenexed, Forall)
 
 
-def test_rename_fo_renames_binders_atoms_and_nat():
+def test_fo_prenex_renames_binders_atoms_and_nat():
     from wpengine.parser import parse_fo
 
-    p = parse_fo("exists v: v < x && N(v)")
-    renamed = rename_fo(p, {Var("v"): Var("$v9"), Var("x"): Var("$x9")})
-    assert print_fo(renamed) == "exists $v9: $v9 < $x9 && N($v9)"
-    assert rename_fo(p, {}) is p
+    # the binder's name is free in the input: it is primed, and so are the
+    # atom and the naturalness atom below it, but not the free occurrence
+    p = parse_fo("N(v) && v < 1 && (exists v: v < x && N(v))")
+    assert print_fo(fo_prenex(p)) == "exists v': N(v) && v < 1 && (v' < x && N(v'))"
+    # siblings and nested binders with one name: the later ones are primed
+    p = parse_fo("(exists v: v < x) && (forall v: exists v: x < v)")
+    assert print_fo(fo_prenex(p)) == \
+        "exists v: forall v': exists v'': v < x && x < v''"
+    # a priming already in the input is skipped
+    p = parse_fo("(exists v: v < v') && (exists v: v < 1)")
+    assert print_fo(fo_prenex(p)) == "exists v: exists v'': v < v' && v'' < 1"
+    # nothing clashes: atoms come back as they are
+    p = parse_fo("(exists v: v < x) && N(x)")
+    out = fo_prenex(p)
+    assert print_fo(out) == "exists v: v < x && N(x)"
+    assert out.body.left is p.left.body and out.body.right is p.right
+
+
+def _rand_clashing_fo(rng: random.Random, depth: int):
+    """A formula whose binders reuse free names and each other's names, with
+    one subformula object used twice."""
+    from wpengine.checks import rand_bexpr
+
+    names = [Var("x"), Var("y"), Var("v")]
+    connectives = [FOAnd, FOOr, FOImplies]
+    quantifiers = [Exists, Forall]
+    if depth <= 0 or rng.random() < 0.25:
+        if rng.random() < 0.2:
+            return Nat(rng.choice(names))
+        return Atom(rand_bexpr(rng, names, 1))
+    match rng.randint(0, 5):
+        case 0:
+            return FONot(_rand_clashing_fo(rng, depth - 1))
+        case 1 | 2:
+            return rng.choice(connectives)(_rand_clashing_fo(rng, depth - 1),
+                                           _rand_clashing_fo(rng, depth - 1))
+        case 3:
+            shared = _rand_clashing_fo(rng, depth - 1)
+            quantified = rng.choice(quantifiers)(rng.choice(names), shared)
+            return rng.choice(connectives)(shared, quantified)
+        case _:
+            return rng.choice(quantifiers)(rng.choice(names),
+                                           _rand_clashing_fo(rng, depth - 1))
+
+
+def test_fo_prenex_equivalence_fuzz():
+    from wpengine.parser import parse_fo
+    from wpengine.syntax import is_quantifier_free
+
+    shared = Exists(Var("v"), Atom(Lt(avar("v"), avar("x"))))
+    cases = [
+        parse_fo("(exists v: v < x) && (exists v: x < v)"),
+        parse_fo("x < 1 && (forall x: exists x: x < 2 && N(x))"),
+        parse_fo("(exists y: y < x) -> !(forall x: exists y: x < y)"),
+        FOAnd(shared, FONot(shared)),
+        FOImplies(shared, FOOr(shared, Forall(Var("v"), shared))),
+    ]
+    rng = random.Random(5)
+    cases += [_rand_clashing_fo(rng, 4) for _ in range(150)]
+    names = [Var("x"), Var("y"), Var("v")]
+    for p in cases:
+        out = fo_prenex(p)
+        q = out
+        prefix = []
+        while isinstance(q, (Exists, Forall)):
+            prefix.append(q.var)
+            q = q.body
+        assert is_quantifier_free(q)
+        assert len(prefix) == len(set(prefix))
+        assert free_vars_fo(out) == free_vars_fo(p)
+        for size in (1, 2):
+            dom = calkin_wilf(size)
+            for _ in range(3):
+                sigma = state(**{v.name: rng.choice([F(0), F(1), F(1, 2), F(2)])
+                                 for v in names})
+                assert eval_fo(p, sigma, dom) == eval_fo(out, sigma, dom), \
+                    print_fo(p)
+
+
+def test_fo_prenex_same_in_fresh_and_warm_process():
+    from wpengine.parser import parse_exp, parse_fo
+    from wpengine.series import odot
+
+    src = "(exists v: v < x) && (exists v: x < v)"
+    code = ("from wpengine.goedel import fo_prenex\n"
+            "from wpengine.parser import parse_fo\n"
+            "from wpengine.syntax import print_fo\n"
+            f"print(print_fo(fo_prenex(parse_fo({src!r}))))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    fresh = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                           capture_output=True, check=True).stdout.strip()
+    odot(parse_exp("x"), parse_exp("[x < 1] * 2"))
+    assert print_fo(fo_prenex(parse_fo(src))) == fresh
+    assert fresh == "exists v: exists v': v < x && x < v'"
 
 
 def test_expand_nat_atoms_gives_robinson():

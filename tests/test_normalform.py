@@ -1,6 +1,7 @@
 """Prenex, summation, and cut normal forms."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +13,9 @@ from wpengine.semantics import QDomain, calkin_wilf, eval_exp, state
 from wpengine.syntax import (
     And,
     Arith,
+    Guard,
     Inf,
+    Lt,
     Mul,
     Plus,
     RatLit,
@@ -20,6 +23,7 @@ from wpengine.syntax import (
     Sup,
     Var,
     VarRef,
+    free_vars,
     print_bexpr,
     print_exp,
     true_,
@@ -58,6 +62,79 @@ def test_prenex_distinct_prefix_variables():
     pre = to_prenex(f)
     names = [v for _, v in pre.prefix]
     assert len(names) == len(set(names))
+
+
+def test_prenex_renames_each_binder_once():
+    # a user binder below two connectives is primed once, not once per level
+    f = parse_exp("[x < 1] * ((sup v: [v < 3] * v) + 2)")
+    assert print_exp(to_prenex(f).to_exp()) == "sup v': [x < 1] * ([v' < 3] * v' + 2)"
+    # a repeated top-level binder: the inner one is renamed
+    f = Sup(Var("v"), Sup(Var("v"), Arith(VarRef(Var("v")))))
+    assert print_exp(to_prenex(f).to_exp()) == "sup v: sup v': v'"
+    # reserved binders are renamed only where they clash
+    assert print_exp(to_prenex(parse_exp("1/x + 1/y")).to_exp()) == \
+        "sup $w: sup $w': [$w * x = 1] * $w + [$w' * y = 1] * $w'"
+
+
+def _rand_clashing_exp(rng: random.Random, depth: int):
+    """An expectation whose binders reuse a free name, each other's names and
+    a reserved name, below every connective, with one subterm used twice."""
+    from wpengine.checks import rand_aexpr, rand_bexpr
+
+    names = [Var("x"), Var("v"), Var("$w")]
+    quantifiers = [Sup, Inf]
+    if depth <= 0 or rng.random() < 0.25:
+        return Arith(rand_aexpr(rng, names, 1))
+    match rng.randint(0, 4):
+        case 0:
+            return Guard(rand_bexpr(rng, names, 1), _rand_clashing_exp(rng, depth - 1))
+        case 1:
+            return Scale(rand_aexpr(rng, names, 1), _rand_clashing_exp(rng, depth - 1))
+        case 2:
+            shared = _rand_clashing_exp(rng, depth - 1)
+            return Plus(shared, rng.choice(quantifiers)(rng.choice(names), shared))
+        case 3:
+            return Plus(_rand_clashing_exp(rng, depth - 1),
+                        _rand_clashing_exp(rng, depth - 1))
+        case _:
+            return rng.choice(quantifiers)(rng.choice(names),
+                                           _rand_clashing_exp(rng, depth - 1))
+
+
+def test_prenex_equivalence_fuzz():
+    from wpengine.syntax import is_quantifier_free
+
+    rng = random.Random(3)
+    for _ in range(150):
+        f = _rand_clashing_exp(rng, 3)
+        pre = to_prenex(f)
+        names = [v for _, v in pre.prefix]
+        assert len(names) == len(set(names))
+        assert is_quantifier_free(pre.matrix)
+        assert free_vars(pre.to_exp()) == free_vars(f)
+        for _ in range(2):
+            sigma = state(x=rng.choice([0, 1, F(1, 2)]), v=rng.choice([0, 2]),
+                          **{"$w": rng.choice([0, 1])})
+            dom = calkin_wilf(2)
+            assert eval_exp(f, sigma, dom) == eval_exp(pre.to_exp(), sigma, dom), \
+                print_exp(f)
+
+
+def test_prenex_left_nested_sum_is_fast():
+    """400 left-nested quantified summands: one pass, no re-renaming."""
+    v, x = Var("v"), Var("x")
+    f = None
+    for i in range(400):
+        summand = Sup(v, Guard(Lt(VarRef(v), VarRef(x)), Arith(RatLit(F(i)))))
+        f = summand if f is None else Plus(f, summand)
+    start = time.perf_counter()
+    pre = to_prenex(f)
+    elapsed = time.perf_counter() - start
+    names = [w for _, w in pre.prefix]
+    assert len(names) == 400
+    assert len(set(names)) == 400
+    assert free_vars(pre.matrix) <= set(names) | {x}
+    assert elapsed < 10, f"to_prenex took {elapsed:.1f} s"
 
 
 def test_snf_base_case():
