@@ -77,6 +77,7 @@ from .syntax import (
 from .wp import (
     DEFAULT_STATE_CAP,
     VarSet,
+    bounded,
     char_assertion,  # re-exported: the indicator lives in wp
     path_frontiers,
     wp_loop_free,
@@ -359,10 +360,15 @@ class LoopEncoding:
     # -- plan machinery -----------------------------------------------------
 
     def state_code(self, sigma: State) -> int:
-        key = sigma.restrict(self.varset)
-        if key not in self._state_codes:
-            self._state_codes[key] = encode_state(key, self.varset).num
-        return self._state_codes[key]
+        """The code of ``sigma``, which must already be restricted to the
+        variable set: every state of a ``path_frontiers`` frontier is."""
+        try:
+            return self._state_codes[sigma]
+        except KeyError:
+            pass
+        code = encode_state(sigma, self.varset).num
+        bounded(self._state_codes)[sigma] = code
+        return code
 
     def decode_sequence(self, code: int, k: int) -> list[int] | None:
         """Element codes of the sequence, or None if any is not a state.
@@ -387,16 +393,20 @@ class LoopEncoding:
         """One-step value: the primed template with its variables bound to
         the source state's values and its primes to the target state's."""
         key = (code_from, code_to)
-        if key not in self._factor_cache:
-            target = decode_state(code_to, self.variables)
-            source = decode_state(code_from, self.variables)
-            if target is None or source is None:
-                self._factor_cache[key] = ZERO
-                return ZERO
+        try:
+            return self._factor_cache[key]
+        except KeyError:
+            pass
+        target = decode_state(code_to, self.variables)
+        source = decode_state(code_from, self.variables)
+        if target is None or source is None:
+            value = ZERO
+        else:
             merged = _bind_decoded(sigma, source, self.variables, self.variables)
             merged = _bind_decoded(merged, target, self.variables, self._primed)
-            self._factor_cache[key] = rec(self.body_template, merged)
-        return self._factor_cache[key]
+            value = rec(self.body_template, merged)
+        bounded(self._factor_cache)[key] = value
+        return value
 
     def path_value(self, codes: list[int], sigma: State, dom, rec) -> XReal:
         """([!guard] * post) at the last state, times the step factors."""
@@ -416,10 +426,13 @@ class LoopEncoding:
         length-k sequences by last state, so truncation k is
         sum_s w(s) * final_factor(s): the final factor distributes over the
         sequences, and the cost follows the (step, state) pairs rather than
-        the 2^k paths.  ``state_cap`` bounds the (step, state) entries.
+        the 2^k paths.  The one-step support comes from the loop's
+        ``step_kernel`` through ``path_frontiers``, so a k-sweep computes it
+        once.  ``state_cap`` bounds the (step, state) entries.
         """
         if max_k <= 0:
             return [ZERO] * (max_k + 1)
+        start = sigma.restrict(self.varset)
         if dom is None:
             dom = calkin_wilf(0)
         rec = lambda f, s: eval_exp(f, s, dom, mode="oracle_assisted")
@@ -429,8 +442,7 @@ class LoopEncoding:
                                     sigma, dom, rec)
 
         finals: dict[State, XReal] = {}
-        frontiers = path_frontiers(self.loop, self.varset,
-                                   sigma.restrict(self.varset), factor, ONE,
+        frontiers = path_frontiers(self.loop, self.varset, start, factor, ONE,
                                    max_k - 1, state_cap)
         values = [ZERO]
         for frontier in frontiers:

@@ -56,12 +56,17 @@ Mode = Literal["restricted", "oracle_assisted"]
 RESTRICTED: Mode = "restricted"
 ORACLE: Mode = "oracle_assisted"
 
+_ZERO = Fraction(0)
+
 
 class State:
     """Immutable finite map from variables to non-negative rationals.
 
-    Unbound variables read as 0; bindings with value 0 are dropped so that
-    states equal modulo zero-padding compare equal.
+    Unbound variables read as 0 (one shared zero); bindings with value 0
+    are dropped so that states equal modulo zero-padding compare equal.
+    The hash is computed on first use, since most states are never hashed.
+    ``set`` and ``restrict`` start from bindings that are already valid, so
+    they skip the constructor's check of every binding.
     """
 
     __slots__ = ("_bindings", "_hash")
@@ -74,26 +79,37 @@ class State:
                 if value != 0:
                     items[var] = value
         object.__setattr__(self, "_bindings", items)
-        object.__setattr__(self, "_hash", hash(frozenset(items.items())))
+        object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _of(cls, items: dict[Var, Fraction]) -> "State":
+        """A state over ``items``, which must be valid, nonzero bindings."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_bindings", items)
+        object.__setattr__(out, "_hash", None)
+        return out
 
     def __setattr__(self, *_):
         raise AttributeError("State is immutable")
 
     def __getitem__(self, var: Var) -> Fraction:
-        return self._bindings.get(var, Fraction(0))
+        return self._bindings.get(var, _ZERO)
 
     def set(self, var: Var, value) -> "State":
-        updated = dict(self._bindings)
         value = rat(value)
-        if value == 0:
-            updated.pop(var, None)
-        else:
+        updated = dict(self._bindings)
+        if value:
             updated[var] = value
-        return State(updated)
+        else:
+            updated.pop(var, None)
+        return State._of(updated)
 
     def restrict(self, variables: Iterable[Var]) -> "State":
         keep = set(variables)
-        return State({v: q for v, q in self._bindings.items() if v in keep})
+        items = {v: q for v, q in self._bindings.items() if v in keep}
+        if len(items) == len(self._bindings):
+            return self
+        return State._of(items)
 
     def items(self) -> Iterator[tuple[Var, Fraction]]:
         return iter(sorted(self._bindings.items()))
@@ -110,7 +126,11 @@ class State:
         return self._bindings == other._bindings
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash(frozenset(self._bindings.items()))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}={q}" for v, q in self.items())

@@ -11,6 +11,12 @@ three mutually independent oracles that must agree at every depth k:
   over (step, state) pairs;
 * ``char_apply`` iterated syntactically from the zero expectation.
 
+The path sum reads the one-step support and transition values from the
+loop's ``StepKernel``, which is cached on the loop node, so a k-sweep over
+one loop computes each of them once; the loop encoding's plan shares the
+support.  The Kleene iterate, the syntactic unrolling and ``forward_dist``
+never read the kernel, so they stay independent of it.
+
 ``forward_dist`` is the forward (distribution-transformer) semantics used to
 validate the backward transformer via the duality between the two views.
 All arithmetic is exact.
@@ -365,30 +371,99 @@ def char_assertion(sigma: State, varset: VarSet) -> Exp:
     return Guard(conj, Arith(RatLit(Fraction(1))))
 
 
+def bounded(table: dict) -> dict:
+    """``table``, emptied first if one more entry would pass
+    ``DEFAULT_STATE_CAP``: the bound on every memo table that outlives a
+    call."""
+    if len(table) >= DEFAULT_STATE_CAP:
+        table.clear()
+    return table
+
+
+class StepKernel:
+    """One-step facts of a loop's guarded iteration over a variable set.
+
+    The one-step support of a state (the targets of ``forward_dist(c_iter,
+    s, varset, 1)``) and ``path_sum``'s one-step factor of a transition
+    s -> t (``wp_loop_free(c_iter, char_assertion(t))`` evaluated at s)
+    depend on the loop, the variable set and the states alone, so a k-sweep
+    computes each of them once.  ``step_kernel`` keeps one kernel per
+    variable set on the loop node itself, so it is freed with the loop.
+    Each table empties itself once it would grow past ``DEFAULT_STATE_CAP``
+    entries, so memory stays bounded in a long-running process.
+    """
+
+    def __init__(self, loop: While, varset: VarSet):
+        self.c_iter = Ite(loop.cond, loop.body, Skip())
+        self.varset = varset
+        self.support: dict[State, tuple[State, ...]] = {}
+        self.factors: dict[tuple[State, State], Fraction] = {}
+
+    def successors(self, s: State) -> tuple[State, ...]:
+        """Targets of one guarded iteration from the restricted state s."""
+        try:
+            return self.support[s]
+        except KeyError:
+            pass
+        out = tuple(forward_dist(self.c_iter, s, self.varset, 1).weights)
+        bounded(self.support)[s] = out
+        return out
+
+    def factor(self, s: State, t: State) -> Fraction:
+        """One-step value of s -> t, read off the syntactic transformer."""
+        key = (s, t)
+        try:
+            return self.factors[key]
+        except KeyError:
+            pass
+        into = wp_loop_free(self.c_iter, char_assertion(t, self.varset))
+        out = eval_exp(into, s).finite
+        bounded(self.factors)[key] = out
+        return out
+
+
+def step_kernel(loop: While, varset: VarSet) -> StepKernel:
+    """The loop's one-step kernel over ``varset``, cached on the loop node.
+
+    The kernels live in an attribute outside the node's dataclass fields,
+    set with ``object.__setattr__``, so they die with the loop and no table
+    is process-global.  ``kleene_iterate``, ``char_iterates`` and
+    ``forward_dist`` never read it: they are the oracles it is checked
+    against.
+    """
+    try:
+        kernels = loop._kernels
+    except AttributeError:
+        kernels = {}
+        object.__setattr__(loop, "_kernels", kernels)
+    kernel = kernels.get(varset)
+    if kernel is None:
+        kernel = kernels[varset] = StepKernel(loop, varset)
+    return kernel
+
+
 def path_frontiers(loop: While, varset: VarSet, start: State, factor, unit,
                    steps: int, cap: int = DEFAULT_STATE_CAP) -> list[dict]:
     """Weights of the supported state sequences, summed by last state.
 
     Entry n maps each state t to the total weight of the supported state
-    sequences of length n + 1 from ``start`` that end in t, for n = 0, ...,
-    ``steps``; a sequence's weight is ``unit`` times ``factor(s, t)`` for each
-    of its transitions s -> t.  Weight is pushed only along the one-step
-    support of the guarded iteration: the omitted transitions would
+    sequences of length n + 1 from ``start`` (restricted to ``varset``) that
+    end in t, for n = 0, ..., ``steps``; a sequence's weight is ``unit``
+    times ``factor(s, t)`` for each of its transitions s -> t.  Weight is
+    pushed only along the one-step support of the guarded iteration, taken
+    from the loop's ``step_kernel``: the omitted transitions would
     contribute zero factors.  This is one forward pass over (step, state),
     so the cost follows the distinct (step, state) pairs, not the number of
     sequences.  Raises ``FuelExceeded`` once more than ``cap`` (step, state)
-    entries have been made.
+    entries have been made; the kernel's own tables do not count.
     """
-    c_iter = Ite(loop.cond, loop.body, Skip())
-    support: dict[State, tuple[State, ...]] = {}
+    successors = step_kernel(loop, varset).successors
     frontiers = [{start: unit}]
     entries = 1
     for n in range(1, steps + 1):
         frontier: dict = {}
         for s, w in frontiers[-1].items():
-            if s not in support:
-                support[s] = tuple(forward_dist(c_iter, s, varset, 1).weights)
-            for t in support[s]:
+            for t in successors(s):
                 pushed = w * factor(s, t)
                 frontier[t] = frontier[t] + pushed if t in frontier else pushed
         entries += len(frontier)
@@ -408,29 +483,20 @@ def path_sum(loop: While, post: Exp, sigma: State, varset: VarSet, k: int,
     Each sequence contributes the final value of [!guard] * post weighted by
     the product of one-step values of the guarded iteration, where a step's
     value is read off the syntactic transformer applied to the target
-    state's indicator.  The sum is computed by ``path_frontiers`` as
-    sum_s w(s) * ([!guard] * post)(s) over the sequence weights w summed by
-    last state, which distributes the final factor over the sequences, so
-    its cost follows the (step, state) pairs rather than the 2^k paths.
-    ``path_cap`` bounds the (step, state) entries.
+    state's indicator; the loop's ``step_kernel`` keeps each step's value,
+    so a k-sweep computes it once.  The sum is computed by
+    ``path_frontiers`` as sum_s w(s) * ([!guard] * post)(s) over the
+    sequence weights w summed by last state, which distributes the final
+    factor over the sequences, so its cost follows the (step, state) pairs
+    rather than the 2^k paths.  ``path_cap`` bounds the (step, state)
+    entries.
     """
     if not varset.issuperset(vars_program(loop) | free_vars(post)):
         raise ValueError("variable set must cover the loop and postexpectation")
     if k <= 0:
         return ZERO
-    c_iter = Ite(loop.cond, loop.body, Skip())
-    into: dict[State, Exp] = {}
-    factor_cache: dict[tuple[State, State], Fraction] = {}
-
-    def step_value(s: State, t: State) -> Fraction:
-        key = (s, t)
-        if key not in factor_cache:
-            if t not in into:
-                into[t] = wp_loop_free(c_iter, char_assertion(t, varset))
-            factor_cache[key] = eval_exp(into[t], s).finite
-        return factor_cache[key]
-
-    last = path_frontiers(loop, varset, sigma.restrict(varset), step_value,
+    factor = step_kernel(loop, varset).factor
+    last = path_frontiers(loop, varset, sigma.restrict(varset), factor,
                           Fraction(1), k - 1, path_cap)[-1]
     final_guard = Guard(Not(loop.cond), post)
     total = ZERO

@@ -22,10 +22,13 @@ def rat(value: RatLike, denominator: int | None = None) -> Fraction:
     """Build a validated non-negative rational.
 
     Accepts an int, a Fraction, or a string ``"p"`` / ``"p/q"``; an optional
-    second argument gives a denominator for int inputs.
+    second argument gives a denominator for int inputs.  A Fraction is
+    returned as it is, not copied.
     """
     if denominator is not None:
         q = Fraction(value, denominator)
+    elif isinstance(value, Fraction):
+        q = value
     elif isinstance(value, str):
         q = parse_rat(value)
     else:

@@ -1,20 +1,30 @@
 """The path-sum and plan oracles: forward passes over (step, state) pairs,
 checked against the depth-first references and the fixed-point iterate."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
 
 from path_reference import dfs_path_sum, dfs_plan_eval
 from wpengine.checks import rand_loop
+from wpengine import wp
 from wpengine.cli import main
 from wpengine.errors import FuelExceeded
 from wpengine.loops import encode_loop
 from wpengine.parser import parse_exp, parse_program
 from wpengine.semantics import State, calkin_wilf, eval_exp, state
 from wpengine.syntax import Var
-from wpengine.wp import VarSet, char_iterates, kleene_iterate, path_sum
+from wpengine.wp import (
+    VarSet,
+    char_iterates,
+    forward_dist,
+    kleene_iterate,
+    path_sum,
+    step_kernel,
+)
 from wpengine.xreal import ZERO, XReal
 
 WALK_TEXT = "while (x < 40) { {x := x + 1} [1/2] {x := x + 2} }"
@@ -118,3 +128,106 @@ def test_truncation_zero_is_zero():
     geo_encoding = encode_loop(geo, POST_X, VarSet.of("c", "x"))
     assert geo_encoding.plan_sup(state(c=0, x=7), 0) == ZERO
     assert geo_encoding.plan_sup(state(c=0, x=7), 1) == XReal.of(F(7))
+
+
+def _kernel_cases(seed):
+    """The 12 seeded random loops and the walk, each with two starts."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(12):
+        loop, post, varset = rand_loop(rng)
+        starts = [State({Var("c"): F(1), Var("x"): F(x)}) for x in (0, 1)]
+        cases.append((loop, post, varset, starts))
+    cases.append((parse_program(WALK_TEXT), parse_exp("[x < 42] * x + 1/2"),
+                  WALK_VS, [state(x=20), state(x=F(61, 2), y=3)]))
+    return cases
+
+
+def test_warm_kernel_equals_fresh_loop():
+    """A kernel warmed from one start gives the values of a fresh loop."""
+    for (loop, post, varset, (first, second)), (fresh, *_) in zip(
+            _kernel_cases(31), _kernel_cases(31)):
+        assert fresh == loop and fresh is not loop
+        encoding = encode_loop(loop, post, varset)
+        for k in range(9):
+            path_sum(loop, post, first, varset, k)
+            encoding.plan_eval(first, k)
+        assert step_kernel(loop, varset).support
+        assert not hasattr(fresh, "_kernels")
+        for k in range(9):
+            want = kleene_iterate(loop, post, second, k)
+            assert path_sum(loop, post, second, varset, k) == want
+            assert encoding.plan_eval(second, k) == want
+            assert path_sum(fresh, post, second, varset, k) == want
+            assert encode_loop(fresh, post, varset).plan_eval(second, k) == want
+
+
+def test_kernel_is_freed_with_its_loop():
+    loop = parse_program(WALK_TEXT)
+    encoding = encode_loop(loop, POST_X, WALK_VS)
+    assert path_sum(loop, POST_X, state(x=20), WALK_VS, 6) == \
+        encoding.plan_eval(state(x=20), 6)
+    kernel = weakref.ref(step_kernel(loop, WALK_VS))
+    assert kernel().support and kernel().factors
+    freed = weakref.ref(loop)
+    del loop, encoding
+    gc.collect()
+    assert freed() is None
+    assert kernel() is None
+
+
+def test_independent_oracles_do_not_read_the_kernel():
+    s0 = state(x=20)
+    loop = parse_program(WALK_TEXT)
+    for k in range(6):
+        kleene_iterate(loop, POST_X, s0, k)
+        eval_exp(char_iterates(loop, POST_X, k), s0)
+        forward_dist(loop, s0, WALK_VS, k)
+    assert not hasattr(loop, "_kernels")
+    # a kernel that fails on every read leaves their values as they were
+    kernel = step_kernel(loop, WALK_VS)
+
+    def poisoned(*_):
+        raise AssertionError("an independent oracle read the kernel")
+
+    kernel.successors = kernel.factor = poisoned
+    fresh = parse_program(WALK_TEXT)
+    for k in range(6):
+        assert kleene_iterate(loop, POST_X, s0, k) == \
+            kleene_iterate(fresh, POST_X, s0, k)
+        assert eval_exp(char_iterates(loop, POST_X, k), s0) == \
+            eval_exp(char_iterates(fresh, POST_X, k), s0)
+        assert forward_dist(loop, s0, WALK_VS, k).weights == \
+            forward_dist(fresh, s0, WALK_VS, k).weights
+
+
+def test_caps_unchanged_on_a_warm_kernel():
+    """The caps count (step, state) entries, never the kernel's entries."""
+    s0 = state(x=20)
+    encoding = encode_loop(WALK, POST_X, WALK_VS)
+    for k in range(21):
+        assert path_sum(WALK, POST_X, s0, WALK_VS, k) == encoding.plan_eval(s0, k)
+    assert len(step_kernel(WALK, WALK_VS).support) > 10
+    test_caps_count_step_state_entries()
+
+
+def test_memo_tables_stay_bounded(monkeypatch):
+    """The kernel and the encoding's memo tables empty themselves at the
+    state cap, and the values stay right."""
+    cap = 7
+    monkeypatch.setattr(wp, "DEFAULT_STATE_CAP", cap)
+    loop = parse_program(WALK_TEXT)
+    encoding = encode_loop(loop, POST_X, WALK_VS)
+    kernel = step_kernel(loop, WALK_VS)
+    tables = (kernel.support, kernel.factors, encoding._factor_cache,
+              encoding._state_codes)
+    peaks = [0] * len(tables)
+    for x in (20, 24, 30, F(61, 2), 39):
+        s0 = state(x=x)
+        for k in range(9):
+            want = kleene_iterate(loop, POST_X, s0, k)
+            assert path_sum(loop, POST_X, s0, WALK_VS, k) == want
+            assert encoding.plan_eval(s0, k) == want
+            peaks = [max(p, len(t)) for p, t in zip(peaks, tables)]
+            assert max(peaks) <= cap
+    assert peaks == [cap] * len(tables)

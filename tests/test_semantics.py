@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wpengine import semantics
@@ -12,6 +13,7 @@ from wpengine.semantics import (
     ORACLE,
     RESTRICTED,
     QDomain,
+    State,
     calkin_wilf,
     default_domain,
     eval_aexpr,
@@ -32,7 +34,7 @@ from wpengine.syntax import (
     with_intrinsic,
 )
 from wpengine.wp import VarSet, char_iterates, forward_dist, kleene_iterate, path_sum
-from wpengine.xreal import XReal, ZERO, inf as xinf, sup as xsup, xsum
+from wpengine.xreal import XReal, ZERO, inf as xinf, rat, sup as xsup, xsum
 
 
 def test_eval_monus_truncates():
@@ -259,3 +261,44 @@ def test_xreal_serialization():
     assert str(XReal.of(F(7, 2))) == "7/2"
     assert str(XReal.INF) == "inf"
     assert str(ZERO) == "0"
+
+
+def test_state_constructions_agree_fuzz():
+    """States built by the constructor, by chains of ``set`` and by
+    ``restrict`` compare and hash equal when their bindings agree."""
+    rng = random.Random(66)
+    names = [Var(n) for n in "cxyz"]
+    values = [F(0), F(1), F(1, 2), F(3), F(7, 3), 2]
+    for _ in range(400):
+        want = {v: rng.choice(values) for v in rng.sample(names, rng.randint(0, 4))}
+        built = State(want)
+        chained = State()
+        for v in rng.sample(names, len(names)):
+            chained = chained.set(v, rng.choice(values))
+        for v in rng.sample(names, len(names)):
+            chained = chained.set(v, want.get(v, 0))
+        wide = State({**want, Var("w"): rng.choice(values[1:])})
+        narrow = wide.restrict(names)
+        for got in (chained, narrow, built.restrict(names)):
+            assert got == built
+            assert hash(got) == hash(built)
+            assert {got: 1}[built] == 1
+        assert [built[v] for v in names] == [F(want.get(v, 0)) for v in names]
+        assert (wide == built) == (wide[Var("w")] == 0)
+
+
+def test_state_set_and_rat_validate():
+    x = Var("x")
+    assert state(x=1).set(x, 0) == State()
+    assert state(x=1).set(x, F(0)).variables() == set()
+    assert State()[x] == 0
+    assert state(x=1, y=2).restrict([x])[Var("y")] == 0
+    with pytest.raises(ValueError):
+        state(x=1).set(x, F(-1, 2))
+    with pytest.raises(ValueError):
+        rat(F(-1, 2))
+    with pytest.raises(ValueError):
+        State({x: F(-1, 2)})
+    q = F(3, 4)
+    assert rat(q) is q
+    assert rat(q, 1) == q and rat(6, 8) == q and rat("3/4") == q
