@@ -273,6 +273,7 @@ class LoopEncoding:
         self.variables = tuple(varset)
         self.body_template = body_wp_template(loop, varset)
         self._factor_cache: dict[tuple[int, int], XReal] = {}
+        self._finals: dict[tuple[int, tuple], XReal] = {}
         self._state_codes: dict[State, int] = {}
         self._path_term: Exp | None = None
         self._pure: Exp | None = None
@@ -382,12 +383,25 @@ class LoopEncoding:
         return codes
 
     def final_factor(self, state_code: int, sigma: State, dom, rec) -> XReal:
-        """([!guard] * post) evaluated at the decoded final state."""
+        """([!guard] * post) evaluated at the decoded final state.
+
+        The code binds every free variable of the expectation, so the value
+        depends on the code and, for a quantified post, on the domain's
+        values alone; it is kept per (code, domain values).
+        """
+        key = (state_code, dom.values)
+        try:
+            return self._finals[key]
+        except KeyError:
+            pass
         decoded = decode_state(state_code, self.variables)
         if decoded is None:
-            return ZERO
-        return rec(self._final_exp,
-                   _bind_decoded(sigma, decoded, self.variables, self.variables))
+            value = ZERO
+        else:
+            value = rec(self._final_exp,
+                        _bind_decoded(sigma, decoded, self.variables, self.variables))
+        bounded(self._finals)[key] = value
+        return value
 
     def step_factor(self, code_from: int, code_to: int, sigma, dom, rec) -> XReal:
         """One-step value: the primed template with its variables bound to
@@ -427,7 +441,8 @@ class LoopEncoding:
         sum_s w(s) * final_factor(s): the final factor distributes over the
         sequences, and the cost follows the (step, state) pairs rather than
         the 2^k paths.  The one-step support comes from the loop's
-        ``step_kernel`` through ``path_frontiers``, so a k-sweep computes it
+        ``step_kernel`` through ``path_frontiers``, and ``final_factor``
+        keeps each final factor on the encoding, so a k-sweep computes each
         once.  ``state_cap`` bounds the (step, state) entries.
         """
         if max_k <= 0:
@@ -441,17 +456,14 @@ class LoopEncoding:
             return self.step_factor(self.state_code(s), self.state_code(t),
                                     sigma, dom, rec)
 
-        finals: dict[State, XReal] = {}
         frontiers = path_frontiers(self.loop, self.varset, start, factor, ONE,
                                    max_k - 1, state_cap)
         values = [ZERO]
         for frontier in frontiers:
             total = ZERO
             for s, weight in frontier.items():
-                if s not in finals:
-                    finals[s] = self.final_factor(self.state_code(s), sigma,
-                                                  dom, rec)
-                total = total + weight * finals[s]
+                final = self.final_factor(self.state_code(s), sigma, dom, rec)
+                total = total + weight * final
             values.append(total)
         return values
 

@@ -12,12 +12,19 @@ building one.
 ``eval_exp`` has two modes: ``restricted`` ignores intrinsic tags, while
 ``oracle_assisted`` lets a tagged subtree delegate to its attached
 evaluation plan (untagged quantifiers still fall back to the domain).
+
+Terms and guards are compiled once per node into closures over a state
+(Feeley and Lapalme, "Using closures for code generation", 1987) and the
+closure is cached on the node, so it is freed with the node; a quantifier
+search re-runs the closures instead of re-dispatching on the syntax.
+``eval_aexpr`` and ``eval_bexpr`` compile, then call.  ``eval_exp``'s own
+walk over expectation nodes stays structural.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Literal, Mapping
+from typing import Callable, Iterable, Iterator, Literal, Mapping
 
 from .syntax import (
     Add,
@@ -207,31 +214,106 @@ def default_domain(f: Exp, sigma: State, k: int = 32) -> QDomain:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def eval_aexpr(a: AExpr, sigma: State) -> Fraction:
+def _term(a: AExpr) -> Callable[[State], Fraction]:
+    """The closure that evaluates the term ``a`` at a state.
+
+    Compiled on first use and cached on the node as ``_fn``, outside its
+    dataclass fields, the way ``syntax._qf_vars`` caches variable sets: a
+    shared subterm is compiled once, and the closure is freed with its
+    node.  Rewrites build new nodes, which compile afresh.
+    """
+    try:
+        return a._fn
+    except AttributeError:
+        pass
     match a:
         case RatLit(q):
-            return q
+            def fn(s):
+                return q
         case VarRef(v):
-            return sigma[v]
+            def fn(s):
+                return s._bindings.get(v, _ZERO)
         case Add(l, r):
-            return eval_aexpr(l, sigma) + eval_aexpr(r, sigma)
+            lf, rf = _term(l), _term(r)
+
+            def fn(s):
+                return lf(s) + rf(s)
         case Mul(l, r):
-            return eval_aexpr(l, sigma) * eval_aexpr(r, sigma)
+            lf, rf = _term(l), _term(r)
+
+            def fn(s):
+                return lf(s) * rf(s)
         case Monus(l, r):
-            lv, rv = eval_aexpr(l, sigma), eval_aexpr(r, sigma)
-            return lv - rv if lv >= rv else Fraction(0)
-    raise TypeError(a)
+            lf, rf = _term(l), _term(r)
+
+            def fn(s):
+                x, y = lf(s), rf(s)
+                if x.numerator * y.denominator > y.numerator * x.denominator:
+                    return x - y
+                return _ZERO
+        case _:
+            raise TypeError(a)
+    object.__setattr__(a, "_fn", fn)
+    return fn
+
+
+def _guard(phi: BExpr) -> Callable[[State], bool]:
+    """The closure that decides the guard ``phi`` at a state, cached like
+    ``_term``'s.
+
+    ``<`` compares by integer cross-multiplication (denominators are
+    positive), with a literal side's numerator and denominator read once.
+    """
+    try:
+        return phi._fn
+    except AttributeError:
+        pass
+    match phi:
+        case Lt(RatLit(p), RatLit(q)):
+            holds = p < q
+
+            def fn(s):
+                return holds
+        case Lt(l, RatLit(q)):
+            lf, n, d = _term(l), q.numerator, q.denominator
+
+            def fn(s):
+                x = lf(s)
+                return x.numerator * d < n * x.denominator
+        case Lt(RatLit(q), r):
+            rf, n, d = _term(r), q.numerator, q.denominator
+
+            def fn(s):
+                y = rf(s)
+                return n * y.denominator < y.numerator * d
+        case Lt(l, r):
+            lf, rf = _term(l), _term(r)
+
+            def fn(s):
+                x, y = lf(s), rf(s)
+                return x.numerator * y.denominator < y.numerator * x.denominator
+        case And(l, r):
+            lf, rf = _guard(l), _guard(r)
+
+            def fn(s):
+                return lf(s) and rf(s)
+        case Not(arg):
+            af = _guard(arg)
+
+            def fn(s):
+                return not af(s)
+        case _:
+            raise TypeError(phi)
+    object.__setattr__(phi, "_fn", fn)
+    return fn
+
+
+def eval_aexpr(a: AExpr, sigma: State) -> Fraction:
+    return _term(a)(sigma)
 
 
 def eval_bexpr(phi: BExpr, sigma: State) -> bool:
-    match phi:
-        case Lt(a, b):
-            return eval_aexpr(a, sigma) < eval_aexpr(b, sigma)
-        case And(l, r):
-            return eval_bexpr(l, sigma) and eval_bexpr(r, sigma)
-        case Not(arg):
-            return not eval_bexpr(arg, sigma)
-    raise TypeError(phi)
+    return _guard(phi)(sigma)
 
 
 def eval_exp(f: Exp, sigma: State, dom: QDomain | None = None,
@@ -252,23 +334,27 @@ def eval_exp(f: Exp, sigma: State, dom: QDomain | None = None,
             dom = default_domain(f, sigma)
         return dom
 
+    oracle = mode == ORACLE
+
+    # compiled terms give validated non-negative Fractions, so their values
+    # wrap into XReal as they are
     def rec(g: Exp, sig: State) -> XReal:
-        if mode == ORACLE and g.intrinsic is not None:
+        if oracle and g.intrinsic is not None:
             return g.intrinsic.evaluate(g, sig, domain(), rec)
         match g:
             case Arith(a):
-                return XReal.of(eval_aexpr(a, sig))
+                return XReal(_term(a)(sig))
             case Guard(cond, body):
-                if eval_bexpr(cond, sig):
+                if _guard(cond)(sig):
                     return rec(body, sig)
                 return ZERO
             case Plus(l, r):
                 return rec(l, sig) + rec(r, sig)
             case Scale(a, body):
-                factor = XReal.of(eval_aexpr(a, sig))
-                if factor == ZERO:
+                factor = _term(a)(sig)
+                if not factor:
                     return ZERO
-                return factor * rec(body, sig)
+                return XReal(factor) * rec(body, sig)
             case Sup(v, body):
                 best = ZERO
                 for q in domain():

@@ -10,9 +10,10 @@ printing, equality, and hashing.
 Generated terms share subterms heavily, so they are DAGs in memory.  The
 variable, constant and substitution walkers visit each distinct node once
 per call, keying their memos on the nodes of their own input, which stay
-alive for the whole walk; the only fact kept across calls is the variable
-set of a term or guard, cached on the node itself so that it is freed with
-the node.
+alive for the whole walk; the only facts kept across calls are the
+variable set of a term or guard and its compiled evaluator (see
+``semantics``), cached on the node itself so that they are freed with the
+node.
 
 Identifiers match ``\\$?[a-zA-Z_][a-zA-Z0-9_']*``; the ``$`` prefix marks the
 reserved namespace used for machine-generated helper variables, which the
