@@ -16,7 +16,11 @@ evaluation plan (untagged quantifiers still fall back to the domain).
 Terms and guards are compiled once per node into closures over a state
 (Feeley and Lapalme, "Using closures for code generation", 1987) and the
 closure is cached on the node, so it is freed with the node; a quantifier
-search re-runs the closures instead of re-dispatching on the syntax.
+search re-runs the closures instead of re-dispatching on the syntax.  A
+chain of ``&&`` compiles into one closure over its conjuncts, and a ``<``
+between variables and literals reads the bindings itself.  States key
+their bindings on variable names, so a compiled read is a dict lookup on
+a string that runs in C; the ``State`` API takes and returns ``Var``s.
 ``eval_aexpr`` and ``eval_bexpr`` compile, then call.  ``eval_exp``'s own
 walk over expectation nodes stays structural.
 """
@@ -24,6 +28,7 @@ walk over expectation nodes stays structural.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import le, lt
 from typing import Callable, Iterable, Iterator, Literal, Mapping
 
 from .syntax import (
@@ -71,6 +76,8 @@ class State:
 
     Unbound variables read as 0 (one shared zero); bindings with value 0
     are dropped so that states equal modulo zero-padding compare equal.
+    The bindings are keyed on variable names, strings that cache their
+    hash, while every method takes and returns ``Var``s.
     The hash is computed on first use, since most states are never hashed.
     ``set`` and ``restrict`` start from bindings that are already valid, so
     they skip the constructor's check of every binding.
@@ -84,13 +91,14 @@ class State:
             for var, value in bindings.items():
                 value = rat(value)
                 if value != 0:
-                    items[var] = value
+                    items[var.name] = value
         object.__setattr__(self, "_bindings", items)
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _of(cls, items: dict[Var, Fraction]) -> "State":
-        """A state over ``items``, which must be valid, nonzero bindings."""
+    def _of(cls, items: dict[str, Fraction]) -> "State":
+        """A state over ``items``, which must be valid, nonzero bindings
+        keyed on names."""
         out = object.__new__(cls)
         object.__setattr__(out, "_bindings", items)
         object.__setattr__(out, "_hash", None)
@@ -100,29 +108,29 @@ class State:
         raise AttributeError("State is immutable")
 
     def __getitem__(self, var: Var) -> Fraction:
-        return self._bindings.get(var, _ZERO)
+        return self._bindings.get(var.name, _ZERO)
 
     def set(self, var: Var, value) -> "State":
         value = rat(value)
         updated = dict(self._bindings)
         if value:
-            updated[var] = value
+            updated[var.name] = value
         else:
-            updated.pop(var, None)
+            updated.pop(var.name, None)
         return State._of(updated)
 
     def restrict(self, variables: Iterable[Var]) -> "State":
-        keep = set(variables)
-        items = {v: q for v, q in self._bindings.items() if v in keep}
+        keep = {v.name for v in variables}
+        items = {n: q for n, q in self._bindings.items() if n in keep}
         if len(items) == len(self._bindings):
             return self
         return State._of(items)
 
     def items(self) -> Iterator[tuple[Var, Fraction]]:
-        return iter(sorted(self._bindings.items()))
+        return ((Var(n), q) for n, q in sorted(self._bindings.items()))
 
     def variables(self) -> set[Var]:
-        return set(self._bindings)
+        return {Var(n) for n in self._bindings}
 
     def values(self) -> set[Fraction]:
         return set(self._bindings.values())
@@ -231,8 +239,10 @@ def _term(a: AExpr) -> Callable[[State], Fraction]:
             def fn(s):
                 return q
         case VarRef(v):
+            name = v.name
+
             def fn(s):
-                return s._bindings.get(v, _ZERO)
+                return s._bindings.get(name, _ZERO)
         case Add(l, r):
             lf, rf = _term(l), _term(r)
 
@@ -263,40 +273,22 @@ def _guard(phi: BExpr) -> Callable[[State], bool]:
 
     ``<`` compares by integer cross-multiplication (denominators are
     positive), with a literal side's numerator and denominator read once.
+    A negation over a ``<`` or over an ``&&`` chain is folded into that
+    node's closure: ``!(a < b)`` is compiled as ``b <= a``.
     """
     try:
         return phi._fn
     except AttributeError:
         pass
     match phi:
-        case Lt(RatLit(p), RatLit(q)):
-            holds = p < q
-
-            def fn(s):
-                return holds
-        case Lt(l, RatLit(q)):
-            lf, n, d = _term(l), q.numerator, q.denominator
-
-            def fn(s):
-                x = lf(s)
-                return x.numerator * d < n * x.denominator
-        case Lt(RatLit(q), r):
-            rf, n, d = _term(r), q.numerator, q.denominator
-
-            def fn(s):
-                y = rf(s)
-                return n * y.denominator < y.numerator * d
         case Lt(l, r):
-            lf, rf = _term(l), _term(r)
-
-            def fn(s):
-                x, y = lf(s), rf(s)
-                return x.numerator * y.denominator < y.numerator * x.denominator
-        case And(l, r):
-            lf, rf = _guard(l), _guard(r)
-
-            def fn(s):
-                return lf(s) and rf(s)
+            fn = _less(l, r, lt)
+        case Not(Lt(l, r)):
+            fn = _less(r, l, le)
+        case And():
+            fn = _conjunction(phi, False)
+        case Not(And() as chain):
+            fn = _conjunction(chain, True)
         case Not(arg):
             af = _guard(arg)
 
@@ -305,6 +297,93 @@ def _guard(phi: BExpr) -> Callable[[State], bool]:
         case _:
             raise TypeError(phi)
     object.__setattr__(phi, "_fn", fn)
+    return fn
+
+
+def _less(l: AExpr, r: AExpr,
+          cmp: Callable[[int, int], bool]) -> Callable[[State], bool]:
+    """The closure for ``l < r`` (``cmp`` is ``lt``) or ``l <= r`` (``le``).
+
+    A side that is a variable or a literal is read in place, so ``x < 3``
+    or ``x < y`` makes one call per evaluation.
+    """
+    match l, r:
+        case RatLit(p), RatLit(q):
+            holds = cmp(p, q)
+
+            def fn(s):
+                return holds
+        case VarRef(u), VarRef(v):
+            lname, rname = u.name, v.name
+
+            def fn(s):
+                b = s._bindings
+                x, y = b.get(lname, _ZERO), b.get(rname, _ZERO)
+                return cmp(x.numerator * y.denominator, y.numerator * x.denominator)
+        case VarRef(v), RatLit(q):
+            name, n, d = v.name, q.numerator, q.denominator
+
+            def fn(s):
+                x = s._bindings.get(name, _ZERO)
+                return cmp(x.numerator * d, n * x.denominator)
+        case RatLit(q), VarRef(v):
+            name, n, d = v.name, q.numerator, q.denominator
+
+            def fn(s):
+                y = s._bindings.get(name, _ZERO)
+                return cmp(n * y.denominator, y.numerator * d)
+        case _, RatLit(q):
+            lf, n, d = _term(l), q.numerator, q.denominator
+
+            def fn(s):
+                x = lf(s)
+                return cmp(x.numerator * d, n * x.denominator)
+        case RatLit(q), _:
+            rf, n, d = _term(r), q.numerator, q.denominator
+
+            def fn(s):
+                y = rf(s)
+                return cmp(n * y.denominator, y.numerator * d)
+        case _:
+            lf, rf = _term(l), _term(r)
+
+            def fn(s):
+                x, y = lf(s), rf(s)
+                return cmp(x.numerator * y.denominator, y.numerator * x.denominator)
+    return fn
+
+
+def _conjunction(phi: And, negated: bool) -> Callable[[State], bool]:
+    """One closure for the maximal chain of ``&&`` rooted at ``phi``, or
+    for its negation.
+
+    The chain is flattened with an explicit stack, so a chain of any length
+    compiles without recursion, and its inner ``And`` nodes get no closure
+    of their own.  The conjuncts run left to right and the first false one
+    stops the chain.  Guards are pure, so a conjunct or shared sub-chain met
+    a second time is left out: it held the first time, or the chain
+    stopped before reaching it.
+    """
+    conjuncts: dict[Callable[[State], bool], None] = {}
+    expanded = set()  # ids of the chain's own And nodes, alive through phi
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, And):
+            if id(node) not in expanded:
+                expanded.add(id(node))
+                stack.append(node.right)
+                stack.append(node.left)
+        else:
+            conjuncts.setdefault(_guard(node))
+    fns = tuple(conjuncts)
+    holds = not negated
+
+    def fn(s):
+        for f in fns:
+            if not f(s):
+                return negated
+        return holds
     return fn
 
 

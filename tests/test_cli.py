@@ -1,6 +1,9 @@
 """Command-line interface: outputs, exit codes, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -259,3 +262,23 @@ def test_bad_counts_and_unread_flags_are_usage_errors(capsys, geo_file, coin_fil
         main([files.get(arg, arg) for arg in argv])
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+def test_output_independent_of_hash_seed(coin_file):
+    """The same commands print the same bytes under two hash seeds."""
+    commands = [
+        ["normalize", "--dnf", "-f", "x"],
+        ["normalize", "--prenex", "-f", "1/x + 1/y"],
+        ["series", "sum", "--body", "1/$s", "--n", "3", "--emit-pure"],
+        ["wp", "--syntactic", "-p", coin_file, "-f", "x"],
+    ]
+    code = "import sys; from wpengine.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in commands:
+        outs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+                   "PYTHONHASHSEED": seed}
+            done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                                  capture_output=True, check=True)
+            outs.append(done.stdout)
+        assert outs[0] == outs[1] and outs[0], argv

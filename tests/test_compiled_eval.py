@@ -7,6 +7,7 @@ import sys
 import traceback
 import weakref
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
@@ -41,12 +42,17 @@ from wpengine.syntax import (
     Sup,
     Var,
     VarRef,
+    balanced,
     subst_exp,
+    true_,
 )
 from wpengine.wp import wp_loop_free
 from wpengine.xreal import XReal, ZERO
 
 NAMES = [Var("x"), Var("y"), Var("z")]
+# reserved and primed names; "u" is never bound
+EXTRA = [Var("$cut"), Var("v'")]
+GUARD_NAMES = NAMES + EXTRA + [Var("u")]
 
 
 def rand_value(rng) -> F:
@@ -94,12 +100,19 @@ class TermMaker:
         self.terms.append(out)
         return out
 
+    def side(self):
+        """A bare variable, which ``<`` reads in place, or a literal."""
+        rng = self.rng
+        if rng.random() < 0.7:
+            return VarRef(rng.choice(GUARD_NAMES))
+        return RatLit(rng.choice(self.literals))
+
     def guard(self, depth):
         rng = self.rng
         if self.guards and rng.random() < 0.25:
             return rng.choice(self.guards)
         if depth <= 0 or rng.random() < 0.4:
-            match rng.randint(0, 3):
+            match rng.randint(0, 5):
                 case 0:
                     out = Lt(RatLit(rng.choice(self.literals)), self.term(2))
                 case 1:
@@ -107,14 +120,41 @@ class TermMaker:
                 case 2:
                     out = Lt(RatLit(rng.choice(self.literals)),
                              RatLit(rng.choice(self.literals)))
-                case _:
+                case 3:
                     out = Lt(self.term(2), self.term(2))
+                case _:
+                    out = Lt(self.side(), self.side())
         elif rng.random() < 0.3:
             out = Not(self.guard(depth - 1))
+        elif rng.random() < 0.3:
+            out = self.chain(depth)
         else:
             out = And(self.guard(depth - 1), self.guard(depth - 1))
         self.guards.append(out)
         return out
+
+    def chain(self, depth):
+        """A chain of 3-50 ``&&``, nested left, right or balanced, sometimes
+        negated.  Most conjuncts always hold and some repeat an earlier one,
+        so whole chains hold and the last conjunct often decides."""
+        rng = self.rng
+        parts = []
+        for _ in range(rng.randint(2, 49)):
+            if parts and rng.random() < 0.2:
+                parts.append(rng.choice(parts))
+            elif rng.random() < 0.1:
+                parts.append(self.guard(depth - 1))
+            else:
+                parts.append(Not(Lt(self.side(), RatLit(F(0)))))
+        parts.append(Lt(self.side(), self.side()))
+        match rng.randint(0, 2):
+            case 0:
+                out = left_nested(parts)
+            case 1:
+                out = right_nested(parts)
+            case _:
+                out = balanced(And, parts, true_)
+        return Not(out) if rng.random() < 0.3 else out
 
     def exp(self, depth):
         rng = self.rng
@@ -137,10 +177,20 @@ class TermMaker:
                 return quant(v, self.exp(depth - 1))
 
 
+def left_nested(parts):
+    return reduce(And, parts)
+
+
+def right_nested(parts):
+    return reduce(lambda rest, p: And(p, rest), reversed(parts))
+
+
 def rand_state(rng, literals) -> State:
-    # values often equal a literal, so Lt and Monus meet their boundaries
-    pool = literals + [rand_value(rng) for _ in range(3)]
-    return State({v: rng.choice(pool) for v in NAMES if rng.random() < 0.85})
+    # values often equal a literal, so Lt and Monus meet their boundaries;
+    # a name bound to 0 is dropped from the state
+    pool = literals + [rand_value(rng) for _ in range(3)] + [F(0)]
+    return State({v: rng.choice(pool) for v in NAMES + EXTRA
+                  if rng.random() < 0.85})
 
 
 def test_compiled_terms_and_guards_match_reference_fuzz():
@@ -306,6 +356,22 @@ def test_deep_term_raises_from_compilation():
     with pytest.raises(RecursionError) as info:
         eval_aexpr(term, state())
     assert traceback.extract_tb(info.tb)[-1].name == "_term"
+
+
+@pytest.mark.parametrize("nesting", ["left", "right"])
+def test_deep_conjunction_at_default_recursion_limit(nesting):
+    """A chain of 5000 ``&&`` compiles and evaluates without recursion."""
+    assert sys.getrecursionlimit() == 1000
+    x, y = VarRef(Var("x")), VarRef(Var("y"))
+    n = 5000
+    parts = [Lt(x, RatLit(F(i + 1))) for i in range(n)]
+    parts[n // 2] = Lt(y, RatLit(F(1)))
+    chain = (left_nested if nesting == "left" else right_nested)(parts)
+    # x < i + 1 holds for every i at x = 0; y < 1 fails at y = 1
+    assert eval_bexpr(chain, state()) is True
+    assert eval_bexpr(chain, state(y=F(1, 2))) is True
+    assert eval_bexpr(chain, state(y=1)) is False
+    assert eval_bexpr(chain, state(x=n)) is False
 
 
 def test_deep_guard_exit_code(capsys, tmp_path):

@@ -98,6 +98,26 @@ def test_state_semantics():
     assert sigma.set(Var("y"), F(1, 2))[Var("y")] == F(1, 2)
     # persistence
     assert sigma[Var("x")] == 1
+    # bindings are keyed on names; the API takes and returns Vars
+    cut, primed, x, y = Var("$cut"), Var("v'"), Var("x"), Var("y")
+    sigma = State({y: 2, x: 1, cut: F(1, 3), primed: F(5, 2), Var("z"): 0})
+    items = list(sigma.items())
+    assert items == [(cut, F(1, 3)), (primed, F(5, 2)), (x, 1), (y, 2)]
+    assert all(type(v) is Var and type(q) is F for v, q in items)
+    assert sigma.variables() == {cut, primed, x, y}
+    assert all(type(v) is Var for v in sigma.variables())
+    assert repr(state(x=1)) == "State(x=1)"
+    assert repr(sigma) == "State($cut=1/3, v'=5/2, x=1, y=2)"
+    # reserved and primed names round-trip through set, restrict and items
+    tau = state().set(cut, 4).set(primed, F(1, 2))
+    assert tau[cut] == 4 and tau[primed] == F(1, 2)
+    assert list(tau.items()) == [(cut, 4), (primed, F(1, 2))]
+    assert tau.restrict([cut]) == State({cut: 4})
+    assert list(tau.restrict([primed, x]).items()) == [(primed, F(1, 2))]
+    assert tau.restrict([cut, primed]) is tau
+    assert tau.set(cut, 0) == State({primed: F(1, 2)})
+    assert State(dict(sigma.items())) == sigma
+    assert hash(State(dict(sigma.items()))) == hash(sigma)
 
 
 def test_quantifier_free_independent_of_domain():
