@@ -706,14 +706,15 @@ def fo_to_exp(p: FOFormula) -> Exp:
 class FormulaOracleTag:
     """Evaluation hint for an embedded formula: decide it concretely.
 
-    ``fn(sigma)`` must return the truth value of the formula at the state.
+    ``fn(sigma)`` must return the truth value of the formula at the state,
+    reading only the formula's free variables.
     """
 
     def __init__(self, fn, label: str):
         self.fn = fn
         self.label = label
 
-    def evaluate(self, node, sigma, dom, rec) -> XReal:
+    def evaluate(self, sigma, dom, rec) -> XReal:
         return ONE if self.fn(sigma) else ZERO
 
     def __repr__(self):
@@ -741,7 +742,7 @@ def elem_exp(num: AExpr, i: AExpr, m: AExpr) -> Exp:
         return ne is not None and ie is not None and me is not None \
             and elem_holds(ne, ie, me)
 
-    return embed_formula(fo_nat_to_rat(fo_prenex(elem_formula(num, i, m))), fn, "elem")
+    return embed_formula(lifted_elem_formula(num, i, m), fn, "elem")
 
 
 def relem_exp(num: AExpr, i: AExpr, r: AExpr) -> Exp:

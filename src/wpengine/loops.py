@@ -23,10 +23,8 @@ restricted quantifier search is hopeless (the witnesses are astronomical
 sequence codes), so each carries a plan whose step-k truncation mirrors the
 construction equation by equation and agrees exactly with the k-fold
 fixed-point iterate and the explicit path sum.  Plans read an encoded state
-by binding its decoded values in the state, never by substituting them
-into a copy of the target, so tags inside the target keep working.  Helper
-variables live in the reserved ``$`` namespace, which user programs cannot
-mention.
+by binding its decoded values in the state.  Helper variables live in the
+reserved ``$`` namespace, which user programs cannot mention.
 """
 
 from __future__ import annotations
@@ -106,9 +104,9 @@ class StatePlan:
     """Decode the state code bound at ``num`` and evaluate the target there.
 
     Each decoded value is bound to its slot (the variable itself or its
-    primed copy); every other variable keeps its ambient binding.  Binding
-    gives the value of the substituted target and keeps the intrinsic tags
-    inside the target intact.  A code that is not a state yields 0.
+    primed copy); every other variable keeps its ambient binding, so the
+    plan reads only the node's free variables.  A code that is not a state
+    yields 0.
     """
 
     def __init__(self, target: Exp, variables: tuple[Var, ...],
@@ -118,7 +116,7 @@ class StatePlan:
         self.num = num
         self.slots = slots
 
-    def evaluate(self, node, sigma, dom, rec) -> XReal:
+    def evaluate(self, sigma, dom, rec) -> XReal:
         code = sigma[self.num]
         if not is_natural(code):
             return ZERO
@@ -215,13 +213,13 @@ class PathPlan:
     Reads the length and the sequence code, decodes the sequence, and
     multiplies the final-state factor with the one-step factors, each a
     decode-then-apply step over the adjacent state codes.  Non-natural or
-    zero lengths yield 0.
+    zero lengths yield 0.  Reads only the length and the sequence code.
     """
 
     def __init__(self, owner: "LoopEncoding"):
         self.owner = owner
 
-    def evaluate(self, node, sigma, dom, rec) -> XReal:
+    def evaluate(self, sigma, dom, rec) -> XReal:
         length = sigma[self.owner.length_var]
         code = sigma[self.owner.seq_var]
         if not (is_natural(length) and is_natural(code)) or length == 0:
@@ -233,12 +231,13 @@ class PathPlan:
 
 
 class _PairFactorPlan:
-    """One product factor: decode two adjacent state codes and apply."""
+    """One product factor: decode two adjacent state codes and apply.
+    Reads only the sequence code and the product index."""
 
     def __init__(self, owner: "LoopEncoding"):
         self.owner = owner
 
-    def evaluate(self, node, sigma, dom, rec) -> XReal:
+    def evaluate(self, sigma, dom, rec) -> XReal:
         seq_code = sigma[self.owner.seq_var]
         index = sigma[PROD_VAR]
         if not (is_natural(seq_code) and is_natural(index)):

@@ -42,6 +42,7 @@ from .syntax import (
     Scale,
     Var,
 )
+from .xreal import XReal, ZERO
 
 _TOKEN_RE = re.compile(
     r"""
@@ -458,34 +459,20 @@ def _as_aexpr(f: Exp) -> AExpr | None:
     return None
 
 
-class _ReciprocalTag:
-    """Exact evaluation hint for ``sup w: [w * x = r] * w``.
+class _ReciprocalPlan:
+    """``value / var``: infinity at 0 / 0 (every witness satisfies
+    ``w * 0 = 0``), 0 at value / 0 (none does).  It reads only ``var``,
+    the one free variable of its node."""
 
-    Reads the node shape at evaluation time, so it stays valid under
-    substitution and renaming.
-    """
+    def __init__(self, value: Fraction, var: Var):
+        self.value = value
+        self.var = var
 
-    survives_rewrite = True
-
-    def evaluate(self, node, sigma, dom, rec):
-        from .semantics import eval_aexpr
-        from .xreal import XReal, ZERO
-
-        match node:
-            case s.Sup(w, Guard(cond, Arith(s.VarRef(w2)))) if w == w2:
-                match cond:
-                    case s.And(s.Not(s.Lt(s.Mul(s.VarRef(w3), x), r)), _) if w3 == w:
-                        denom = eval_aexpr(x, sigma)
-                        target = eval_aexpr(r, sigma)
-                        if denom == 0:
-                            # 0 = target holds for every witness (sup is
-                            # unbounded) or for none (sup of the empty set)
-                            return XReal.INF if target == 0 else ZERO
-                        return XReal.of(target / denom)
-        raise TypeError(f"reciprocal tag attached to unexpected shape: {node!r}")
-
-
-_RECIPROCAL_TAG = _ReciprocalTag()
+    def evaluate(self, sigma, dom, rec):
+        denom = sigma[self.var]
+        if denom == 0:
+            return XReal.INF if self.value == 0 else ZERO
+        return XReal.of(self.value / denom)
 
 
 def reciprocal_exp(value: Fraction, var: Var) -> Exp:
@@ -493,7 +480,7 @@ def reciprocal_exp(value: Fraction, var: Var) -> Exp:
     w = s.fresh_var({var}, base="$w")
     body = Guard(s.eq_(s.Mul(s.VarRef(w), s.VarRef(var)), s.RatLit(value)),
                  Arith(s.VarRef(w)))
-    return s.with_intrinsic(s.Sup(w, body), _RECIPROCAL_TAG)
+    return s.with_intrinsic(s.Sup(w, body), _ReciprocalPlan(value, var))
 
 
 def parse_program(text: str) -> Program:

@@ -405,6 +405,9 @@ def eval_exp(f: Exp, sigma: State, dom: QDomain | None = None,
     sup over the empty domain is 0 and an inf over the empty domain is
     infinity.  Iverson guards contribute a factor of 0 or 1, and
     0 * inf = 0 throughout.
+
+    Oracle-assisted, a tagged node is worth its plan's ``evaluate(sigma,
+    dom, rec)``; a plan reads only its node's free variables.
     """
 
     def domain() -> QDomain:
@@ -419,7 +422,7 @@ def eval_exp(f: Exp, sigma: State, dom: QDomain | None = None,
     # wrap into XReal as they are
     def rec(g: Exp, sig: State) -> XReal:
         if oracle and g.intrinsic is not None:
-            return g.intrinsic.evaluate(g, sig, domain(), rec)
+            return g.intrinsic.evaluate(sig, domain(), rec)
         match g:
             case Arith(a):
                 return XReal(_term(a)(sig))

@@ -69,10 +69,9 @@ class AggregatePlan:
     """Direct evaluation of a sum or product aggregate.
 
     Iterates the aggregation index from 0 to the bound (evaluated in the
-    state), binding the index in the state rather than substituting a
-    literal; the two give the same value, and binding keeps intrinsic tags
-    on the body intact.  A non-natural bound yields 0, matching the falsity
-    of the embedded naturalness guards.
+    state), binding the index in the state.  A non-natural bound yields 0,
+    matching the falsity of the embedded naturalness guards.  Reads only
+    the node's free variables: the bound's and the body's but the index.
     """
 
     def __init__(self, body: Exp, agg_var: Var, bound: AExpr, kind: str):
@@ -82,7 +81,7 @@ class AggregatePlan:
         self.bound = bound
         self.kind = kind
 
-    def evaluate(self, node, sigma: State, dom, rec) -> XReal:
+    def evaluate(self, sigma: State, dom, rec) -> XReal:
         bound = eval_aexpr(self.bound, sigma)
         if not is_natural(bound):
             return ZERO
@@ -201,13 +200,14 @@ def odot(f: Exp, g: Exp) -> Exp:
 
 
 class CutProductPlan:
-    """Structured semantics of the cut product: multiply the factor values."""
+    """Structured semantics of the cut product: multiply the factor values.
+    Reads only the node's free variables, those of the two factors."""
 
     def __init__(self, left: Exp, right: Exp):
         self.left = left
         self.right = right
 
-    def evaluate(self, node, sigma, dom, rec) -> XReal:
+    def evaluate(self, sigma, dom, rec) -> XReal:
         return rec(self.left, sigma) * rec(self.right, sigma)
 
 

@@ -4,8 +4,8 @@ All AST values are immutable (frozen dataclasses) and safe to share between
 threads.  Boolean sugar (true, false, or, implication, equality, <=) is
 lowered at construction time so that guard trees only ever contain the three
 core connectives ``<``, ``&&``, ``!``.  Expectations may carry an *intrinsic*
-tag: an opaque evaluation hint attached by higher layers that is ignored by
-printing, equality, and hashing.
+tag: an evaluation plan attached by higher layers that is ignored by
+printing, equality, and hashing; substitution keeps it (see ``SubstPlan``).
 
 Generated terms share subterms heavily, so they are DAGs in memory.  The
 variable, constant and substitution walkers visit each distinct node once
@@ -558,19 +558,23 @@ def is_quantifier_free(node) -> bool:
 # Substitution
 # ---------------------------------------------------------------------------
 
-def _tag_survives(tag: object) -> bool:
-    return bool(getattr(tag, "survives_rewrite", False))
+class SubstPlan:
+    """Value of ``node`` with each mapped variable replaced by its term:
+    ``node`` at ``sigma`` with every mapped variable bound, all at once, to
+    its term's value at ``sigma`` (the substitution lemma).  Reads only the
+    free variables of the substituted node."""
 
+    def __init__(self, node: Exp, mapping: dict[Var, AExpr]):
+        self.node = node
+        self.mapping = mapping
 
-def _rebuilt(node: Exp, **changes) -> Exp:
-    """Rebuild a node after a rewrite, keeping only shape-reading tags.
+    def evaluate(self, sigma, dom, rec):
+        from .semantics import eval_aexpr
 
-    A node whose parts all came back unchanged is returned as it is.
-    """
-    if all(getattr(node, name) is part for name, part in changes.items()):
-        return node
-    tag = node.intrinsic if _tag_survives(node.intrinsic) else None
-    return replace(node, intrinsic=tag, **changes)
+        bound = sigma
+        for x, a in self.mapping.items():
+            bound = bound.set(x, eval_aexpr(a, sigma))
+        return rec(self.node, bound)
 
 
 def substitution(mapping: dict[Var, AExpr]):
@@ -581,8 +585,9 @@ def substitution(mapping: dict[Var, AExpr]):
     incoming term is renamed by priming; the renaming extends the mapping
     instead of copying the binder's body, so a walk visits only nodes of
     its own input.  Subtrees without a free mapped variable are returned
-    as-is (intrinsic tags included); rebuilt nodes keep a tag only if it
-    is declared shape-reading.
+    as-is.  A rebuilt tagged node gets one ``SubstPlan`` of the original
+    node under the mapping in force there, renames included; a node with a
+    ``SubstPlan`` composes the mappings, so chained substitutions keep one.
 
     Results are memoized per mapping and keyed on input nodes, so shared
     subterms are substituted once, across calls of the returned function
@@ -612,6 +617,18 @@ def substitution(mapping: dict[Var, AExpr]):
             out = derived[key] = context(m)
         return out
 
+    def plan(g: Exp, ctx: tuple) -> SubstPlan | None:
+        tag = g.intrinsic
+        if isinstance(tag, SubstPlan):
+            inner = {x: walk(a, ctx) for x, a in tag.mapping.items()}
+            return SubstPlan(tag.node, {**ctx[0], **inner})
+        return None if tag is None else SubstPlan(g, ctx[0])
+
+    def rebuilt(g: Exp, ctx: tuple, **changes) -> Exp:
+        if all(getattr(g, name) is part for name, part in changes.items()):
+            return g
+        return replace(g, intrinsic=plan(g, ctx), **changes)
+
     def walk(g, ctx: tuple):
         m, keys, memo = ctx
         if isinstance(g, _QF_TYPES) and _qf_vars(g).isdisjoint(keys):
@@ -627,13 +644,13 @@ def substitution(mapping: dict[Var, AExpr]):
             case Not(arg):
                 out = Not(walk(arg, ctx))
             case Arith(a):
-                out = _rebuilt(g, expr=walk(a, ctx))
+                out = rebuilt(g, ctx, expr=walk(a, ctx))
             case Guard(cond, body):
-                out = _rebuilt(g, cond=walk(cond, ctx), body=walk(body, ctx))
+                out = rebuilt(g, ctx, cond=walk(cond, ctx), body=walk(body, ctx))
             case Plus(l, r):
-                out = _rebuilt(g, left=walk(l, ctx), right=walk(r, ctx))
+                out = rebuilt(g, ctx, left=walk(l, ctx), right=walk(r, ctx))
             case Scale(a, body):
-                out = _rebuilt(g, factor=walk(a, ctx), body=walk(body, ctx))
+                out = rebuilt(g, ctx, factor=walk(a, ctx), body=walk(body, ctx))
             case Sup(_, _) | Inf(_, _):
                 out = under_binders(g, ctx)
             case _:
@@ -652,7 +669,7 @@ def substitution(mapping: dict[Var, AExpr]):
         below = Counter(b.var for b in spine)  # binders under the current one
         heads = []
         for b in spine:
-            v = b.var
+            v, tag = b.var, plan(b, ctx)
             below[v] -= 1
             if v in ctx[1]:
                 ctx = derive(ctx, v, None)
@@ -665,10 +682,10 @@ def substitution(mapping: dict[Var, AExpr]):
                 v2 = fresh_var(avoid, base=v.name)
                 ctx = derive(ctx, v, v2)
                 v = v2
-            heads.append((type(b), v, b.intrinsic))
+            heads.append((type(b), v, tag))
         out = walk(g, ctx)
         for ctor, v, tag in reversed(heads):
-            out = ctor(v, out, intrinsic=tag if _tag_survives(tag) else None)
+            out = ctor(v, out, intrinsic=tag)
         return out
 
     root = context(dict(mapping))

@@ -1,6 +1,7 @@
 """Exact evaluation, quantifier domains, and the extended-real laws."""
 
 import random
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -158,14 +159,13 @@ def test_quantifier_free_eval_builds_no_domain(monkeypatch):
 class _DomainProbe:
     """Intrinsic plan that records the domain it is handed."""
 
-    survives_rewrite = False
-
-    def __init__(self):
+    def __init__(self, body):
+        self.body = body
         self.seen = []
 
-    def evaluate(self, node, sigma, dom, rec):
+    def evaluate(self, sigma, dom, rec):
         self.seen.append(list(dom))
-        return rec(node.body, sigma)
+        return rec(self.body, sigma)
 
 
 def test_default_domain_built_on_first_quantifier():
@@ -185,12 +185,66 @@ def test_default_domain_built_on_first_quantifier():
     f = Plus(Guard(parse_bexpr("x < 19/8"), Arith(RatLit(F(0)))), inner)
     assert eval_exp(f, state()) == XReal.of(F(19, 8))
     assert eval_exp(inner, state()) < XReal.of(F(19, 8))
-    probe = _DomainProbe()
+    probe = _DomainProbe(parse_exp("x"))
     tagged = Plus(Arith(RatLit(F(1, 3))),
-                  with_intrinsic(Guard(parse_bexpr("x < 5/2"), parse_exp("x")), probe))
+                  with_intrinsic(Guard(parse_bexpr("x < 5/2"), probe.body), probe))
     sigma = state(x=F(7, 4))
     assert eval_exp(tagged, sigma, mode=ORACLE) == XReal.of(F(25, 12))
     assert probe.seen == [list(default_domain(tagged, sigma))]
+
+
+def test_plans_read_only_free_variables():
+    """Each plan kind's value ignores every variable not free in its node."""
+    from wpengine.goedel import elem_exp, encode_seq, encode_state
+    from wpengine.loops import _PairFactorPlan, encode_loop, goedel_subst
+    from wpengine.series import PROD_VAR, dedekind_product, make_sum
+    from wpengine.syntax import all_vars, free_vars, subst_exp
+
+    x, y, z = Var("x"), Var("y"), Var("z")
+    vs = VarSet.of("c", "x")
+    geo = parse_program("while (c = 1) { {c := 0} [1/2] {c := 1}; x := x + 1 }")
+    enc = encode_loop(geo, parse_exp("x"), vs)
+    path = enc.path_term
+    # the one-step factor is not a node of the path term but the body of
+    # its product aggregate's plan
+    stack, seen, pair = [path], set(), None
+    while pair is None:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node.intrinsic, _PairFactorPlan):
+            pair = node
+        children = [getattr(node, f.name) for f in fields(node)]
+        children.append(getattr(node.intrinsic, "body", None))
+        stack.extend(c for c in children if hasattr(c, "intrinsic"))
+    codes = [enc.state_code(state(c=1)), enc.state_code(state(x=1))]
+    walk = {enc.length_var: 2, enc.seq_var: encode_seq(codes).num, PROD_VAR: 0}
+    total = make_sum(parse_exp("[$s < y] * $s + z"), x).pure
+    nodes = [
+        (total, state(x=3, y=2, z=1)),
+        (subst_exp(total, x, parse_aexpr("y + 1")), state(y=2, z=1)),
+        (dedekind_product(parse_exp("x"), parse_exp("y + 1")), state(x=2, y=1)),
+        (elem_exp(VarRef(z), RatLit(F(0)), VarRef(x)),
+         state(z=encode_seq([2]).num, x=2)),
+        (parse_exp("3/x"), state(x=2)),
+        (subst_exp(parse_exp("3/x"), x, VarRef(Var("$w"))), state(**{"$w": 2})),
+        (goedel_subst(parse_exp("x + y"), VarSet.of("x"), z),
+         state(z=encode_state(state(x=2), VarSet.of("x")).num, y=1)),
+        (path, State(walk)),
+        (pair, State(walk)),
+    ]
+    rng = random.Random(12)
+    dom = calkin_wilf(1)
+    for node, sigma in nodes:
+        value = eval_exp(node, sigma, dom, mode=ORACLE)
+        assert value != ZERO
+        free = free_vars(node)
+        bound = sorted(all_vars(node) - free)
+        others = {x, y, z, Var("c")} - free | set(rng.sample(bound, min(6, len(bound))))
+        for v in others:
+            for q in (1, F(5, 2)):
+                assert eval_exp(node, sigma.set(v, q), dom, mode=ORACLE) == value
 
 
 def test_monotone_in_domain_for_sup_prefix():

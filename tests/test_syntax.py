@@ -469,10 +469,16 @@ def test_constants_visits_each_distinct_node_once():
 
 
 def test_dropped_terms_are_freed():
-    """No cache outlives the terms: the guards of a dropped pure term die."""
+    """No cache outlives the terms: the guards of a dropped pure term die,
+    also once a substituted copy, whose plan holds the original, is gone."""
+    from wpengine.semantics import ORACLE
     from wpengine.series import make_sum
 
     pure = make_sum(parse_exp("[x < $s] * $s + 1/$s"), Var("n")).pure
+    copy = subst_exp(pure, Var("n"), parse_aexpr("m + 1"))
+    assert copy.intrinsic.node is pure
+    assert eval_exp(copy, state(m=1, x=1), calkin_wilf(0), mode=ORACLE) == \
+        eval_exp(pure, state(n=2, x=1), calkin_wilf(0), mode=ORACLE)
     free_vars(pure)
     guards, seen, stack = [], set(), [pure]
     while stack:
@@ -484,7 +490,7 @@ def test_dropped_terms_are_freed():
             guards.append(weakref.ref(node))
         stack.extend(getattr(node, field.name) for field in fields(node))
     assert guards
-    del pure, node, stack
+    del pure, copy, node, stack
     gc.collect()
     alive = [ref for ref in guards if ref() is not None]
     assert alive == []

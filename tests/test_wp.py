@@ -1,13 +1,34 @@
 """Backward transformer, forward semantics, and the loop oracles."""
 
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from wpengine.checks import rand_loop_free
 from wpengine.errors import ContainsLoop, FuelExceeded
-from wpengine.parser import parse_exp, parse_program
-from wpengine.semantics import eval_exp, state
-from wpengine.syntax import Arith, RatLit, Var, print_exp
+from wpengine.goedel import elem_exp, encode_state, relem_exp
+from wpengine.loops import goedel_subst
+from wpengine.parser import parse_bexpr, parse_exp, parse_program
+from wpengine.semantics import ORACLE, State, calkin_wilf, eval_exp, state
+from wpengine.series import dedekind_product, make_product, make_sum, odot
+from wpengine.syntax import (
+    Add,
+    Arith,
+    Assign,
+    Guard,
+    RatLit,
+    Seq,
+    Skip,
+    SubstPlan,
+    Sup,
+    Var,
+    VarRef,
+    balanced,
+    print_exp,
+    print_program,
+)
 from wpengine.wp import (
     CharFn,
     VarSet,
@@ -101,6 +122,77 @@ def test_duality_on_coin():
     pre = wp_loop_free(COIN, POST_X)
     dist = forward_dist(COIN, state(), VarSet.of("x"), 1)
     assert eval_exp(pre, state()) == dist.expectation(POST_X)
+
+
+def test_assignment_into_tagged_post_keeps_its_plan():
+    """Oracle-assisted, wp through ``x := x + 1`` reads the post at x + 1."""
+    x = Var("x")
+    inc = parse_program("x := x + 1")
+    total = make_sum(parse_exp("1"), x).pure
+    pre = wp_loop_free(inc, total)
+    assert eval_exp(pre, state(x=3), calkin_wilf(0), mode=ORACLE) == XReal.of(5)
+    product = wp_loop_free(inc, odot(POST_X, parse_exp("2")))
+    assert eval_exp(product, state(x=3), calkin_wilf(0), mode=ORACLE) == XReal.of(8)
+    # the composed mapping {x: x + 1, y: x + 1} binds both at once
+    both = wp_loop_free(parse_program("x := x + 1; y := x"),
+                        odot(POST_X, parse_exp("y")))
+    assert eval_exp(both, state(x=1, y=5), calkin_wilf(0), mode=ORACLE) == XReal.of(4)
+    start = time.perf_counter()
+    assert eval_exp(pre, state(x=3), mode=ORACLE) == XReal.of(5)
+    assert time.perf_counter() - start < 5
+    # a chain of assignments composes into one plan over the original post
+    step = Assign(x, Add(VarRef(x), RatLit(F(1))))
+    pre = wp_loop_free(balanced(Seq, [step] * 500, Skip), total)
+    assert isinstance(pre.intrinsic, SubstPlan) and pre.intrinsic.node is total
+    assert eval_exp(pre, state(), calkin_wilf(0), mode=ORACLE) == XReal.of(501)
+
+
+def test_duality_over_tagged_posts():
+    """Oracle-assisted ``wp_loop_free`` into tagged posts equals the
+    forward distribution's expectation of the oracle-assisted post.
+
+    One library-built assignment ``x := $w`` meets the binder ``$w`` of
+    ``3/x`` and of the last post, whose tagged body then reads the renamed
+    binder through its plan.
+    """
+    rng = random.Random(23)
+    x, y, z, w = Var("x"), Var("y"), Var("z"), Var("$w")
+    varset = VarSet.of("x", "y", "z", "$w")
+    dom = calkin_wilf(2)
+    code = encode_state(state(x=2), VarSet.of("x")).num
+    posts = [
+        dedekind_product(parse_exp("x"), parse_exp("y + 1")),
+        parse_exp("3/x + 1/y"),
+        make_sum(parse_exp("[$s < y] * $s + z"), x).pure,
+        make_product(parse_exp("[$p < 1] * y + 1"), x).pure,
+        odot(parse_exp("x + 1"), parse_exp("[y < 2] * z")),
+        elem_exp(VarRef(z), VarRef(y), VarRef(x)),
+        relem_exp(VarRef(z), RatLit(F(0)), VarRef(x)),
+        goedel_subst(parse_exp("x + y"), VarSet.of("x"), z),
+        Sup(w, Guard(parse_bexpr("$w < 1"), odot(parse_exp("$w + 1"), POST_X))),
+    ]
+    capture = Assign(x, VarRef(w))
+    cases = []
+    for i in range(24):
+        prog = rand_loop_free(rng, [x, y, z], 3)
+        if i % 2:
+            prog = Seq(capture, prog) if rng.random() < 0.5 else Seq(prog, capture)
+        sigmas = [State({v: rng.randint(0, 3) for v in (x, y, w)} | {z: code}),
+                  State({v: rng.randint(0, 3) for v in (x, y, z, w)})]
+        cases.append((prog, sigmas))
+    nonzero = 0
+    for post in posts:
+        for prog, sigmas in cases:
+            pre = wp_loop_free(prog, post)
+            for sigma in sigmas:
+                backward = eval_exp(pre, sigma, dom, mode=ORACLE)
+                forward = ZERO
+                for tau, weight in forward_dist(prog, sigma, varset, 1).items():
+                    forward = forward + XReal.of(weight) * \
+                        eval_exp(post, tau, dom, mode=ORACLE)
+                assert backward == forward, (print_program(prog), print_exp(post))
+                nonzero += backward != ZERO
+    assert nonzero > 100
 
 
 def test_kleene_geometric_values():
