@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import NotPrenex
-from .semantics import State
+from .semantics import State, eval_aexpr
 from .syntax import (
     Add,
     AExpr,
@@ -519,15 +519,9 @@ def stateseq_formula(varset, num: AExpr, length: AExpr) -> FOFormula:
 # ---------------------------------------------------------------------------
 
 def _map_fo(p: FOFormula, leaf) -> FOFormula:
-    """Rebuild a formula with each atom mapped by ``leaf``; shared
-    subformulas are mapped once."""
-    memo: dict = {}
+    """Rebuild a formula with each atom mapped by ``leaf``."""
 
     def go(q: FOFormula) -> FOFormula:
-        orig = q
-        cached = memo.get(id(q))
-        if cached is not None:
-            return cached
         spine = []
         while isinstance(q, (Exists, Forall)):
             spine.append((type(q), q.var))
@@ -547,7 +541,6 @@ def _map_fo(p: FOFormula, leaf) -> FOFormula:
                 raise TypeError(q)
         for ctor, v in reversed(spine):
             out = ctor(v, out)
-        memo[id(orig)] = out
         return out
 
     return go(p)
@@ -660,30 +653,23 @@ def fo_nat_to_rat(p: FOFormula) -> FOFormula:
     return out
 
 
-def _matrix_to_bexpr(p: FOFormula, _memo: dict | None = None) -> BExpr:
-    memo = {} if _memo is None else _memo
-    cached = memo.get(id(p))
-    if cached is not None:
-        return cached
+def _matrix_to_bexpr(p: FOFormula) -> BExpr:
     match p:
         case Atom(pred):
-            out = pred
+            return pred
         case FOAnd(l, r):
-            out = And(_matrix_to_bexpr(l, memo), _matrix_to_bexpr(r, memo))
+            return And(_matrix_to_bexpr(l), _matrix_to_bexpr(r))
         case FOOr(l, r):
-            out = or_(_matrix_to_bexpr(l, memo), _matrix_to_bexpr(r, memo))
+            return or_(_matrix_to_bexpr(l), _matrix_to_bexpr(r))
         case FOImplies(l, r):
-            out = implies_(_matrix_to_bexpr(l, memo), _matrix_to_bexpr(r, memo))
+            return implies_(_matrix_to_bexpr(l), _matrix_to_bexpr(r))
         case FONot(arg):
-            out = Not(_matrix_to_bexpr(arg, memo))
+            return Not(_matrix_to_bexpr(arg))
         case Nat(v):
             raise NotPrenex(
                 f"naturalness atom N({v}) must be expanded before embedding"
             )
-        case _:
-            raise TypeError(p)
-    memo[id(p)] = out
-    return out
+    raise TypeError(p)
 
 
 def fo_to_exp(p: FOFormula) -> Exp:
@@ -714,7 +700,7 @@ class FormulaOracleTag:
         self.fn = fn
         self.label = label
 
-    def evaluate(self, sigma, dom, rec) -> XReal:
+    def evaluate(self, sigma, rec) -> XReal:
         return ONE if self.fn(sigma) else ZERO
 
     def __repr__(self):
@@ -728,8 +714,6 @@ def embed_formula(p: FOFormula, fn, label: str) -> Exp:
 
 
 def _nat_value(sigma: State, term: AExpr) -> int | None:
-    from .semantics import eval_aexpr
-
     value = eval_aexpr(term, sigma)
     return value.numerator if is_natural(value) else None
 
@@ -746,8 +730,6 @@ def elem_exp(num: AExpr, i: AExpr, m: AExpr) -> Exp:
 
 
 def relem_exp(num: AExpr, i: AExpr, r: AExpr) -> Exp:
-    from .semantics import eval_aexpr
-
     num, i, r = aexpr(num), aexpr(i), aexpr(r)
 
     def fn(sigma: State) -> bool:

@@ -116,7 +116,7 @@ class StatePlan:
         self.num = num
         self.slots = slots
 
-    def evaluate(self, sigma, dom, rec) -> XReal:
+    def evaluate(self, sigma, rec) -> XReal:
         code = sigma[self.num]
         if not is_natural(code):
             return ZERO
@@ -213,13 +213,14 @@ class PathPlan:
     Reads the length and the sequence code, decodes the sequence, and
     multiplies the final-state factor with the one-step factors, each a
     decode-then-apply step over the adjacent state codes.  Non-natural or
-    zero lengths yield 0.  Reads only the length and the sequence code.
+    zero lengths yield 0.  Reads only the length and the sequence code: the
+    decoded states bind every other variable the factors read.
     """
 
     def __init__(self, owner: "LoopEncoding"):
         self.owner = owner
 
-    def evaluate(self, sigma, dom, rec) -> XReal:
+    def evaluate(self, sigma, rec) -> XReal:
         length = sigma[self.owner.length_var]
         code = sigma[self.owner.seq_var]
         if not (is_natural(length) and is_natural(code)) or length == 0:
@@ -227,7 +228,7 @@ class PathPlan:
         codes = self.owner.decode_sequence(code.numerator, length.numerator)
         if codes is None:
             return ZERO
-        return self.owner.path_value(codes, sigma, dom, rec)
+        return self.owner.path_value(codes, rec)
 
 
 class _PairFactorPlan:
@@ -237,7 +238,7 @@ class _PairFactorPlan:
     def __init__(self, owner: "LoopEncoding"):
         self.owner = owner
 
-    def evaluate(self, sigma, dom, rec) -> XReal:
+    def evaluate(self, sigma, rec) -> XReal:
         seq_code = sigma[self.owner.seq_var]
         index = sigma[PROD_VAR]
         if not (is_natural(seq_code) and is_natural(index)):
@@ -245,7 +246,7 @@ class _PairFactorPlan:
         pair = GoedelPair(*cantor_unpair(seq_code.numerator))
         code_from = beta_decode(pair, index.numerator)
         code_to = beta_decode(pair, index.numerator + 1)
-        return self.owner.step_factor(code_from, code_to, sigma, dom, rec)
+        return self.owner.step_factor(code_from, code_to, rec)
 
 
 class LoopEncoding:
@@ -381,30 +382,22 @@ class LoopEncoding:
             return None
         return codes
 
-    def final_factor(self, state_code: int, sigma: State, dom, rec) -> XReal:
+    def final_factor(self, state_code: int, rec) -> XReal:
         """([!guard] * post) evaluated at the decoded final state.
 
-        The code binds every free variable of the expectation, so the value
-        depends on the code and, for a quantified post, on the domain's
-        values alone; it is kept per (code, domain values).
+        The decoded state binds every free variable of the expectation, so
+        the value depends on the code and, for a quantified post, on the
+        domain that ``rec`` searches.
         """
-        key = (state_code, dom.values)
-        try:
-            return self._finals[key]
-        except KeyError:
-            pass
         decoded = decode_state(state_code, self.variables)
         if decoded is None:
-            value = ZERO
-        else:
-            value = rec(self._final_exp,
-                        _bind_decoded(sigma, decoded, self.variables, self.variables))
-        bounded(self._finals)[key] = value
-        return value
+            return ZERO
+        return rec(self._final_exp, decoded)
 
-    def step_factor(self, code_from: int, code_to: int, sigma, dom, rec) -> XReal:
+    def step_factor(self, code_from: int, code_to: int, rec) -> XReal:
         """One-step value: the primed template with its variables bound to
-        the source state's values and its primes to the target state's."""
+        the source state's values and its primes to the target state's,
+        which bind every free variable of the template."""
         key = (code_from, code_to)
         try:
             return self._factor_cache[key]
@@ -415,19 +408,18 @@ class LoopEncoding:
         if target is None or source is None:
             value = ZERO
         else:
-            merged = _bind_decoded(sigma, source, self.variables, self.variables)
-            merged = _bind_decoded(merged, target, self.variables, self._primed)
-            value = rec(self.body_template, merged)
+            value = rec(self.body_template, _bind_decoded(
+                source, target, self.variables, self._primed))
         bounded(self._factor_cache)[key] = value
         return value
 
-    def path_value(self, codes: list[int], sigma: State, dom, rec) -> XReal:
+    def path_value(self, codes: list[int], rec) -> XReal:
         """([!guard] * post) at the last state, times the step factors."""
-        value = self.final_factor(codes[-1], sigma, dom, rec)
+        value = self.final_factor(codes[-1], rec)
         for i in range(len(codes) - 1):
             if value == ZERO:
                 return ZERO
-            value = value * self.step_factor(codes[i], codes[i + 1], sigma, dom, rec)
+            value = value * self.step_factor(codes[i], codes[i + 1], rec)
         return value
 
     def plan_truncations(self, sigma: State, max_k: int, dom=None,
@@ -440,9 +432,10 @@ class LoopEncoding:
         sum_s w(s) * final_factor(s): the final factor distributes over the
         sequences, and the cost follows the (step, state) pairs rather than
         the 2^k paths.  The one-step support comes from the loop's
-        ``step_kernel`` through ``path_frontiers``, and ``final_factor``
-        keeps each final factor on the encoding, so a k-sweep computes each
-        once.  ``state_cap`` bounds the (step, state) entries.
+        ``step_kernel`` through ``path_frontiers``.  The final factors are
+        kept on the encoding per (state code, domain values), because a
+        quantified post's factor depends on the domain, so a k-sweep
+        computes each once.  ``state_cap`` bounds the (step, state) entries.
         """
         if max_k <= 0:
             return [ZERO] * (max_k + 1)
@@ -452,8 +445,18 @@ class LoopEncoding:
         rec = lambda f, s: eval_exp(f, s, dom, mode="oracle_assisted")
 
         def factor(s: State, t: State) -> XReal:
-            return self.step_factor(self.state_code(s), self.state_code(t),
-                                    sigma, dom, rec)
+            return self.step_factor(self.state_code(s), self.state_code(t), rec)
+
+        def final(s: State) -> XReal:
+            code = self.state_code(s)
+            key = (code, dom.values)
+            try:
+                return self._finals[key]
+            except KeyError:
+                pass
+            value = self.final_factor(code, rec)
+            bounded(self._finals)[key] = value
+            return value
 
         frontiers = path_frontiers(self.loop, self.varset, start, factor, ONE,
                                    max_k - 1, state_cap)
@@ -461,8 +464,7 @@ class LoopEncoding:
         for frontier in frontiers:
             total = ZERO
             for s, weight in frontier.items():
-                final = self.final_factor(self.state_code(s), sigma, dom, rec)
-                total = total + weight * final
+                total = total + weight * final(s)
             values.append(total)
         return values
 

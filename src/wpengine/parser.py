@@ -468,7 +468,7 @@ class _ReciprocalPlan:
         self.value = value
         self.var = var
 
-    def evaluate(self, sigma, dom, rec):
+    def evaluate(self, sigma, rec):
         denom = sigma[self.var]
         if denom == 0:
             return XReal.INF if self.value == 0 else ZERO

@@ -11,7 +11,9 @@ building one.
 
 ``eval_exp`` has two modes: ``restricted`` ignores intrinsic tags, while
 ``oracle_assisted`` lets a tagged subtree delegate to its attached
-evaluation plan (untagged quantifiers still fall back to the domain).
+evaluation plan, a function of the state that evaluates subterms through
+the evaluator (untagged quantifiers still fall back to the domain).  In
+both modes the default domain is built only when a quantifier is searched.
 
 Terms and guards are compiled once per node into closures over a state
 (Feeley and Lapalme, "Using closures for code generation", 1987) and the
@@ -400,14 +402,14 @@ def eval_exp(f: Exp, sigma: State, dom: QDomain | None = None,
     """Evaluate an expectation to an extended non-negative rational.
 
     Quantifiers range over ``dom`` (default: ``default_domain(f, sigma)``,
-    built when evaluation first meets a quantifier or, in oracle-assisted
-    mode, an intrinsic plan, so quantifier-free terms never build it).  A
-    sup over the empty domain is 0 and an inf over the empty domain is
-    infinity.  Iverson guards contribute a factor of 0 or 1, and
-    0 * inf = 0 throughout.
+    built when evaluation first searches a quantifier, so quantifier-free
+    terms never build it).  A sup over the empty domain is 0 and an inf
+    over the empty domain is infinity.  Iverson guards contribute a factor
+    of 0 or 1, and 0 * inf = 0 throughout.
 
     Oracle-assisted, a tagged node is worth its plan's ``evaluate(sigma,
-    dom, rec)``; a plan reads only its node's free variables.
+    rec)``: a function of the node's free variables in ``sigma``, which
+    evaluates any subterm through ``rec`` and so over the same domain.
     """
 
     def domain() -> QDomain:
@@ -422,7 +424,7 @@ def eval_exp(f: Exp, sigma: State, dom: QDomain | None = None,
     # wrap into XReal as they are
     def rec(g: Exp, sig: State) -> XReal:
         if oracle and g.intrinsic is not None:
-            return g.intrinsic.evaluate(sig, domain(), rec)
+            return g.intrinsic.evaluate(sig, rec)
         match g:
             case Arith(a):
                 return XReal(_term(a)(sig))

@@ -81,7 +81,7 @@ class AggregatePlan:
         self.bound = bound
         self.kind = kind
 
-    def evaluate(self, sigma: State, dom, rec) -> XReal:
+    def evaluate(self, sigma: State, rec) -> XReal:
         bound = eval_aexpr(self.bound, sigma)
         if not is_natural(bound):
             return ZERO
@@ -207,7 +207,7 @@ class CutProductPlan:
         self.left = left
         self.right = right
 
-    def evaluate(self, sigma, dom, rec) -> XReal:
+    def evaluate(self, sigma, rec) -> XReal:
         return rec(self.left, sigma) * rec(self.right, sigma)
 
 

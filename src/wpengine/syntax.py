@@ -568,7 +568,7 @@ class SubstPlan:
         self.node = node
         self.mapping = mapping
 
-    def evaluate(self, sigma, dom, rec):
+    def evaluate(self, sigma, rec):
         from .semantics import eval_aexpr
 
         bound = sigma

@@ -60,7 +60,7 @@ def dfs_plan_eval(encoding, sigma, k, dom):
     while stack:
         current, codes = stack.pop()
         if len(codes) == k:
-            total = total + encoding.path_value(codes, sigma, dom, rec)
+            total = total + encoding.path_value(codes, rec)
             continue
         for target in successors(current):
             stack.append((target, codes + [encoding.state_code(target)]))

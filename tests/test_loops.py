@@ -251,7 +251,7 @@ def test_pruned_enumeration_matches_unrestricted():
         for tail in itertools.product(grid, repeat=k - 1):
             seq = [sigma.restrict(vs)] + list(tail)
             codes = [encoding.state_code(s) for s in seq]
-            full = full + encoding.path_value(codes, sigma, dom, rec)
+            full = full + encoding.path_value(codes, rec)
         assert full == encoding.plan_eval(sigma, k)
         assert full == kleene_iterate(prog, post, sigma, k)
 

@@ -234,8 +234,8 @@ def test_memo_tables_stay_bounded(monkeypatch):
 
 
 def test_final_factor_is_kept_per_domain_values():
-    """A quantified post's final factor depends on the domain, so the
-    encoding keeps it per (state code, domain values)."""
+    """A quantified post's final factor depends on the domain, so
+    ``plan_truncations`` keeps it per (state code, domain values)."""
     post = parse_exp("sup v: [v < x] * v")
     encoding = encode_loop(WALK, post, WALK_VS)
     final_exp = Guard(Not(WALK.cond), post)
@@ -245,7 +245,7 @@ def test_final_factor_is_kept_per_domain_values():
             QDomain(calkin_wilf(3).values), calkin_wilf(0))
     for dom in doms:
         rec = lambda f, t: eval_exp(f, t, dom, mode=ORACLE)
-        assert encoding.final_factor(code, s, dom, rec) == eval_exp(final_exp, s, dom)
+        assert encoding.final_factor(code, rec) == eval_exp(final_exp, s, dom)
     # from x=39 both two-state sequences stop, at 40 and at 41
     for dom, want in ((calkin_wilf(3), 2), (QDomain([F(0), F(39)]), 39),
                       (calkin_wilf(0), 0), (calkin_wilf(3), 2)):

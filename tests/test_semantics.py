@@ -134,8 +134,11 @@ def test_quantifier_free_independent_of_domain():
 
 def test_quantifier_free_eval_builds_no_domain(monkeypatch):
     """Without an explicit domain, quantifier-free terms never build one,
-    including the ones the loop oracles and forward expectations evaluate."""
+    including the ones the loop oracles and forward expectations evaluate,
+    and neither do plans whose evaluation searches no quantifier."""
     from checks_support import rand_qf_exp_for_tests
+    from wpengine.series import make_sum, odot
+    from wpengine.wp import wp_loop_free
 
     def refuse(*_):
         raise AssertionError("default domain built for a quantifier-free term")
@@ -154,17 +157,23 @@ def test_quantifier_free_eval_builds_no_domain(monkeypatch):
     assert eval_exp(char_iterates(geo, post, 6), s0) == kleene_iterate(geo, post, s0, 6)
     assert forward_dist(geo, s0, vs, 5).expectation(post) == \
         kleene_iterate(geo, post, s0, 6)
+    total = make_sum(parse_exp("1"), parse_aexpr("x")).pure
+    planned = [(total, 4), (odot(parse_exp("x"), parse_exp("2")), 6),
+               (wp_loop_free(parse_program("x := x + 1"), total), 5)]
+    for f, want in planned:
+        assert eval_exp(f, state(x=3), mode=ORACLE) == XReal.of(want)
 
 
-class _DomainProbe:
-    """Intrinsic plan that records the domain it is handed."""
+class _StateProbe:
+    """Intrinsic plan that records the state it is given and evaluates its
+    body through the evaluator."""
 
     def __init__(self, body):
         self.body = body
         self.seen = []
 
-    def evaluate(self, sigma, dom, rec):
-        self.seen.append(list(dom))
+    def evaluate(self, sigma, rec):
+        self.seen.append(sigma)
         return rec(self.body, sigma)
 
 
@@ -185,12 +194,18 @@ def test_default_domain_built_on_first_quantifier():
     f = Plus(Guard(parse_bexpr("x < 19/8"), Arith(RatLit(F(0)))), inner)
     assert eval_exp(f, state()) == XReal.of(F(19, 8))
     assert eval_exp(inner, state()) < XReal.of(F(19, 8))
-    probe = _DomainProbe(parse_exp("x"))
+    probe = _StateProbe(parse_exp("x"))
     tagged = Plus(Arith(RatLit(F(1, 3))),
                   with_intrinsic(Guard(parse_bexpr("x < 5/2"), probe.body), probe))
     sigma = state(x=F(7, 4))
     assert eval_exp(tagged, sigma, mode=ORACLE) == XReal.of(F(25, 12))
-    assert probe.seen == [list(default_domain(tagged, sigma))]
+    assert probe.seen == [sigma]
+    # a plan's sub-evaluation searches the whole term's default domain, so
+    # the witness 19/8, a constant outside the plan's node, is found
+    probe = _StateProbe(inner)
+    tagged = Plus(f.left, with_intrinsic(inner, probe))
+    assert eval_exp(tagged, state(), mode=ORACLE) == XReal.of(F(19, 8))
+    assert probe.seen == [state()]
 
 
 def test_plans_read_only_free_variables():
