@@ -67,7 +67,7 @@ from .syntax import (
     eq_,
     free_vars,
     le_,
-    subst_exp_many,
+    substitution,
     true_,
     vars_program,
     with_intrinsic,
@@ -146,9 +146,9 @@ def _state_term(target: Exp, variables: tuple[Var, ...], num: Var,
         [relem_exp(VarRef(num), RatLit(Fraction(i)), VarRef(h))
          for i, h in enumerate(helpers)]
     )
-    replaced = subst_exp_many(
-        target, [(s, VarRef(h)) for s, h in zip(slots, helpers)]
-    )
+    replaced = substitution(
+        {s: VarRef(h) for s, h in zip(slots, helpers)}
+    )(target)
     term: Exp = odot(bracket, replaced)
     for helper in reversed(helpers):
         term = Sup(helper, term)

@@ -587,7 +587,9 @@ def substitution(mapping: dict[Var, AExpr]):
     its own input.  Subtrees without a free mapped variable are returned
     as-is.  A rebuilt tagged node gets one ``SubstPlan`` of the original
     node under the mapping in force there, renames included; a node with a
-    ``SubstPlan`` composes the mappings, so chained substitutions keep one.
+    ``SubstPlan`` composes the mappings, so substitutions applied one after
+    another keep one.  ``wp_loop_free`` makes one substitution per block of
+    assignments, so composition serves blocks that branches separate.
 
     Results are memoized per mapping and keyed on input nodes, so shared
     subterms are substituted once, across calls of the returned function
@@ -700,11 +702,6 @@ def substitution(mapping: dict[Var, AExpr]):
 def subst_exp(f: Exp, x: Var, value: AExpr) -> Exp:
     """Capture-avoiding substitution of ``x`` by the term ``value``."""
     return substitution({x: value})(f)
-
-
-def subst_exp_many(f: Exp, pairs: list[tuple[Var, AExpr]]) -> Exp:
-    """Simultaneous capture-avoiding substitution of each variable by its term."""
-    return substitution(dict(pairs))(f)
 
 
 # ---------------------------------------------------------------------------

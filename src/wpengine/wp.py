@@ -30,6 +30,7 @@ from fractions import Fraction
 from .errors import ContainsLoop, FuelExceeded
 from .semantics import State, eval_aexpr, eval_bexpr, eval_exp
 from .syntax import (
+    AExpr,
     And,
     Arith,
     Assign,
@@ -51,7 +52,7 @@ from .syntax import (
     contains_loop,
     eq_,
     free_vars,
-    subst_exp,
+    substitution,
     true_,
     vars_program,
 )
@@ -146,61 +147,59 @@ class Dist:
 def wp_loop_free(prog: Program, post: Exp) -> Exp:
     """Backward transform of ``post`` through a loop-free program.
 
-    skip keeps the postexpectation, an assignment substitutes, sequencing
-    composes, and both kinds of branching form convex sums, with the guard
-    as the Iverson weight in the conditional case.
+    One walk over the statements from last to first, with ``Seq`` flattened
+    on an explicit stack, so deep sequencing costs no recursion.  skip
+    keeps the postexpectation.  Each maximal run of assignments
+    ``x1 := e1; ...; xn := en`` (skips aside) is one parallel substitution
+    whose mapping is built forward, ``m[xi] = ei[m]``: by the substitution
+    lemma it is the chain ``post[xn/en]...[x1/e1]``, and a tagged post is
+    rebuilt once per run.  Both kinds of branching form convex sums of the
+    branches' transforms, with the guard as the Iverson weight in the
+    conditional case.  A branch separates two runs; on a tagged post their
+    ``SubstPlan``s compose into one.
     """
-    match prog:
-        case Skip():
-            return post
-        case Assign(var, expr):
-            return subst_exp(post, var, expr)
-        case Seq(first, second):
-            return wp_loop_free(first, wp_loop_free(second, post))
-        case PChoice(left, p, right):
-            return Plus(
-                Scale(RatLit(p), wp_loop_free(left, post)),
-                Scale(RatLit(1 - p), wp_loop_free(right, post)),
-            )
-        case Ite(cond, then, orelse):
-            return Plus(
-                Guard(cond, wp_loop_free(then, post)),
-                Guard(Not(cond), wp_loop_free(orelse, post)),
-            )
-        case While():
-            raise ContainsLoop("wp_loop_free cannot transform a while loop")
-    raise TypeError(prog)
+    stack, block = [prog], []  # block: the current run, last first
+    while True:
+        stmt = stack.pop() if stack else None  # None: the program's start
+        if isinstance(stmt, Seq):
+            stack += (stmt.first, stmt.second)
+        elif isinstance(stmt, Assign):
+            block.append(stmt)
+        elif not isinstance(stmt, Skip):
+            mapping: dict[Var, AExpr] = {}
+            for assign in reversed(block):
+                mapping[assign.var] = substitution(mapping)(assign.expr)
+            post, block = substitution(mapping)(post), []
+            match stmt:
+                case None:
+                    return post
+                case PChoice(left, p, right):
+                    post = Plus(Scale(RatLit(p), wp_loop_free(left, post)),
+                                Scale(RatLit(1 - p), wp_loop_free(right, post)))
+                case Ite(cond, then, orelse):
+                    post = Plus(Guard(cond, wp_loop_free(then, post)),
+                                Guard(Not(cond), wp_loop_free(orelse, post)))
+                case While():
+                    raise ContainsLoop("wp_loop_free cannot transform a while loop")
+                case _:
+                    raise TypeError(stmt)
 
 
-@dataclass(frozen=True)
-class CharFn:
-    """One-iteration unrolling operator of a loop w.r.t. a postexpectation."""
-
-    guard: object
-    body: Program
-    post: Exp
-
-    @staticmethod
-    def of(loop: While, post: Exp) -> "CharFn":
-        return CharFn(loop.cond, loop.body, post)
-
-
-def char_apply(phi: CharFn, current: Exp) -> Exp:
+def char_apply(loop: While, post: Exp, current: Exp) -> Exp:
     """[!guard] * post + [guard] * wp(body)(current), syntactically."""
-    if contains_loop(phi.body):
+    if contains_loop(loop.body):
         raise ContainsLoop("characteristic function needs a loop-free body")
     return Plus(
-        Guard(Not(phi.guard), phi.post),
-        Guard(phi.guard, wp_loop_free(phi.body, current)),
+        Guard(Not(loop.cond), post),
+        Guard(loop.cond, wp_loop_free(loop.body, current)),
     )
 
 
 def char_iterates(loop: While, post: Exp, k: int) -> Exp:
     """The k-th syntactic unrolling, starting from the zero expectation."""
-    phi = CharFn.of(loop, post)
     current: Exp = Arith(RatLit(Fraction(0)))
     for _ in range(k):
-        current = char_apply(phi, current)
+        current = char_apply(loop, post, current)
     return current
 
 

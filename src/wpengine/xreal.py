@@ -33,7 +33,7 @@ def rat(value: RatLike, denominator: int | None = None) -> Fraction:
         q = parse_rat(value)
     else:
         q = Fraction(value)
-    if q < 0:
+    if q.numerator < 0:
         raise ValueError(f"negative rational not allowed: {q}")
     return q
 

@@ -26,50 +26,71 @@ from wpengine.syntax import (
 )
 
 
-def _nameless_aexpr(a, env):
-    match a:
-        case RatLit(q):
-            return ("lit", q)
-        case VarRef(v):
-            if v in env:
-                return ("bound", env[::-1].index(v))
-            return ("free", v.name)
-        case Add(l, r):
-            return ("add", _nameless_aexpr(l, env), _nameless_aexpr(r, env))
-        case Mul(l, r):
-            return ("mul", _nameless_aexpr(l, env), _nameless_aexpr(r, env))
-        case Monus(l, r):
-            return ("monus", _nameless_aexpr(l, env), _nameless_aexpr(r, env))
-    raise TypeError(a)
-
-
-def _nameless_bexpr(phi, env):
-    match phi:
-        case Lt(a, b):
-            return ("lt", _nameless_aexpr(a, env), _nameless_aexpr(b, env))
-        case And(l, r):
-            return ("and", _nameless_bexpr(l, env), _nameless_bexpr(r, env))
-        case Not(arg):
-            return ("not", _nameless_bexpr(arg, env))
-    raise TypeError(phi)
-
-
 def nameless(f, env=()):
-    env = list(env)
-    match f:
-        case Arith(a):
-            return ("arith", _nameless_aexpr(a, env))
-        case Guard(cond, body):
-            return ("guard", _nameless_bexpr(cond, env), nameless(body, env))
-        case Plus(l, r):
-            return ("plus", nameless(l, env), nameless(r, env))
-        case Scale(a, body):
-            return ("scale", _nameless_aexpr(a, env), nameless(body, env))
-        case Sup(v, body):
-            return ("sup", nameless(body, env + [v]))
-        case Inf(v, body):
-            return ("inf", nameless(body, env + [v]))
-    raise TypeError(f)
+    """The nameless image of ``f`` under the binders ``env``, outermost
+    first.
+
+    A binder chain (the names of the binders around a node, outermost
+    first) gets an id, so a subterm shared in ``f`` and met again under an
+    equal chain gets the same image, computed once: the cost follows the
+    distinct nodes of ``f`` rather than its tree expansion.
+    """
+    levels = {}  # each bound variable's innermost binder level
+    chains = {}  # (chain, variable) -> id of the chain one binder deeper
+    memo = {}    # (node, chain) -> image
+
+    def under(v, body, chain, depth):
+        outer = levels.get(v)
+        levels[v] = depth
+        inner = chains.setdefault((chain, v), len(chains) + 1)
+        out = go(body, inner, depth + 1)
+        if outer is None:
+            del levels[v]
+        else:
+            levels[v] = outer
+        return out
+
+    def go(f, chain, depth):
+        key = (id(f), chain)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        match f:
+            case RatLit(q):
+                out = ("lit", q)
+            case VarRef(v):
+                if v in levels:
+                    out = ("bound", depth - 1 - levels[v])
+                else:
+                    out = ("free", v.name)
+            case Add(l, r) | Mul(l, r) | Monus(l, r) | Lt(l, r) | And(l, r) | Plus(l, r):
+                out = (_OPS[type(f)], go(l, chain, depth), go(r, chain, depth))
+            case Not(arg):
+                out = ("not", go(arg, chain, depth))
+            case Arith(a):
+                out = ("arith", go(a, chain, depth))
+            case Guard(cond, body):
+                out = ("guard", go(cond, chain, depth), go(body, chain, depth))
+            case Scale(a, body):
+                out = ("scale", go(a, chain, depth), go(body, chain, depth))
+            case Sup(v, body):
+                out = ("sup", under(v, body, chain, depth))
+            case Inf(v, body):
+                out = ("inf", under(v, body, chain, depth))
+            case _:
+                raise TypeError(f)
+        memo[key] = out
+        return out
+
+    chain = 0
+    for depth, v in enumerate(env):
+        levels[v] = depth
+        chain = chains.setdefault((chain, v), len(chains) + 1)
+    return go(f, chain, len(env))
+
+
+_OPS = {Add: "add", Mul: "mul", Monus: "monus", Lt: "lt", And: "and",
+        Plus: "plus"}
 
 
 def subst_nameless(tree, name: str, replacement):

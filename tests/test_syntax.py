@@ -56,7 +56,7 @@ from wpengine.syntax import (
     print_fo,
     print_program,
     subst_exp,
-    subst_exp_many,
+    substitution,
     true_,
 )
 
@@ -420,7 +420,7 @@ def test_subst_fuzz_matches_nameless_reference():
         else:
             xs = rng.sample(FUZZ_NAMES, 2)
             pairs = [(Var(x), _fuzz_aexpr(rng, 2)) for x in xs]
-            got = subst_exp_many(f, pairs)
+            got = substitution(dict(pairs))(f)
         assert nameless(got) == _parallel_nameless(f, pairs), \
             (case, print_exp(f), [(x.name, str(a)) for x, a in pairs])
 

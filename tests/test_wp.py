@@ -1,12 +1,13 @@
 """Backward transformer, forward semantics, and the loop oracles."""
 
 import random
+import sys
 import time
 from fractions import Fraction as F
 
 import pytest
 
-from wpengine.checks import rand_loop_free
+from wpengine.checks import rand_exp, rand_loop_free
 from wpengine.errors import ContainsLoop, FuelExceeded
 from wpengine.goedel import elem_exp, encode_state, relem_exp
 from wpengine.loops import goedel_subst
@@ -30,7 +31,6 @@ from wpengine.syntax import (
     print_program,
 )
 from wpengine.wp import (
-    CharFn,
     VarSet,
     char_apply,
     char_iterates,
@@ -40,6 +40,9 @@ from wpengine.wp import (
     wp_loop_free,
 )
 from wpengine.xreal import XReal, ZERO
+
+from debruijn import nameless
+from wp_reference import wp_per_statement
 
 GEO = parse_program("while (c = 1) { {c := 0} [1/2] {c := 1}; x := x + 1 }")
 COIN = parse_program("{x := 0} [1/3] {x := 1}")
@@ -147,6 +150,27 @@ def test_assignment_into_tagged_post_keeps_its_plan():
     assert eval_exp(pre, state(), calkin_wilf(0), mode=ORACLE) == XReal.of(501)
 
 
+def _tagged_posts() -> list:
+    """Posts whose tagged nodes evaluate through their plans.
+
+    The variable ``z`` stands for a state code in the Goedel posts, and the
+    last post binds ``$w``, the variable of the assignment ``x := $w`` that
+    the tests below put around their programs.
+    """
+    x, y, z, w = Var("x"), Var("y"), Var("z"), Var("$w")
+    return [
+        dedekind_product(parse_exp("x"), parse_exp("y + 1")),
+        parse_exp("3/x + 1/y"),
+        make_sum(parse_exp("[$s < y] * $s + z"), x).pure,
+        make_product(parse_exp("[$p < 1] * y + 1"), x).pure,
+        odot(parse_exp("x + 1"), parse_exp("[y < 2] * z")),
+        elem_exp(VarRef(z), VarRef(y), VarRef(x)),
+        relem_exp(VarRef(z), RatLit(F(0)), VarRef(x)),
+        goedel_subst(parse_exp("x + y"), VarSet.of("x"), z),
+        Sup(w, Guard(parse_bexpr("$w < 1"), odot(parse_exp("$w + 1"), POST_X))),
+    ]
+
+
 def test_duality_over_tagged_posts():
     """Oracle-assisted ``wp_loop_free`` into tagged posts equals the
     forward distribution's expectation of the oracle-assisted post.
@@ -160,17 +184,7 @@ def test_duality_over_tagged_posts():
     varset = VarSet.of("x", "y", "z", "$w")
     dom = calkin_wilf(2)
     code = encode_state(state(x=2), VarSet.of("x")).num
-    posts = [
-        dedekind_product(parse_exp("x"), parse_exp("y + 1")),
-        parse_exp("3/x + 1/y"),
-        make_sum(parse_exp("[$s < y] * $s + z"), x).pure,
-        make_product(parse_exp("[$p < 1] * y + 1"), x).pure,
-        odot(parse_exp("x + 1"), parse_exp("[y < 2] * z")),
-        elem_exp(VarRef(z), VarRef(y), VarRef(x)),
-        relem_exp(VarRef(z), RatLit(F(0)), VarRef(x)),
-        goedel_subst(parse_exp("x + y"), VarSet.of("x"), z),
-        Sup(w, Guard(parse_bexpr("$w < 1"), odot(parse_exp("$w + 1"), POST_X))),
-    ]
+    posts = _tagged_posts()
     capture = Assign(x, VarRef(w))
     cases = []
     for i in range(24):
@@ -193,6 +207,72 @@ def test_duality_over_tagged_posts():
                 assert backward == forward, (print_program(prog), print_exp(post))
                 nonzero += backward != ZERO
     assert nonzero > 100
+
+
+def test_block_substitution_matches_per_statement_reference():
+    """``wp_loop_free`` substitutes each block of assignments at once; the
+    reference substitutes one assignment at a time.  The two agree up to
+    bound names and in value, both restricted and oracle-assisted.
+
+    Every program meets a random post, and every other one also a tagged
+    post; a third of the programs begin with ``x := $w``, which meets the
+    binder ``$w`` of the last tagged post.  Restricted search over the
+    hundreds of nested binders of a tagged post is exponential in the
+    domain, so there it searches {0}.
+    """
+    rng = random.Random(5)
+    x, y, z, w = Var("x"), Var("y"), Var("z"), Var("$w")
+    dom = calkin_wilf(2)
+    code = encode_state(state(x=2), VarSet.of("x")).num
+    tagged = _tagged_posts()
+    capture = Assign(x, VarRef(w))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4000))  # the Goedel post nests 1111 deep
+    try:
+        for i in range(300):
+            prog = rand_loop_free(rng, [x, y, z], 4)
+            if i % 3 == 0:
+                prog = Seq(capture, prog)
+            sigma = State({v: rng.randint(0, 3) for v in (x, y, w)} | {z: code})
+            posts = [(rand_exp(rng, [x, y, z], 3), dom)]
+            if i % 2:
+                posts.append((rng.choice(tagged), calkin_wilf(0)))
+            for post, searched in posts:
+                got = wp_loop_free(prog, post)
+                want = wp_per_statement(prog, post)
+                assert nameless(got) == nameless(want), (i, print_program(prog))
+                assert eval_exp(got, sigma, searched) == \
+                    eval_exp(want, sigma, searched), (i, print_program(prog))
+                assert eval_exp(got, sigma, dom, mode=ORACLE) == \
+                    eval_exp(want, sigma, dom, mode=ORACLE), (i, print_program(prog))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_deep_program_needs_no_recursion_per_statement():
+    """1001 swaps through a temporary, 3003 statements nested to the right:
+    the walk keeps its own stack, and the block is one substitution."""
+    x, y, t = Var("x"), Var("y"), Var("t")
+    prog = Skip()
+    for _ in range(1001):
+        prog = Seq(Assign(t, VarRef(x)),
+                   Seq(Assign(x, VarRef(y)), Seq(Assign(y, VarRef(t)), prog)))
+    pre = wp_loop_free(prog, parse_exp("x + 2 * y"))
+    assert print_exp(pre) == "y + 2 * x"
+
+
+def test_branch_separates_blocks_whose_plans_compose():
+    """Around a conditional, the blocks before and after it each substitute
+    once, and every tagged leaf keeps one plan over the original post."""
+    total = make_sum(parse_exp("1"), Var("x")).pure
+    prog = parse_program(
+        "x := x + 1; if (y < 1) { skip } else { x := x + 2 }; x := x + 1")
+    pre = wp_loop_free(prog, total)
+    for leaf in (pre.left.body, pre.right.body):
+        assert isinstance(leaf.intrinsic, SubstPlan)
+        assert leaf.intrinsic.node is total
+    assert eval_exp(pre, state(x=0, y=0), calkin_wilf(0), mode=ORACLE) == XReal.of(3)
+    assert eval_exp(pre, state(x=0, y=1), calkin_wilf(0), mode=ORACLE) == XReal.of(5)
 
 
 def test_kleene_geometric_values():
@@ -247,8 +327,7 @@ def test_path_sum_trivial_cases():
 
 
 def test_char_apply_unfolds():
-    phi = CharFn.of(GEO, POST_X)
-    once = char_apply(phi, Arith(RatLit(F(0))))
+    once = char_apply(GEO, POST_X, Arith(RatLit(F(0))))
     # guard-false branch returns the postexpectation for every k >= 1
     for k in range(1, 4):
         unrolled = char_iterates(GEO, POST_X, k)
