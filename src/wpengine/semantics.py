@@ -227,10 +227,10 @@ def default_domain(f: Exp, sigma: State, k: int = 32) -> QDomain:
 def _term(a: AExpr) -> Callable[[State], Fraction]:
     """The closure that evaluates the term ``a`` at a state.
 
-    Compiled on first use and cached on the node as ``_fn``, outside its
-    dataclass fields, the way ``syntax._qf_vars`` caches variable sets: a
-    shared subterm is compiled once, and the closure is freed with its
-    node.  Rewrites build new nodes, which compile afresh.
+    Compiled on first use and cached on the node as ``_fn``, a slot
+    outside its dataclass fields (``syntax._Cached``), the way
+    ``syntax._mask`` caches variable masks: a shared subterm is compiled
+    once, and the closure is freed with its node.  Rewrites build new nodes, which compile afresh.
     """
     try:
         return a._fn

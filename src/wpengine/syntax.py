@@ -10,10 +10,12 @@ printing, equality, and hashing; substitution keeps it (see ``SubstPlan``).
 Generated terms share subterms heavily, so they are DAGs in memory.  The
 variable, constant and substitution walkers visit each distinct node once
 per call, keying their memos on the nodes of their own input, which stay
-alive for the whole walk; the only facts kept across calls are the
-variable set of a term or guard and its compiled evaluator (see
-``semantics``), cached on the node itself so that they are freed with the
-node.
+alive for the whole walk.  The only facts kept across calls are cached on
+the node itself, in slots (``_Cached``), so that they are freed with the
+node, and each takes memory linear in the term: the variable set of a term or guard, on the
+node it was asked for only; a 64-bit mask of its variables, on every term
+and guard, which lets substitution skip the subterms that mention no
+mapped variable; and its compiled evaluator (see ``semantics``).
 
 Identifiers match ``\\$?[a-zA-Z_][a-zA-Z0-9_']*``; the ``$`` prefix marks the
 reserved namespace used for machine-generated helper variables, which the
@@ -23,6 +25,7 @@ program parser rejects.
 from __future__ import annotations
 
 import re
+import zlib
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -81,33 +84,44 @@ def balanced(join, parts: list, empty):
 # Arithmetic expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RatLit:
+class _Cached:
+    """Base of terms and guards: a slot for each fact cached on a node, its
+    variable set and variable mask here and its compiled evaluator in
+    ``semantics``.  As plain attributes they would give most nodes a
+    dictionary of their own (CPython 3.11 keeps one attribute added after
+    ``__init__`` inline, and a second one makes a dictionary), which costs
+    memory and one more object for the cyclic collector per node."""
+
+    __slots__ = ("_vars", "_mask", "_fn", "__weakref__")
+
+
+@dataclass(frozen=True, slots=True)
+class RatLit(_Cached):
     value: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "value", rat(self.value))
 
 
-@dataclass(frozen=True)
-class VarRef:
+@dataclass(frozen=True, slots=True)
+class VarRef(_Cached):
     var: Var
 
 
-@dataclass(frozen=True)
-class Add:
+@dataclass(frozen=True, slots=True)
+class Add(_Cached):
     left: "AExpr"
     right: "AExpr"
 
 
-@dataclass(frozen=True)
-class Mul:
+@dataclass(frozen=True, slots=True)
+class Mul(_Cached):
     left: "AExpr"
     right: "AExpr"
 
 
-@dataclass(frozen=True)
-class Monus:
+@dataclass(frozen=True, slots=True)
+class Monus(_Cached):
     """Subtraction truncated at zero."""
 
     left: "AExpr"
@@ -140,20 +154,20 @@ def aexpr(value) -> AExpr:
 # Boolean expressions (core: <, &&, !)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Lt:
+@dataclass(frozen=True, slots=True)
+class Lt(_Cached):
     left: AExpr
     right: AExpr
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, slots=True)
+class And(_Cached):
     left: "BExpr"
     right: "BExpr"
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, slots=True)
+class Not(_Cached):
     arg: "BExpr"
 
 
@@ -392,29 +406,76 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
 def _qf_vars(node) -> frozenset[Var]:
     """Variables of a term or guard.
 
-    Generated terms share subterms heavily (they are DAGs in memory), so
-    the set is cached on the node itself, as an attribute outside its
-    dataclass fields: it is computed once per node and freed with the node.
-    It is set with ``object.__setattr__`` and read as an attribute, not
-    through ``node.__dict__``, which would give every node a dictionary of
-    its own and slow down reading its fields.
+    The set is cached on ``node`` itself, in a slot of ``_Cached``, so it
+    is computed once and freed with the node.  It is computed in one
+    iterative pass over the distinct subterms, which reads off a set
+    already cached on a subterm but caches none on them: a guard of n
+    variables under d nested connectives keeps n elements, not about
+    n * d.
     """
     try:
         return node._vars
     except AttributeError:
         pass
+    found: set[Var] = set()
+    seen: set[int] = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        known = getattr(n, "_vars", None)
+        if known is not None:
+            found.update(known)
+            continue
+        match n:
+            case RatLit():
+                pass
+            case VarRef(v):
+                found.add(v)
+            case Add(l, r) | Mul(l, r) | Monus(l, r) | Lt(l, r) | And(l, r):
+                stack.append(l)
+                stack.append(r)
+            case Not(arg):
+                stack.append(arg)
+            case _:
+                raise TypeError(n)
+    out = frozenset(found) if found else _NO_VARS
+    object.__setattr__(node, "_vars", out)
+    return out
+
+
+def _bit(v: Var) -> int:
+    """The bit of ``v`` in variable masks: a fixed hash of its name, so
+    that it is the same in every process (``hash`` of a string is not)."""
+    return 1 << (zlib.crc32(v.name.encode()) & 63)
+
+
+def _mask(node) -> int:
+    """The union of the bits of the variables of a term or guard.
+
+    Cached on every node, like its compiled evaluator (``semantics``): a
+    small int per node instead of a set, so memory stays linear in the
+    term.  Two variables may share a bit, so masks that do not meet prove
+    two variable sets disjoint, and masks that meet prove nothing.
+    """
+    try:
+        return node._mask
+    except AttributeError:
+        pass
     match node:
         case RatLit():
-            out = _NO_VARS
+            out = 0
         case VarRef(v):
-            out = frozenset((v,))
+            out = _bit(v)
         case Add(l, r) | Mul(l, r) | Monus(l, r) | Lt(l, r) | And(l, r):
-            out = _union(_qf_vars(l), _qf_vars(r))
+            out = _mask(l) | _mask(r)
         case Not(arg):
-            out = _qf_vars(arg)
+            out = _mask(arg)
         case _:
             raise TypeError(node)
-    object.__setattr__(node, "_vars", out)
+    object.__setattr__(node, "_mask", out)
     return out
 
 
@@ -585,8 +646,10 @@ def substitution(mapping: dict[Var, AExpr]):
     incoming term is renamed by priming; the renaming extends the mapping
     instead of copying the binder's body, so a walk visits only nodes of
     its own input.  Subtrees without a free mapped variable are returned
-    as-is.  A rebuilt tagged node gets one ``SubstPlan`` of the original
-    node under the mapping in force there, renames included; a node with a
+    as-is: a term or guard whose variable mask misses the mapped variables'
+    bits is skipped, and a node is rebuilt only when a child changed.  A
+    rebuilt tagged node gets one ``SubstPlan`` of the original node under
+    the mapping in force there, renames included; a node with a
     ``SubstPlan`` composes the mappings, so substitutions applied one after
     another keep one.  ``wp_loop_free`` makes one substitution per block of
     assignments, so composition serves blocks that branches separate.
@@ -603,10 +666,12 @@ def substitution(mapping: dict[Var, AExpr]):
     derived: dict[tuple, tuple] = {}
 
     def context(m: dict[Var, AExpr]) -> tuple:
-        # the key set makes the test whether a term or guard mentions a
-        # mapped variable a set operation on stored hashes (a Var hash is a
-        # Python call); the memo belongs to this mapping
-        return m, frozenset(m), {}
+        # the keys' mask, for the skip test in ``walk``; the memo belongs
+        # to this mapping
+        keymask = 0
+        for k in m:
+            keymask |= _bit(k)
+        return m, frozenset(m), keymask, {}
 
     def derive(ctx: tuple, v: Var, v2: Var | None) -> tuple:
         """The mapping without ``v``, then with ``v`` renamed to ``v2``."""
@@ -632,19 +697,28 @@ def substitution(mapping: dict[Var, AExpr]):
         return replace(g, intrinsic=plan(g, ctx), **changes)
 
     def walk(g, ctx: tuple):
-        m, keys, memo = ctx
-        if isinstance(g, _QF_TYPES) and _qf_vars(g).isdisjoint(keys):
-            return g
+        m, keys, keymask, memo = ctx
+        if isinstance(g, _QF_TYPES):
+            # a mask that misses the keys' mask proves that ``g`` mentions
+            # no mapped variable; a hit may be a false positive, which a
+            # variable set cached on ``g`` settles
+            if not _mask(g) & keymask:
+                return g
+            known = getattr(g, "_vars", None)
+            if known is not None and known.isdisjoint(keys):
+                return g
         out = memo.get(id(g))
         if out is not None:
             return out
         match g:
             case VarRef(v):
-                out = m[v]
+                out = m.get(v, g)  # masks can only give false positives
             case Add(l, r) | Mul(l, r) | Monus(l, r) | Lt(l, r) | And(l, r):
-                out = type(g)(walk(l, ctx), walk(r, ctx))
+                l2, r2 = walk(l, ctx), walk(r, ctx)
+                out = g if l2 is l and r2 is r else type(g)(l2, r2)
             case Not(arg):
-                out = Not(walk(arg, ctx))
+                a2 = walk(arg, ctx)
+                out = g if a2 is arg else Not(a2)
             case Arith(a):
                 out = rebuilt(g, ctx, expr=walk(a, ctx))
             case Guard(cond, body):

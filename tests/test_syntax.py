@@ -1,6 +1,7 @@
 """Parsing, printing, substitution, and variable analysis."""
 
 import gc
+import itertools
 import random
 import weakref
 from dataclasses import fields, is_dataclass
@@ -45,6 +46,9 @@ from wpengine.syntax import (
     Var,
     VarRef,
     While,
+    _bit,
+    all_vars,
+    balanced,
     constants,
     eq_,
     free_vars,
@@ -494,3 +498,87 @@ def test_dropped_terms_are_freed():
     gc.collect()
     alive = [ref for ref in guards if ref() is not None]
     assert alive == []
+
+
+def _cached_set_elements(root) -> int:
+    """Elements of the variable sets cached on the nodes of a term or guard."""
+    total, seen, stack = 0, set(), [root]
+    while stack:
+        n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        total += len(getattr(n, "_vars", ()))
+        if isinstance(n, (Add, Mul, Monus, Lt, And)):
+            stack += [n.left, n.right]
+        elif isinstance(n, Not):
+            stack.append(n.arg)
+    return total
+
+
+def test_variable_sets_stay_linear_in_the_guard():
+    """A left-nested && chain of 2000 comparisons keeps one set of its 2000
+    variables, not one per connective (about two million elements)."""
+    comparisons = [Lt(VarRef(Var(f"x{i}")), RatLit(F(i))) for i in range(2000)]
+    chain = comparisons[0]
+    for c in comparisons[1:]:
+        chain = And(chain, c)
+    assert len(free_vars(Guard(chain, Arith(RatLit(F(1)))))) == 2000
+    assert _cached_set_elements(chain) <= 2000
+    # a larger guard reads the set cached on its subterm
+    wider = And(Not(chain), Lt(VarRef(Var("y")), VarRef(Var("x0"))))
+    assert free_vars(wider) == free_vars(chain) | {Var("y")}
+    assert _cached_set_elements(wider) <= 2 * 2000 + 1
+    # substitution caches no sets on the nodes it walks (it recurses, so
+    # the conjunction is balanced here)
+    tree = balanced(And, comparisons, None)
+    f = Guard(tree, Arith(RatLit(F(1))))
+    assert len(free_vars(f)) == 2000
+    got = subst_exp(f, Var("x0"), RatLit(F(5)))
+    assert got.cond.right is tree.right
+    assert _cached_set_elements(tree) <= 2000
+
+
+def test_variable_sets_of_deep_terms_need_no_recursion():
+    names = [Var(f"x{i}") for i in range(7)]
+    t = VarRef(names[0])
+    for i in range(1, 10_000):
+        t = Add(t, VarRef(names[i % 7]))
+    f = Sup(names[1], Arith(t))
+    assert free_vars(t) == set(names)
+    assert free_vars(f) == set(names) - {names[1]}
+    assert all_vars(f) == set(names)
+
+
+def test_substitution_returns_untouched_subterms_themselves():
+    f = parse_exp("[x < 1 && y < 2] * (x * (y + 3)) + [z < y] * z")
+    got = subst_exp(f, Var("x"), parse_aexpr("w + 1"))
+    assert got == parse_exp("[w + 1 < 1 && y < 2] * ((w + 1) * (y + 3)) + [z < y] * z")
+    assert got.right is f.right
+    assert got.left.cond.right is f.left.cond.right
+    assert got.left.body.body is f.left.body.body
+    t = parse_aexpr("x * y + (y + 3)")
+    assert substitution({Var("x"): RatLit(F(2))})(t).right is t.right
+
+
+def test_substitution_with_colliding_mask_bits():
+    """A variable whose mask bit equals a mapped one's is left as it is."""
+    x, v = Var("x"), Var("v")
+    y = next(Var(n) for n in (f"y{i}" for i in itertools.count())
+             if _bit(Var(n)) == _bit(x))
+    yref = VarRef(y)
+    cond = Lt(yref, RatLit(F(1)))
+    square = Arith(Mul(yref, yref))
+    f = Sup(v, Guard(cond, Plus(Arith(Add(yref, VarRef(x))),
+                                Scale(VarRef(v), square))))
+    got = subst_exp(f, x, VarRef(v))
+    assert print_exp(got) == f"sup v': [{y} < 1] * (({y} + v) + v' * ({y} * {y}))"
+    assert got.body.cond is cond
+    assert got.body.body.left.expr.left is yref
+    assert got.body.body.right.body is square
+    assert nameless(got) == subst_nameless(nameless(f), "x", ("free", "v"))
+    # with no set cached on the guard, only the masks tell the variables apart
+    t = And(Lt(yref, RatLit(F(1))), Lt(VarRef(x), yref))
+    got = substitution({x: RatLit(F(2))})(t)
+    assert got.left is t.left
+    assert got.right.right is yref
