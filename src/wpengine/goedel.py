@@ -63,7 +63,7 @@ from .syntax import (
     is_quantifier_free,
     le_,
     or_,
-    substitution,
+    substitute,
     true_,
     with_intrinsic,
 )
@@ -597,7 +597,7 @@ def fo_prenex(p: FOFormula) -> FOFormula:
                 clashes = ren.keys() & free_vars(pred)
                 if not clashes:
                     return q
-                return Atom(substitution({v: VarRef(ren[v]) for v in clashes})(pred))
+                return Atom(substitute(pred, {v: VarRef(ren[v]) for v in clashes}))
             case Nat(v):
                 return Nat(ren[v]) if v in ren else q
             case FONot(arg):
@@ -689,28 +689,16 @@ def fo_to_exp(p: FOFormula) -> Exp:
 # Oracle-tagged embeddings
 # ---------------------------------------------------------------------------
 
-class FormulaOracleTag:
-    """Evaluation hint for an embedded formula: decide it concretely.
-
-    ``fn(sigma)`` must return the truth value of the formula at the state,
-    reading only the formula's free variables.
-    """
-
-    def __init__(self, fn, label: str):
-        self.fn = fn
-        self.label = label
-
-    def evaluate(self, sigma, rec) -> XReal:
-        return ONE if self.fn(sigma) else ZERO
-
-    def __repr__(self):
-        return f"FormulaOracleTag({self.label})"
-
-
-def embed_formula(p: FOFormula, fn, label: str) -> Exp:
-    """Pure embedding of ``p`` (naturalness expanded verbatim) plus oracle tag."""
+def embed_formula(p: FOFormula, holds) -> Exp:
+    """Pure embedding of ``p`` (naturalness expanded verbatim), with a plan
+    that decides it concretely: ``holds(sigma)`` must return the truth
+    value of the formula at the state, reading only its free variables."""
     pure = fo_to_exp(fo_prenex(expand_nat_atoms(p)))
-    return with_intrinsic(pure, FormulaOracleTag(fn, label))
+
+    def formula_plan(sigma: State, rec) -> XReal:
+        return ONE if holds(sigma) else ZERO
+
+    return with_intrinsic(pure, formula_plan)
 
 
 def _nat_value(sigma: State, term: AExpr) -> int | None:
@@ -721,32 +709,32 @@ def _nat_value(sigma: State, term: AExpr) -> int | None:
 def elem_exp(num: AExpr, i: AExpr, m: AExpr) -> Exp:
     num, i, m = aexpr(num), aexpr(i), aexpr(m)
 
-    def fn(sigma: State) -> bool:
+    def holds(sigma: State) -> bool:
         ne, ie, me = (_nat_value(sigma, t) for t in (num, i, m))
         return ne is not None and ie is not None and me is not None \
             and elem_holds(ne, ie, me)
 
-    return embed_formula(lifted_elem_formula(num, i, m), fn, "elem")
+    return embed_formula(lifted_elem_formula(num, i, m), holds)
 
 
 def relem_exp(num: AExpr, i: AExpr, r: AExpr) -> Exp:
     num, i, r = aexpr(num), aexpr(i), aexpr(r)
 
-    def fn(sigma: State) -> bool:
+    def holds(sigma: State) -> bool:
         ne, ie = _nat_value(sigma, num), _nat_value(sigma, i)
         return ne is not None and ie is not None \
             and relem_holds(ne, ie, eval_aexpr(r, sigma))
 
-    return embed_formula(relem_formula(num, i, r), fn, "relem")
+    return embed_formula(relem_formula(num, i, r), holds)
 
 
 def stateseq_exp(varset, num: AExpr, length: AExpr) -> Exp:
     variables = tuple(varset)
     num, length = aexpr(num), aexpr(length)
 
-    def fn(sigma: State) -> bool:
+    def holds(sigma: State) -> bool:
         ne, le = _nat_value(sigma, num), _nat_value(sigma, length)
         return ne is not None and le is not None \
             and stateseq_holds(ne, variables, le, sigma)
 
-    return embed_formula(stateseq_formula(variables, num, length), fn, "stateseq")
+    return embed_formula(stateseq_formula(variables, num, length), holds)

@@ -67,7 +67,7 @@ from .syntax import (
     eq_,
     free_vars,
     le_,
-    substitution,
+    substitute,
     true_,
     vars_program,
     with_intrinsic,
@@ -100,33 +100,6 @@ def _bind_decoded(sigma: State, decoded: State, variables: tuple[Var, ...],
     return sigma
 
 
-class StatePlan:
-    """Decode the state code bound at ``num`` and evaluate the target there.
-
-    Each decoded value is bound to its slot (the variable itself or its
-    primed copy); every other variable keeps its ambient binding, so the
-    plan reads only the node's free variables.  A code that is not a state
-    yields 0.
-    """
-
-    def __init__(self, target: Exp, variables: tuple[Var, ...],
-                 num: Var, slots: tuple[Var, ...]):
-        self.target = target
-        self.variables = variables
-        self.num = num
-        self.slots = slots
-
-    def evaluate(self, sigma, rec) -> XReal:
-        code = sigma[self.num]
-        if not is_natural(code):
-            return ZERO
-        decoded = decode_state(code.numerator, self.variables)
-        if decoded is None:
-            return ZERO
-        return rec(self.target, _bind_decoded(sigma, decoded, self.variables,
-                                              self.slots))
-
-
 def _conjoin_embeds(parts: list[Exp]) -> Exp:
     """Product of {0,1}-valued embedded formulas."""
     if not parts:
@@ -140,19 +113,33 @@ def _conjoin_embeds(parts: list[Exp]) -> Exp:
 def _state_term(target: Exp, variables: tuple[Var, ...], num: Var,
                 slots: tuple[Var, ...]) -> Exp:
     """sup over helpers: [each helper is the coded value] (x)
-    target[slots := helpers], tagged with the plan that binds the slots."""
+    target[slots := helpers], tagged with the plan that binds the slots.
+
+    The plan decodes the state code bound at ``num`` and binds each decoded
+    value to its slot (the variable itself or its primed copy); every other
+    variable keeps its ambient binding, so it reads only the node's free
+    variables.  A code that is not a state yields 0.
+    """
     helpers = [logical_var(v.name) for v in variables]
     bracket = _conjoin_embeds(
         [relem_exp(VarRef(num), RatLit(Fraction(i)), VarRef(h))
          for i, h in enumerate(helpers)]
     )
-    replaced = substitution(
-        {s: VarRef(h) for s, h in zip(slots, helpers)}
-    )(target)
+    replaced = substitute(target, {s: VarRef(h) for s, h in zip(slots, helpers)})
     term: Exp = odot(bracket, replaced)
     for helper in reversed(helpers):
         term = Sup(helper, term)
-    return with_intrinsic(term, StatePlan(target, variables, num, slots))
+
+    def state_plan(sigma: State, rec) -> XReal:
+        code = sigma[num]
+        if not is_natural(code):
+            return ZERO
+        decoded = decode_state(code.numerator, variables)
+        if decoded is None:
+            return ZERO
+        return rec(target, _bind_decoded(sigma, decoded, variables, slots))
+
+    return with_intrinsic(term, state_plan)
 
 
 def goedel_subst(f: Exp, varset: VarSet, num: Var) -> Exp:
@@ -207,56 +194,15 @@ def body_wp_template(loop: While, varset: VarSet) -> Exp:
 # Path expectation and the full compilation
 # ---------------------------------------------------------------------------
 
-class PathPlan:
-    """Value of one encoded execution path.
-
-    Reads the length and the sequence code, decodes the sequence, and
-    multiplies the final-state factor with the one-step factors, each a
-    decode-then-apply step over the adjacent state codes.  Non-natural or
-    zero lengths yield 0.  Reads only the length and the sequence code: the
-    decoded states bind every other variable the factors read.
-    """
-
-    def __init__(self, owner: "LoopEncoding"):
-        self.owner = owner
-
-    def evaluate(self, sigma, rec) -> XReal:
-        length = sigma[self.owner.length_var]
-        code = sigma[self.owner.seq_var]
-        if not (is_natural(length) and is_natural(code)) or length == 0:
-            return ZERO
-        codes = self.owner.decode_sequence(code.numerator, length.numerator)
-        if codes is None:
-            return ZERO
-        return self.owner.path_value(codes, rec)
-
-
-class _PairFactorPlan:
-    """One product factor: decode two adjacent state codes and apply.
-    Reads only the sequence code and the product index."""
-
-    def __init__(self, owner: "LoopEncoding"):
-        self.owner = owner
-
-    def evaluate(self, sigma, rec) -> XReal:
-        seq_code = sigma[self.owner.seq_var]
-        index = sigma[PROD_VAR]
-        if not (is_natural(seq_code) and is_natural(index)):
-            return ZERO
-        pair = GoedelPair(*cantor_unpair(seq_code.numerator))
-        code_from = beta_decode(pair, index.numerator)
-        code_to = beta_decode(pair, index.numerator + 1)
-        return self.owner.step_factor(code_from, code_to, rec)
-
-
 class LoopEncoding:
     """A loop compiled to a single syntactic expectation plus its plan.
 
     ``pure`` is the closed-form term; ``path_term`` the per-path piece with
-    the length and sequence-code variables free; ``body_template`` the
-    one-step template over primed copies.  The two big terms are built on
-    first access; the plan only needs the template and the final-state
-    expectation.
+    the length and sequence-code variables free, and ``pair_factor``, set
+    with it, the one-step factor its product aggregate ranges over;
+    ``body_template`` the one-step template over primed copies.  The two
+    big terms are built on first access; the plan only needs the template
+    and the final-state expectation.
     """
 
     def __init__(self, loop: While, post: Exp, varset: VarSet,
@@ -276,6 +222,7 @@ class LoopEncoding:
         self._finals: dict[tuple[int, tuple], XReal] = {}
         self._state_codes: dict[State, int] = {}
         self._path_term: Exp | None = None
+        self.pair_factor: Exp | None = None
         self._pure: Exp | None = None
 
         self._primed = tuple(primed(v) for v in self.variables)
@@ -340,12 +287,12 @@ class LoopEncoding:
                 ),
             ),
         )
-        pair_factor = with_intrinsic(pair_factor, _PairFactorPlan(self))
+        self.pair_factor = with_intrinsic(pair_factor, self.pair_factor_plan)
 
         # Product(pair_factor, v1 - 2), with the index arithmetic expanded
         # through a fresh bound variable rather than monus
         bound = logical_var("v")
-        product = make_product(pair_factor, VarRef(bound)).pure
+        product = make_product(self.pair_factor, VarRef(bound)).pure
         products = Sup(
             bound,
             Guard(eq_(Add(VarRef(bound), RatLit(Fraction(2))), VarRef(v1)), product),
@@ -356,9 +303,31 @@ class LoopEncoding:
             Guard(le_(RatLit(Fraction(2)), VarRef(v1)),
                   odot(last_piece, products)),
         )
-        return with_intrinsic(path, PathPlan(self))
+        return with_intrinsic(path, self.path_plan)
 
     # -- plan machinery -----------------------------------------------------
+
+    def path_plan(self, sigma: State, rec) -> XReal:
+        """``path_value`` of the decoded sequence; non-natural or zero lengths
+        yield 0.  Reads only the length and the sequence code: the decoded
+        states bind every other variable the factors read."""
+        length = sigma[self.length_var]
+        code = sigma[self.seq_var]
+        if not (is_natural(length) and is_natural(code)) or length == 0:
+            return ZERO
+        return self.path_value(decode_seq(code.numerator, length.numerator), rec)
+
+    def pair_factor_plan(self, sigma: State, rec) -> XReal:
+        """One product factor: decode two adjacent state codes and apply.
+        Reads only the sequence code and the product index."""
+        seq_code = sigma[self.seq_var]
+        index = sigma[PROD_VAR]
+        if not (is_natural(seq_code) and is_natural(index)):
+            return ZERO
+        pair = GoedelPair(*cantor_unpair(seq_code.numerator))
+        code_from = beta_decode(pair, index.numerator)
+        code_to = beta_decode(pair, index.numerator + 1)
+        return self.step_factor(code_from, code_to, rec)
 
     def state_code(self, sigma: State) -> int:
         """The code of ``sigma``, which must already be restricted to the
@@ -370,17 +339,6 @@ class LoopEncoding:
         code = encode_state(sigma, self.varset).num
         bounded(self._state_codes)[sigma] = code
         return code
-
-    def decode_sequence(self, code: int, k: int) -> list[int] | None:
-        """Element codes of the sequence, or None if any is not a state.
-
-        Canonicality of the codes is the sequence-validity indicator's
-        business, not the path's: the path reads elements only.
-        """
-        codes = decode_seq(code, k)
-        if any(decode_state(c, self.variables) is None for c in codes):
-            return None
-        return codes
 
     def final_factor(self, state_code: int, rec) -> XReal:
         """([!guard] * post) evaluated at the decoded final state.
@@ -414,7 +372,12 @@ class LoopEncoding:
         return value
 
     def path_value(self, codes: list[int], rec) -> XReal:
-        """([!guard] * post) at the last state, times the step factors."""
+        """([!guard] * post) at the last state, times the step factors.
+
+        A code that is not a state makes its factors 0.  Canonicality of
+        the codes is the sequence-validity indicator's business, not the
+        path's: the path reads elements only.
+        """
         value = self.final_factor(codes[-1], rec)
         for i in range(len(codes) - 1):
             if value == ZERO:

@@ -42,7 +42,7 @@ from .syntax import (
     fresh_var,
     implies_,
     quantify,
-    substitution,
+    substitute,
     true_,
 )
 
@@ -138,7 +138,7 @@ def to_prenex(f: Exp) -> PrenexExp:
         clashes = ren.keys() & free_vars(node)
         if not clashes:
             return node
-        return substitution({v: VarRef(ren[v]) for v in clashes})(node)
+        return substitute(node, {v: VarRef(ren[v]) for v in clashes})
 
     def go(g: Exp, ren: dict, nested: bool) -> Exp:
         while isinstance(g, (Sup, Inf)):

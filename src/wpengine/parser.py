@@ -250,11 +250,15 @@ class _Parser:
     # -- programs ------------------------------------------------------------
 
     def program(self) -> Program:
-        first = self.statement()
-        if self.at_op(";"):
+        # a loop, not recursion, so a long ``;`` chain parses at any length
+        statements = [self.statement()]
+        while self.at_op(";"):
             self.advance()
-            return s.Seq(first, self.program())
-        return first
+            statements.append(self.statement())
+        prog = statements.pop()
+        while statements:
+            prog = s.Seq(statements.pop(), prog)
+        return prog
 
     def statement(self) -> Program:
         if self.at_word("skip"):
@@ -459,28 +463,23 @@ def _as_aexpr(f: Exp) -> AExpr | None:
     return None
 
 
-class _ReciprocalPlan:
-    """``value / var``: infinity at 0 / 0 (every witness satisfies
-    ``w * 0 = 0``), 0 at value / 0 (none does).  It reads only ``var``,
-    the one free variable of its node."""
-
-    def __init__(self, value: Fraction, var: Var):
-        self.value = value
-        self.var = var
-
-    def evaluate(self, sigma, rec):
-        denom = sigma[self.var]
-        if denom == 0:
-            return XReal.INF if self.value == 0 else ZERO
-        return XReal.of(self.value / denom)
-
-
 def reciprocal_exp(value: Fraction, var: Var) -> Exp:
-    """``value / var`` encoded as ``sup w: [w * var = value] * w``."""
+    """``value / var`` encoded as ``sup w: [w * var = value] * w``.
+
+    Its plan reads only ``var``, the one free variable of its node: inf at
+    0 / 0 (every witness satisfies ``w * 0 = 0``), 0 at value / 0 (none
+    does)."""
     w = s.fresh_var({var}, base="$w")
     body = Guard(s.eq_(s.Mul(s.VarRef(w), s.VarRef(var)), s.RatLit(value)),
                  Arith(s.VarRef(w)))
-    return s.with_intrinsic(s.Sup(w, body), _ReciprocalPlan(value, var))
+
+    def reciprocal_plan(sigma: State, rec) -> XReal:
+        denom = sigma[var]
+        if denom == 0:
+            return XReal.INF if value == 0 else ZERO
+        return XReal.of(value / denom)
+
+    return s.with_intrinsic(s.Sup(w, body), reciprocal_plan)
 
 
 def parse_program(text: str) -> Program:

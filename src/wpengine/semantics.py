@@ -10,10 +10,10 @@ expectations evaluate exactly, independent of the domain, and without
 building one.
 
 ``eval_exp`` has two modes: ``restricted`` ignores intrinsic tags, while
-``oracle_assisted`` lets a tagged subtree delegate to its attached
-evaluation plan, a function of the state that evaluates subterms through
-the evaluator (untagged quantifiers still fall back to the domain).  In
-both modes the default domain is built only when a quantifier is searched.
+``oracle_assisted`` lets a tagged subtree delegate to its plan, a function
+``plan(sigma, rec)`` of the state that evaluates subterms through ``rec``
+(untagged quantifiers still fall back to the domain).  In both modes the
+default domain is built only when a quantifier is searched.
 
 Terms and guards are compiled once per node into closures over a state
 (Feeley and Lapalme, "Using closures for code generation", 1987) and the
@@ -407,8 +407,8 @@ def eval_exp(f: Exp, sigma: State, dom: QDomain | None = None,
     over the empty domain is infinity.  Iverson guards contribute a factor
     of 0 or 1, and 0 * inf = 0 throughout.
 
-    Oracle-assisted, a tagged node is worth its plan's ``evaluate(sigma,
-    rec)``: a function of the node's free variables in ``sigma``, which
+    Oracle-assisted, a tagged node is worth ``plan(sigma, rec)`` for its
+    plan: a function of the node's free variables in ``sigma``, which
     evaluates any subterm through ``rec`` and so over the same domain.
     """
 
@@ -424,7 +424,7 @@ def eval_exp(f: Exp, sigma: State, dom: QDomain | None = None,
     # wrap into XReal as they are
     def rec(g: Exp, sig: State) -> XReal:
         if oracle and g.intrinsic is not None:
-            return g.intrinsic.evaluate(sig, rec)
+            return g.intrinsic(sig, rec)
         match g:
             case Arith(a):
                 return XReal(_term(a)(sig))

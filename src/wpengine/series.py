@@ -54,7 +54,7 @@ from .syntax import (
     free_vars,
     fresh_var,
     quantify,
-    substitution,
+    substitute,
     true_,
     with_intrinsic,
 )
@@ -63,42 +63,6 @@ from .xreal import ONE, XReal, ZERO, is_natural
 
 SUM_VAR = Var("$s")
 PROD_VAR = Var("$p")
-
-
-class AggregatePlan:
-    """Direct evaluation of a sum or product aggregate.
-
-    Iterates the aggregation index from 0 to the bound (evaluated in the
-    state), binding the index in the state.  A non-natural bound yields 0,
-    matching the falsity of the embedded naturalness guards.  Reads only
-    the node's free variables: the bound's and the body's but the index.
-    """
-
-    def __init__(self, body: Exp, agg_var: Var, bound: AExpr, kind: str):
-        assert kind in ("sum", "product")
-        self.body = body
-        self.agg_var = agg_var
-        self.bound = bound
-        self.kind = kind
-
-    def evaluate(self, sigma: State, rec) -> XReal:
-        bound = eval_aexpr(self.bound, sigma)
-        if not is_natural(bound):
-            return ZERO
-        n = bound.numerator
-        total = ZERO if self.kind == "sum" else ONE
-        for j in range(n + 1):
-            value = rec(self.body, sigma.set(self.agg_var, Fraction(j)))
-            if self.kind == "sum":
-                total = total + value
-            else:
-                total = total * value
-                if total == ZERO:
-                    return ZERO
-        return total
-
-    def __repr__(self):
-        return f"AggregatePlan({self.kind})"
 
 
 @dataclass(frozen=True)
@@ -127,7 +91,7 @@ def _aggregate_pure(body: Exp, bound: AExpr, kind: str, agg: Var) -> Exp:
     cut = dnf.cut_var
     neutral = RatLit(Fraction(0 if kind == "sum" else 1))
     combine = Add if kind == "sum" else Mul
-    matrix = substitution({agg: VarRef(u)})(dnf.matrix)
+    matrix = substitute(dnf.matrix, {agg: VarRef(u)})
     step_guard = FOOr(Atom(matrix), Atom(eq_(VarRef(cut), RatLit(Fraction(0)))))
     bracket = balanced(
         FOAnd,
@@ -161,16 +125,33 @@ def _aggregate_pure(body: Exp, bound: AExpr, kind: str, agg: Var) -> Exp:
 def _aggregate(body: Exp, bound, kind: str, agg: Var) -> Aggregate:
     """The aggregate of ``body`` instances at ``agg`` = 0..bound.
 
-    ``bound`` is a variable or term.  The pure term carries a plan whose
-    evaluation at a state with a natural bound n equals the n+1-term sum
-    (resp. product).
+    ``bound`` is a variable or term.  The pure term's plan iterates the
+    index from 0 to the bound's value n, bound in the state, for the
+    n+1-term sum (resp. product); a non-natural bound yields 0, matching the
+    falsity of the embedded naturalness guards.  The plan reads only the
+    node's free variables: the bound's and the body's but the index.
     """
     bound = aexpr(bound)
     if agg in free_vars(bound):
         raise ValueError("the bound must not mention the aggregation variable")
     pure = _aggregate_pure(body, bound, kind, agg)
-    return Aggregate(body, bound,
-                     with_intrinsic(pure, AggregatePlan(body, agg, bound, kind)))
+
+    def aggregate_plan(sigma: State, rec) -> XReal:
+        n = eval_aexpr(bound, sigma)
+        if not is_natural(n):
+            return ZERO
+        total = ZERO if kind == "sum" else ONE
+        for j in range(n.numerator + 1):
+            value = rec(body, sigma.set(agg, Fraction(j)))
+            if kind == "sum":
+                total = total + value
+            else:
+                total = total * value
+                if total == ZERO:
+                    return ZERO
+        return total
+
+    return Aggregate(body, bound, with_intrinsic(pure, aggregate_plan))
 
 
 def make_sum(body: Exp, bound) -> Aggregate:
@@ -199,18 +180,6 @@ def odot(f: Exp, g: Exp) -> Exp:
     return _aggregate(mix, RatLit(Fraction(1)), "product", agg).pure
 
 
-class CutProductPlan:
-    """Structured semantics of the cut product: multiply the factor values.
-    Reads only the node's free variables, those of the two factors."""
-
-    def __init__(self, left: Exp, right: Exp):
-        self.left = left
-        self.right = right
-
-    def evaluate(self, sigma, rec) -> XReal:
-        return rec(self.left, sigma) * rec(self.right, sigma)
-
-
 def dedekind_product(f: Exp, g: Exp) -> Exp:
     """Product via suprema of the two lower cuts.
 
@@ -218,7 +187,8 @@ def dedekind_product(f: Exp, g: Exp) -> Exp:
     merge the prefixes (the operands are renamed apart by the cut
     construction's fresh prefixes), and take the supremum of the product of
     the two cut variables under the conjoined matrices.  Empty cuts
-    annihilate, so 0 * inf = 0 holds.
+    annihilate, so 0 * inf = 0 holds.  The plan multiplies the values of
+    the factors, so it reads only their free variables.
     """
     d1 = to_dnf(f)
     d2 = to_dnf(g)
@@ -231,7 +201,7 @@ def dedekind_product(f: Exp, g: Exp) -> Exp:
     if cut2 == d1.cut_var:
         cut2 = fresh_var(avoid, base="$cut")
         d2 = type(d2)(d2.prefix, cut2,
-                      substitution({d2.cut_var: VarRef(cut2)})(d2.matrix))
+                      substitute(d2.matrix, {d2.cut_var: VarRef(cut2)}))
     shared = {v for _, v in d1.prefix} & {v for _, v in d2.prefix}
     if shared:
         mapping = {}
@@ -241,7 +211,7 @@ def dedekind_product(f: Exp, g: Exp) -> Exp:
         d2 = type(d2)(
             tuple((q, mapping.get(v, v)) for q, v in d2.prefix),
             cut2,
-            substitution({v: VarRef(v2) for v, v2 in mapping.items()})(d2.matrix),
+            substitute(d2.matrix, {v: VarRef(v2) for v, v2 in mapping.items()}),
         )
     body = quantify(
         list(d1.prefix) + list(d2.prefix),
@@ -251,4 +221,8 @@ def dedekind_product(f: Exp, g: Exp) -> Exp:
         ),
     )
     pure = Sup(d1.cut_var, Sup(cut2, body))
-    return with_intrinsic(pure, CutProductPlan(f, g))
+
+    def cut_product_plan(sigma: State, rec) -> XReal:
+        return rec(f, sigma) * rec(g, sigma)
+
+    return with_intrinsic(pure, cut_product_plan)

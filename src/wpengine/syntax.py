@@ -4,18 +4,20 @@ All AST values are immutable (frozen dataclasses) and safe to share between
 threads.  Boolean sugar (true, false, or, implication, equality, <=) is
 lowered at construction time so that guard trees only ever contain the three
 core connectives ``<``, ``&&``, ``!``.  Expectations may carry an *intrinsic*
-tag: an evaluation plan attached by higher layers that is ignored by
-printing, equality, and hashing; substitution keeps it (see ``SubstPlan``).
+tag: an evaluation plan attached by higher layers, a function
+``plan(sigma, rec)`` of the state that is ignored by printing, equality,
+and hashing; substitution keeps it (see ``SubstPlan``).
 
 Generated terms share subterms heavily, so they are DAGs in memory.  The
 variable, constant and substitution walkers visit each distinct node once
 per call, keying their memos on the nodes of their own input, which stay
-alive for the whole walk.  The only facts kept across calls are cached on
-the node itself, in slots (``_Cached``), so that they are freed with the
-node, and each takes memory linear in the term: the variable set of a term or guard, on the
-node it was asked for only; a 64-bit mask of its variables, on every term
-and guard, which lets substitution skip the subterms that mention no
-mapped variable; and its compiled evaluator (see ``semantics``).
+alive for the whole walk; the memos die with the walk.  The only facts kept
+across calls are cached on the node itself, in slots (``_Cached``), so that
+they are freed with the node, and each takes memory linear in the term: the
+variable set of a term or guard, on the node it was asked for only; a
+64-bit mask of its variables, on every term and guard, which lets
+substitution skip the subterms that mention no mapped variable; and its
+compiled evaluator (see ``semantics``).
 
 Identifiers match ``\\$?[a-zA-Z_][a-zA-Z0-9_']*``; the ``$`` prefix marks the
 reserved namespace used for machine-generated helper variables, which the
@@ -629,7 +631,7 @@ class SubstPlan:
         self.node = node
         self.mapping = mapping
 
-    def evaluate(self, sigma, rec):
+    def __call__(self, sigma, rec):
         from .semantics import eval_aexpr
 
         bound = sigma
@@ -638,144 +640,140 @@ class SubstPlan:
         return rec(self.node, bound)
 
 
-def substitution(mapping: dict[Var, AExpr]):
-    """Parallel, capture-avoiding substitution of each variable by its term.
+# A substitution context: (mapping, keys, keys' mask, results under it,
+# contexts derived from it, the walk's free-variable memo).  The helpers do
+# not close over each other, so a walk leaves no reference cycle behind.
 
-    Returns a function that applies the substitution to terms, guards and
-    expectations.  A bound variable that would capture a variable of an
-    incoming term is renamed by priming; the renaming extends the mapping
-    instead of copying the binder's body, so a walk visits only nodes of
-    its own input.  Subtrees without a free mapped variable are returned
-    as-is: a term or guard whose variable mask misses the mapped variables'
-    bits is skipped, and a node is rebuilt only when a child changed.  A
-    rebuilt tagged node gets one ``SubstPlan`` of the original node under
-    the mapping in force there, renames included; a node with a
-    ``SubstPlan`` composes the mappings, so substitutions applied one after
-    another keep one.  ``wp_loop_free`` makes one substitution per block of
+def _context(m: dict[Var, AExpr], fv_memo: dict) -> tuple:
+    keymask = 0
+    for k in m:
+        keymask |= _bit(k)
+    return m, frozenset(m), keymask, {}, {}, fv_memo
+
+
+def _derive(ctx: tuple, v: Var, v2: Var | None) -> tuple:
+    """The mapping without ``v``, then with ``v`` renamed to ``v2``."""
+    out = ctx[4].get((v, v2))
+    if out is None:
+        m = {k: a for k, a in ctx[0].items() if k != v}
+        if v2 is not None:
+            m[v] = VarRef(v2)
+        out = ctx[4][v, v2] = _context(m, ctx[5])
+    return out
+
+
+def _subst_plan(g: Exp, ctx: tuple) -> SubstPlan | None:
+    tag = g.intrinsic
+    if isinstance(tag, SubstPlan):
+        inner = {x: _walk(a, ctx) for x, a in tag.mapping.items()}
+        return SubstPlan(tag.node, {**ctx[0], **inner})
+    return None if tag is None else SubstPlan(g, ctx[0])
+
+
+def _rebuilt(g: Exp, ctx: tuple, **changes) -> Exp:
+    if all(getattr(g, name) is part for name, part in changes.items()):
+        return g
+    return replace(g, intrinsic=_subst_plan(g, ctx), **changes)
+
+
+def _walk(g, ctx: tuple):
+    m, keys, keymask, memo, _, _ = ctx
+    if isinstance(g, _QF_TYPES):
+        # a mask that misses the keys' mask proves that ``g`` mentions no
+        # mapped variable; a hit may be a false positive, which a variable
+        # set cached on ``g`` settles
+        if not _mask(g) & keymask:
+            return g
+        known = getattr(g, "_vars", None)
+        if known is not None and known.isdisjoint(keys):
+            return g
+    out = memo.get(id(g))
+    if out is not None:
+        return out
+    match g:
+        case VarRef(v):
+            out = m.get(v, g)  # masks can only give false positives
+        case Add(l, r) | Mul(l, r) | Monus(l, r) | Lt(l, r) | And(l, r):
+            l2, r2 = _walk(l, ctx), _walk(r, ctx)
+            out = g if l2 is l and r2 is r else type(g)(l2, r2)
+        case Not(arg):
+            a2 = _walk(arg, ctx)
+            out = g if a2 is arg else Not(a2)
+        case Arith(a):
+            out = _rebuilt(g, ctx, expr=_walk(a, ctx))
+        case Guard(cond, body):
+            out = _rebuilt(g, ctx, cond=_walk(cond, ctx), body=_walk(body, ctx))
+        case Plus(l, r):
+            out = _rebuilt(g, ctx, left=_walk(l, ctx), right=_walk(r, ctx))
+        case Scale(a, body):
+            out = _rebuilt(g, ctx, factor=_walk(a, ctx), body=_walk(body, ctx))
+        case Sup(_, _) | Inf(_, _):
+            out = _under_binders(g, ctx)
+        case _:
+            raise TypeError(g)
+    memo[id(g)] = out
+    return out
+
+
+def _under_binders(g: Exp, ctx: tuple) -> Exp:
+    if _vars(g, True, ctx[5]).isdisjoint(ctx[1]):
+        return g
+    spine = []
+    while isinstance(g, (Sup, Inf)):
+        spine.append(g)
+        g = g.body
+    matrix_fv = _vars(g, True, ctx[5])
+    below = Counter(b.var for b in spine)  # binders under the current one
+    heads = []
+    for b in spine:
+        v, tag = b.var, _subst_plan(b, ctx)
+        below[v] -= 1
+        if v in ctx[1]:
+            ctx = _derive(ctx, v, None)
+        # terms coming in for the variables free in this binder's body
+        incoming = [ctx[0][k] for k in ctx[1] & matrix_fv if not below[k]]
+        if any(v in _qf_vars(a) for a in incoming):
+            avoid = {u for u in matrix_fv if not below[u]} | {v}
+            for a in incoming:
+                avoid |= _qf_vars(a)
+            v2 = fresh_var(avoid, base=v.name)
+            ctx = _derive(ctx, v, v2)
+            v = v2
+        heads.append((type(b), v, tag))
+    out = _walk(g, ctx)
+    for ctor, v, tag in reversed(heads):
+        out = ctor(v, out, intrinsic=tag)
+    return out
+
+
+def substitute(node, mapping: dict[Var, AExpr]):
+    """Parallel, capture-avoiding substitution of each variable by its term,
+    in a term, guard or expectation.
+
+    A bound variable that would capture a variable of an incoming term is
+    renamed by priming; the renaming extends the mapping instead of
+    copying the binder's body, so the walk visits only nodes of its input.
+    Subtrees without a free mapped variable are returned as-is: a term or
+    guard whose variable mask misses the mapped variables' bits is
+    skipped, and a node is rebuilt only when a child changed.  A rebuilt
+    tagged node gets one ``SubstPlan`` of the original node under the
+    mapping in force there, renames included; a node with a ``SubstPlan``
+    composes the mappings, so substitutions applied one after another keep
+    one.  ``wp_loop_free`` makes one substitution per block of
     assignments, so composition serves blocks that branches separate.
 
-    Results are memoized per mapping and keyed on input nodes, so shared
-    subterms are substituted once, across calls of the returned function
-    too.  The function keeps every node it is given alive, so no memo key
-    can be reused by another object.
+    Results are memoized for the one walk, keyed on input nodes, which the
+    caller keeps alive for the call, so shared subterms are substituted
+    once.
     """
     if not mapping:
-        return lambda node: node
-    inputs: list = []
-    fv_memo: dict[int, frozenset] = {}
-    derived: dict[tuple, tuple] = {}
-
-    def context(m: dict[Var, AExpr]) -> tuple:
-        # the keys' mask, for the skip test in ``walk``; the memo belongs
-        # to this mapping
-        keymask = 0
-        for k in m:
-            keymask |= _bit(k)
-        return m, frozenset(m), keymask, {}
-
-    def derive(ctx: tuple, v: Var, v2: Var | None) -> tuple:
-        """The mapping without ``v``, then with ``v`` renamed to ``v2``."""
-        key = (id(ctx), v, v2)
-        out = derived.get(key)
-        if out is None:
-            m = {k: a for k, a in ctx[0].items() if k != v}
-            if v2 is not None:
-                m[v] = VarRef(v2)
-            out = derived[key] = context(m)
-        return out
-
-    def plan(g: Exp, ctx: tuple) -> SubstPlan | None:
-        tag = g.intrinsic
-        if isinstance(tag, SubstPlan):
-            inner = {x: walk(a, ctx) for x, a in tag.mapping.items()}
-            return SubstPlan(tag.node, {**ctx[0], **inner})
-        return None if tag is None else SubstPlan(g, ctx[0])
-
-    def rebuilt(g: Exp, ctx: tuple, **changes) -> Exp:
-        if all(getattr(g, name) is part for name, part in changes.items()):
-            return g
-        return replace(g, intrinsic=plan(g, ctx), **changes)
-
-    def walk(g, ctx: tuple):
-        m, keys, keymask, memo = ctx
-        if isinstance(g, _QF_TYPES):
-            # a mask that misses the keys' mask proves that ``g`` mentions
-            # no mapped variable; a hit may be a false positive, which a
-            # variable set cached on ``g`` settles
-            if not _mask(g) & keymask:
-                return g
-            known = getattr(g, "_vars", None)
-            if known is not None and known.isdisjoint(keys):
-                return g
-        out = memo.get(id(g))
-        if out is not None:
-            return out
-        match g:
-            case VarRef(v):
-                out = m.get(v, g)  # masks can only give false positives
-            case Add(l, r) | Mul(l, r) | Monus(l, r) | Lt(l, r) | And(l, r):
-                l2, r2 = walk(l, ctx), walk(r, ctx)
-                out = g if l2 is l and r2 is r else type(g)(l2, r2)
-            case Not(arg):
-                a2 = walk(arg, ctx)
-                out = g if a2 is arg else Not(a2)
-            case Arith(a):
-                out = rebuilt(g, ctx, expr=walk(a, ctx))
-            case Guard(cond, body):
-                out = rebuilt(g, ctx, cond=walk(cond, ctx), body=walk(body, ctx))
-            case Plus(l, r):
-                out = rebuilt(g, ctx, left=walk(l, ctx), right=walk(r, ctx))
-            case Scale(a, body):
-                out = rebuilt(g, ctx, factor=walk(a, ctx), body=walk(body, ctx))
-            case Sup(_, _) | Inf(_, _):
-                out = under_binders(g, ctx)
-            case _:
-                raise TypeError(g)
-        memo[id(g)] = out
-        return out
-
-    def under_binders(g: Exp, ctx: tuple) -> Exp:
-        if _vars(g, True, fv_memo).isdisjoint(ctx[1]):
-            return g
-        spine = []
-        while isinstance(g, (Sup, Inf)):
-            spine.append(g)
-            g = g.body
-        matrix_fv = _vars(g, True, fv_memo)
-        below = Counter(b.var for b in spine)  # binders under the current one
-        heads = []
-        for b in spine:
-            v, tag = b.var, plan(b, ctx)
-            below[v] -= 1
-            if v in ctx[1]:
-                ctx = derive(ctx, v, None)
-            # terms coming in for the variables free in this binder's body
-            incoming = [ctx[0][k] for k in ctx[1] & matrix_fv if not below[k]]
-            if any(v in _qf_vars(a) for a in incoming):
-                avoid = {u for u in matrix_fv if not below[u]} | {v}
-                for a in incoming:
-                    avoid |= _qf_vars(a)
-                v2 = fresh_var(avoid, base=v.name)
-                ctx = derive(ctx, v, v2)
-                v = v2
-            heads.append((type(b), v, tag))
-        out = walk(g, ctx)
-        for ctor, v, tag in reversed(heads):
-            out = ctor(v, out, intrinsic=tag)
-        return out
-
-    root = context(dict(mapping))
-
-    def apply(node):
-        inputs.append(node)
-        return walk(node, root)
-
-    return apply
+        return node
+    return _walk(node, _context(dict(mapping), {}))
 
 
 def subst_exp(f: Exp, x: Var, value: AExpr) -> Exp:
     """Capture-avoiding substitution of ``x`` by the term ``value``."""
-    return substitution({x: value})(f)
+    return substitute(f, {x: value})
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from .syntax import (
     contains_loop,
     eq_,
     free_vars,
-    substitution,
+    substitute,
     true_,
     vars_program,
 )
@@ -168,8 +168,8 @@ def wp_loop_free(prog: Program, post: Exp) -> Exp:
         elif not isinstance(stmt, Skip):
             mapping: dict[Var, AExpr] = {}
             for assign in reversed(block):
-                mapping[assign.var] = substitution(mapping)(assign.expr)
-            post, block = substitution(mapping)(post), []
+                mapping[assign.var] = substitute(assign.expr, mapping)
+            post, block = substitute(post, mapping), []
             match stmt:
                 case None:
                     return post
@@ -295,12 +295,12 @@ def _forward(prog: Program, frontier: dict[State, Fraction], varset: VarSet,
 # Semantic backward interpreter and fixed-point iteration
 # ---------------------------------------------------------------------------
 
-def _sem_wp(prog: Program, cont, sigma: State, fuel: int) -> XReal:
+def _sem_wp(prog: Program, cont, sigma: State, fuel: int, state_cap: int) -> XReal:
     """Apply the backward transformer to a semantic continuation.
 
     ``cont`` maps states to extended reals.  While loops are approximated by
     their own ``fuel``-fold iteration (the documented approximation knob for
-    nested loops).
+    nested loops), each with its own memo table under ``state_cap``.
     """
     match prog:
         case Skip():
@@ -308,45 +308,49 @@ def _sem_wp(prog: Program, cont, sigma: State, fuel: int) -> XReal:
         case Assign(var, expr):
             return cont(sigma.set(var, eval_aexpr(expr, sigma)))
         case Seq(first, second):
-            return _sem_wp(first, lambda tau: _sem_wp(second, cont, tau, fuel),
-                           sigma, fuel)
+            rest = lambda tau: _sem_wp(second, cont, tau, fuel, state_cap)
+            return _sem_wp(first, rest, sigma, fuel, state_cap)
         case PChoice(left, p, right):
             total = ZERO
-            if p != 0:
-                total = total + XReal.of(p) * _sem_wp(left, cont, sigma, fuel)
-            if p != 1:
-                total = total + XReal.of(1 - p) * _sem_wp(right, cont, sigma, fuel)
+            for branch, weight in ((left, p), (right, 1 - p)):
+                if weight:
+                    total = total + XReal.of(weight) * _sem_wp(
+                        branch, cont, sigma, fuel, state_cap)
             return total
         case Ite(cond, then, orelse):
             branch = then if eval_bexpr(cond, sigma) else orelse
-            return _sem_wp(branch, cont, sigma, fuel)
+            return _sem_wp(branch, cont, sigma, fuel, state_cap)
         case While():
-            return _kleene_value(prog, cont, sigma, fuel, fuel)
+            return _kleene_value(prog, cont, sigma, fuel, state_cap)
     raise TypeError(prog)
 
 
-def _kleene_value(loop: While, cont, sigma: State, k: int, fuel: int,
-                  state_cap: int = DEFAULT_STATE_CAP) -> XReal:
+def _kleene_value(loop: While, cont, sigma: State, fuel: int, state_cap: int) -> XReal:
+    """The ``fuel``-th iterate at ``sigma``, memoized over (level, state)."""
     cache: dict[tuple[int, State], XReal] = {}
+    met = 0
 
     def go(level: int, s: State) -> XReal:
+        nonlocal met
         if level == 0:
             return ZERO
         key = (level, s)
         if key in cache:
             return cache[key]
-        if len(cache) > state_cap:
+        met += 1  # an entry counts when first met, so a chain trips the cap
+        if met > state_cap:
             raise FuelExceeded(
-                f"memo table reached {len(cache)} entries, above the cap of {state_cap}"
+                f"memo table reached {met} entries, above the cap of {state_cap}"
             )
         if eval_bexpr(loop.cond, s):
-            value = _sem_wp(loop.body, lambda tau: go(level - 1, tau), s, fuel)
+            value = _sem_wp(loop.body, lambda tau: go(level - 1, tau), s, fuel,
+                            state_cap)
         else:
             value = cont(s)
         cache[key] = value
         return value
 
-    return go(k, sigma)
+    return go(fuel, sigma)
 
 
 def kleene_iterate(loop: While, post: Exp, sigma: State, k: int,
@@ -357,7 +361,7 @@ def kleene_iterate(loop: While, post: Exp, sigma: State, k: int,
     evaluation is exact.
     """
     cont = lambda tau: eval_exp(post, tau)
-    return _kleene_value(loop, cont, sigma, k, k, state_cap)
+    return _kleene_value(loop, cont, sigma, k, state_cap)
 
 
 # ---------------------------------------------------------------------------

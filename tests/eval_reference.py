@@ -69,7 +69,7 @@ def ref_exp(f, sigma, dom=None, mode=RESTRICTED) -> XReal:
 
     def rec(g, sig):
         if mode == ORACLE and g.intrinsic is not None:
-            return g.intrinsic.evaluate(sig, rec)
+            return g.intrinsic(sig, rec)
         match g:
             case Arith(a):
                 return XReal.of(ref_aexpr(a, sig))

@@ -137,6 +137,28 @@ def test_kleene_memo_cap_exit_code(capsys, geo_file):
     assert "memo table reached 4 entries" in err
 
 
+@pytest.mark.parametrize("text", [
+    "while (x < 50) { x := x + 1 }",
+    "while (c < 1) { c := 1; while (x < 50) { x := x + 1 } }",
+])
+def test_kleene_memo_cap_on_chains_and_nested_loops(capsys, tmp_path, text):
+    loop = tmp_path / "loop.pgcl"
+    loop.write_text(text)
+    code, out, err = run(capsys, "wp", "--kleene", "60", "--state-cap", "5",
+                         "--at", "x=0", "-p", str(loop), "-f", "x")
+    assert code == 4
+    assert out == ""
+    assert "memo table reached 6 entries" in err
+
+
+def test_long_statement_chain(capsys, tmp_path):
+    chain = tmp_path / "chain.pgcl"
+    chain.write_text("; ".join(["x := 1"] * 10**4))
+    code, out, _ = run(capsys, "wp", "--syntactic", "-p", str(chain), "-f", "x")
+    assert code == 0
+    assert out == "1\n"
+
+
 @pytest.mark.parametrize("exp, message", [
     (" + ".join(f"[x < {i}] * {i}" for i in range(17)),
      "17 summands exceed the 2^n cap of 16"),

@@ -25,7 +25,7 @@ from wpengine.syntax import (
     Var,
     While,
     print_exp,
-    substitution,
+    substitute,
 )
 from wpengine.wp import VarSet, kleene_iterate, path_sum, wp_loop_free
 from wpengine.xreal import XReal, ZERO
@@ -131,14 +131,14 @@ def test_body_template_geometric():
     g = body_wp_template(GEO, VS)
     cp, xp = primed(Var("c")), primed(Var("x"))
     # one-step transition values out of (c=1, x=0)
-    into_01 = substitution({cp: RatLit(F(0)), xp: RatLit(F(1))})(g)
+    into_01 = substitute(g, {cp: RatLit(F(0)), xp: RatLit(F(1))})
     assert eval_exp(into_01, state(c=1, x=0)) == XReal.of(F(1, 2))
-    into_11 = substitution({cp: RatLit(F(1)), xp: RatLit(F(1))})(g)
+    into_11 = substitute(g, {cp: RatLit(F(1)), xp: RatLit(F(1))})
     assert eval_exp(into_11, state(c=1, x=0)) == XReal.of(F(1, 2))
     # the skip branch keeps the state
-    stay = substitution({cp: RatLit(F(0)), xp: RatLit(F(5))})(g)
+    stay = substitute(g, {cp: RatLit(F(0)), xp: RatLit(F(5))})
     assert eval_exp(stay, state(c=0, x=5)) == XReal.of(1)
-    mismatch = substitution({cp: RatLit(F(1)), xp: RatLit(F(0))})(g)
+    mismatch = substitute(g, {cp: RatLit(F(1)), xp: RatLit(F(0))})
     assert eval_exp(mismatch, state(c=0, x=0)) == ZERO
 
 
@@ -153,8 +153,8 @@ def test_body_template_matches_wp_of_indicator():
     for _ in range(25):
         target = state(c=rng.randint(0, 1), x=rng.randint(0, 4))
         source = state(c=rng.randint(0, 1), x=rng.randint(0, 4))
-        instantiated = substitution(
-            {primed(v): RatLit(target[v]) for v in VS})(g)
+        instantiated = substitute(
+            g, {primed(v): RatLit(target[v]) for v in VS})
         direct = wp_loop_free(c_iter, char_assertion(target, VS))
         assert eval_exp(instantiated, source) == eval_exp(direct, source)
 

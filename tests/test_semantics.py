@@ -1,7 +1,6 @@
 """Exact evaluation, quantifier domains, and the extended-real laws."""
 
 import random
-from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -172,7 +171,7 @@ class _StateProbe:
         self.body = body
         self.seen = []
 
-    def evaluate(self, sigma, rec):
+    def __call__(self, sigma, rec):
         self.seen.append(sigma)
         return rec(self.body, sigma)
 
@@ -211,7 +210,7 @@ def test_default_domain_built_on_first_quantifier():
 def test_plans_read_only_free_variables():
     """Each plan kind's value ignores every variable not free in its node."""
     from wpengine.goedel import elem_exp, encode_seq, encode_state
-    from wpengine.loops import _PairFactorPlan, encode_loop, goedel_subst
+    from wpengine.loops import encode_loop, goedel_subst
     from wpengine.series import PROD_VAR, dedekind_product, make_sum
     from wpengine.syntax import all_vars, free_vars, subst_exp
 
@@ -221,18 +220,8 @@ def test_plans_read_only_free_variables():
     enc = encode_loop(geo, parse_exp("x"), vs)
     path = enc.path_term
     # the one-step factor is not a node of the path term but the body of
-    # its product aggregate's plan
-    stack, seen, pair = [path], set(), None
-    while pair is None:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node.intrinsic, _PairFactorPlan):
-            pair = node
-        children = [getattr(node, f.name) for f in fields(node)]
-        children.append(getattr(node.intrinsic, "body", None))
-        stack.extend(c for c in children if hasattr(c, "intrinsic"))
+    # its product aggregate, which the encoding keeps next to the path term
+    pair = enc.pair_factor
     codes = [enc.state_code(state(c=1)), enc.state_code(state(x=1))]
     walk = {enc.length_var: 2, enc.seq_var: encode_seq(codes).num, PROD_VAR: 0}
     total = make_sum(parse_exp("[$s < y] * $s + z"), x).pure
@@ -249,6 +238,10 @@ def test_plans_read_only_free_variables():
         (path, State(walk)),
         (pair, State(walk)),
     ]
+    # every plan is a function or a SubstPlan, and the nodes cover all kinds
+    kinds = {getattr(node.intrinsic, "__name__", type(node.intrinsic).__name__)
+             for node, _ in nodes}
+    assert len(kinds) == 8
     rng = random.Random(12)
     dom = calkin_wilf(1)
     for node, sigma in nodes:

@@ -60,7 +60,7 @@ from wpengine.syntax import (
     print_fo,
     print_program,
     subst_exp,
-    substitution,
+    substitute,
     true_,
 )
 
@@ -424,7 +424,7 @@ def test_subst_fuzz_matches_nameless_reference():
         else:
             xs = rng.sample(FUZZ_NAMES, 2)
             pairs = [(Var(x), _fuzz_aexpr(rng, 2)) for x in xs]
-            got = substitution(dict(pairs))(f)
+            got = substitute(f, dict(pairs))
         assert nameless(got) == _parallel_nameless(f, pairs), \
             (case, print_exp(f), [(x.name, str(a)) for x, a in pairs])
 
@@ -558,7 +558,7 @@ def test_substitution_returns_untouched_subterms_themselves():
     assert got.left.cond.right is f.left.cond.right
     assert got.left.body.body is f.left.body.body
     t = parse_aexpr("x * y + (y + 3)")
-    assert substitution({Var("x"): RatLit(F(2))})(t).right is t.right
+    assert substitute(t, {Var("x"): RatLit(F(2))}).right is t.right
 
 
 def test_substitution_with_colliding_mask_bits():
@@ -579,6 +579,29 @@ def test_substitution_with_colliding_mask_bits():
     assert nameless(got) == subst_nameless(nameless(f), "x", ("free", "v"))
     # with no set cached on the guard, only the masks tell the variables apart
     t = And(Lt(yref, RatLit(F(1))), Lt(VarRef(x), yref))
-    got = substitution({x: RatLit(F(2))})(t)
+    got = substitute(t, {x: RatLit(F(2))})
     assert got.left is t.left
     assert got.right.right is yref
+
+
+def test_substitution_leaves_no_reference_cycles():
+    """A substitution, and ``wp_loop_free`` made of them, free everything
+    they made by reference counting: nothing is left for the collector."""
+    from wpengine.wp import wp_loop_free
+
+    f = parse_exp("[x < 1] * x + y")
+    mapping = {Var("x"): VarRef(Var("z"))}
+    prog = parse_program("x := x + 1; {y := 1} [1/2] {y := 2}; "
+                         "if (x < 2) { z := x } else { z := y }")
+    post = parse_exp("x + y + z")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            substitute(f, mapping)
+        assert gc.collect() == 0
+        for _ in range(100):
+            wp_loop_free(prog, post)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -315,6 +315,24 @@ def test_kleene_nested_loop():
     assert value == XReal.of(2)
 
 
+def test_kleene_cap_counts_chains_and_nested_loops():
+    """A chain of states, each met once, trips the memo cap, and so does
+    the memo table of a nested loop."""
+    flat = parse_program("while (x < 50) { x := x + 1 }")
+    nested = parse_program(
+        "while (c < 1) { c := 1; while (x < 50) { x := x + 1 } }")
+    for loop in (flat, nested):
+        with pytest.raises(FuelExceeded):
+            kleene_iterate(loop, POST_X, state(x=0), 60, state_cap=5)
+        assert kleene_iterate(loop, POST_X, state(x=0), 60) == XReal.of(50)
+
+
+def test_long_statement_chain_parses_without_recursion():
+    prog = parse_program("; ".join(["x := 1"] * 10**4))
+    assert isinstance(prog, Seq) and isinstance(prog.second, Seq)
+    assert wp_loop_free(prog, POST_X) == Arith(RatLit(F(1)))
+
+
 def test_path_sum_matches_kleene():
     s0 = state(c=1, x=0)
     for k in range(7):
