@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 
 from .errors import SummandBlowup
 from .syntax import (
@@ -35,7 +34,6 @@ from .syntax import (
     Sup,
     Var,
     VarRef,
-    alit,
     all_vars,
     balanced,
     free_vars,
@@ -194,6 +192,15 @@ def to_dnf(f: Exp, summand_cap: int = DEFAULT_SUMMAND_CAP) -> DNF:
     negating the n summand guards, of "these signs imply that the cut
     variable is strictly below the corresponding sum of terms".  No
     simplification is attempted, even for mutually exclusive guards.
+
+    Each pattern's guards and terms are joined as balanced trees, and the
+    patterns share their subtrees as a DAG: for each range of summands that
+    the balanced split meets, the joins of every sign choice over it are
+    built once, in ``itertools.product`` order, and reused by all the
+    patterns that extend them.  The matrix equals, and prints as, the one
+    built pattern by pattern, but has fewer than 2^(n+1) distinct sign
+    joins of each kind (``And``, ``Add``) in place of (n - 1) 2^n, so
+    evaluation compiles fewer closures.
     """
     snf = to_snf(f)
     n = len(snf.summands)
@@ -202,11 +209,19 @@ def to_dnf(f: Exp, summand_cap: int = DEFAULT_SUMMAND_CAP) -> DNF:
     avoid = set(all_vars(f)) | {v for _, v in snf.prefix}
     cut = fresh_var(avoid, base="$cut")
     zero = RatLit(Fraction(0))
-    conjuncts = []
-    for signs in iter_product(*(((phi, a), (Not(phi), zero)) for phi, a in snf.summands)):
-        sign_guards = balanced(And, [b for b, _ in signs], true_)
-        total = balanced(Add, [t for _, t in signs], lambda: alit(0))
-        conjuncts.append(implies_(sign_guards, Lt(VarRef(cut), total)))
+
+    def patterns(summands) -> list[tuple[BExpr, AExpr]]:
+        # the balanced split of ``balanced``, so each join is the one it builds
+        if len(summands) == 1:
+            phi, a = summands[0]
+            return [(phi, a), (Not(phi), zero)]
+        mid = len(summands) // 2
+        left, right = patterns(summands[:mid]), patterns(summands[mid:])
+        return [(And(lg, rg), Add(lt, rt)) for lg, lt in left for rg, rt in right]
+
+    cut_ref = VarRef(cut)
+    conjuncts = [implies_(signs, Lt(cut_ref, total))
+                 for signs, total in patterns(snf.summands)]
     return DNF(snf.prefix, cut, balanced(And, conjuncts, true_))
 
 

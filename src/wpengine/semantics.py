@@ -20,7 +20,10 @@ Terms and guards are compiled once per node into closures over a state
 closure is cached on the node, so it is freed with the node; a quantifier
 search re-runs the closures instead of re-dispatching on the syntax.  A
 chain of ``&&`` compiles into one closure over its conjuncts, and a ``<``
-between variables and literals reads the bindings itself.  States key
+between variables and literals reads the bindings itself.  When the
+chain's clauses share atoms, as the 2^n sign patterns of a cut form share
+their n summand guards, the closure keeps a table of atom values for the
+call and evaluates each atom at most once (see ``_conjunction``).  States key
 their bindings on variable names, so a compiled read is a dict lookup on
 a string that runs in C; the ``State`` API takes and returns ``Var``s.
 ``eval_aexpr`` and ``eval_bexpr`` compile, then call.  ``eval_exp``'s own
@@ -82,7 +85,8 @@ class State:
     hash, while every method takes and returns ``Var``s.
     The hash is computed on first use, since most states are never hashed.
     ``set`` and ``restrict`` start from bindings that are already valid, so
-    they skip the constructor's check of every binding.
+    they skip the constructor's check of every binding; the quantifier
+    loops bind domain values, validated by ``QDomain``, through ``_bind``.
     """
 
     __slots__ = ("_bindings", "_hash")
@@ -113,7 +117,11 @@ class State:
         return self._bindings.get(var.name, _ZERO)
 
     def set(self, var: Var, value) -> "State":
-        value = rat(value)
+        return self._bind(var, rat(value))
+
+    def _bind(self, var: Var, value: Fraction) -> "State":
+        """``set`` for a ``value`` that is already a valid rational, such as
+        a quantifier domain's, so it is not checked again."""
         updated = dict(self._bindings)
         if value:
             updated[var.name] = value
@@ -355,30 +363,80 @@ def _less(l: AExpr, r: AExpr,
     return fn
 
 
+def _conjuncts(chain: And) -> list[BExpr]:
+    """The distinct conjuncts of the maximal ``&&`` chain rooted at
+    ``chain``, left to right, flattened with an explicit stack.
+
+    Guards are pure, so a conjunct or shared sub-chain met a second time is
+    left out: it held the first time, or the chain stopped before reaching
+    it.
+    """
+    out = []
+    seen = set()  # ids of nodes alive through chain
+    stack = [chain]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, And):
+                stack.append(node.right)
+                stack.append(node.left)
+            else:
+                out.append(node)
+    return out
+
+
+def _literal(phi: BExpr) -> tuple[BExpr, bool]:
+    """``phi`` as an atom and the value of the atom at which ``phi`` holds:
+    negations peel off, so ``phi`` and ``!phi`` share one atom."""
+    value = True
+    while isinstance(phi, Not):
+        phi, value = phi.arg, not value
+    return phi, value
+
+
 def _conjunction(phi: And, negated: bool) -> Callable[[State], bool]:
     """One closure for the maximal chain of ``&&`` rooted at ``phi``, or
     for its negation.
 
-    The chain is flattened with an explicit stack, so a chain of any length
+    The chain is flattened by ``_conjuncts``, so a chain of any length
     compiles without recursion, and its inner ``And`` nodes get no closure
     of their own.  The conjuncts run left to right and the first false one
-    stops the chain.  Guards are pure, so a conjunct or shared sub-chain met
-    a second time is left out: it held the first time, or the chain
-    stopped before reaching it.
+    stops the chain.
+
+    A chain is also a conjunction of clauses over atoms (``_literal``): a
+    conjunct ``!(a1 && ... && ak)``, which is what implications and
+    disjunctions lower to, holds when some ``ai`` is false, and any other
+    conjunct is a clause of one literal.  When an atom occurs in two or
+    more clauses, as the summand guards do in each of the 2^n sign patterns
+    of a cut form, the chain runs over its clauses (``_clause_table``) with
+    a table of atom values local to the call, so each atom runs at most
+    once per call (the way a BDD evaluates a shared node once: Bryant,
+    "Graph-Based Algorithms for Boolean Function Manipulation", 1986).
+    Atoms give exact ``bool``s and guards are pure and total, so neither
+    the order nor the short-circuit changes a value.  A chain without
+    shared atoms, and every negated chain, runs its conjuncts' own
+    closures.
     """
-    conjuncts: dict[Callable[[State], bool], None] = {}
-    expanded = set()  # ids of the chain's own And nodes, alive through phi
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, And):
-            if id(node) not in expanded:
-                expanded.add(id(node))
-                stack.append(node.right)
-                stack.append(node.left)
-        else:
-            conjuncts.setdefault(_guard(node))
-    fns = tuple(conjuncts)
+    conjuncts = _conjuncts(phi)
+    if not negated:
+        # a clause holds when one of its literals (atom, value) does
+        clauses = []
+        for c in conjuncts:
+            if isinstance(c, Not) and isinstance(c.arg, And):
+                clauses.append([(atom, not value) for atom, value
+                                in map(_literal, _conjuncts(c.arg))])
+            else:
+                clauses.append([_literal(c)])
+        slots: dict[int, int] = {}  # id of an atom (alive through phi) -> slot
+        shared = False
+        for clause in clauses:
+            for atom_id in {id(atom) for atom, _ in clause}:
+                shared = shared or atom_id in slots
+                slots.setdefault(atom_id, len(slots))
+        if shared:
+            return _clause_table(clauses, slots)
+    fns = tuple(_guard(c) for c in conjuncts)
     holds = not negated
 
     def fn(s):
@@ -386,6 +444,53 @@ def _conjunction(phi: And, negated: bool) -> Callable[[State], bool]:
             if not f(s):
                 return negated
         return holds
+    return fn
+
+
+def _clause_table(clauses: list[list[tuple[BExpr, bool]]],
+                  slots: dict[int, int]) -> Callable[[State], bool]:
+    """The closure for a conjunction of ``clauses`` that share atoms.
+
+    Each literal reads its atom's slot in a table of the call's own, and
+    runs the atom only when the slot is still empty.  Clauses that begin
+    with the same literals share them in a trie: an edge is a literal and
+    the clauses that go on through it, so a literal that holds settles all
+    of them at once, and a cut form's 2^n sign patterns cost about 2n
+    literal reads per call in place of about 2^(n+1).  The trie is walked
+    depth first, in the order of the clauses, with an explicit stack.
+    """
+    root: list = []
+    edges_at: dict[tuple, list] = {}  # (id of an edge list, slot, value) -> edge
+    for clause in clauses:
+        edges = root
+        for atom, value in clause:
+            i = slots[id(atom)]
+            edge = edges_at.get((id(edges), i, value))
+            if edge is None:
+                # slot, atom, value, a clause ends here, the edges that go on
+                edge = [i, _guard(atom), value, False, []]
+                edges_at[id(edges), i, value] = edge
+                edges.append(edge)
+            edges = edge[4]
+        edge[3] = True
+    size = len(slots)
+
+    def fn(s):
+        known = [None] * size
+        stack = [iter(root)]
+        while stack:
+            for i, f, value, ends, rest in stack[-1]:
+                v = known[i]
+                if v is None:
+                    v = known[i] = f(s)
+                if v is not value:
+                    if ends:
+                        return False
+                    stack.append(iter(rest))
+                    break
+            else:
+                stack.pop()
+        return True
     return fn
 
 
@@ -442,14 +547,14 @@ def eval_exp(f: Exp, sigma: State, dom: QDomain | None = None,
             case Sup(v, body):
                 best = ZERO
                 for q in domain():
-                    candidate = rec(body, sig.set(v, q))
+                    candidate = rec(body, sig._bind(v, q))
                     if best < candidate:
                         best = candidate
                 return best
             case Inf(v, body):
                 best = XReal.INF
                 for q in domain():
-                    candidate = rec(body, sig.set(v, q))
+                    candidate = rec(body, sig._bind(v, q))
                     if candidate < best:
                         best = candidate
                 return best
@@ -478,7 +583,7 @@ def eval_fo(p: FOFormula, sigma: State, dom: QDomain) -> bool:
         case FOImplies(l, r):
             return (not eval_fo(l, sigma, dom)) or eval_fo(r, sigma, dom)
         case Exists(v, body):
-            return any(eval_fo(body, sigma.set(v, q), dom) for q in dom)
+            return any(eval_fo(body, sigma._bind(v, q), dom) for q in dom)
         case Forall(v, body):
-            return all(eval_fo(body, sigma.set(v, q), dom) for q in dom)
+            return all(eval_fo(body, sigma._bind(v, q), dom) for q in dom)
     raise TypeError(p)

@@ -251,18 +251,29 @@ class While:
 Program = Union[Skip, Assign, Seq, PChoice, Ite, While]
 
 
+def statements(prog: Program) -> list[Program]:
+    """The statements of a ``;`` chain, first to last, with ``Seq`` flattened
+    on an explicit stack, so a chain of any length costs no recursion; any
+    other program is a chain of one."""
+    out, stack = [], [prog]
+    while stack:
+        stmt = stack.pop()
+        if isinstance(stmt, Seq):
+            stack += (stmt.second, stmt.first)
+        else:
+            out.append(stmt)
+    return out
+
+
 def contains_loop(prog: Program) -> bool:
-    match prog:
-        case While():
-            return True
-        case Seq(first, second):
-            return contains_loop(first) or contains_loop(second)
-        case PChoice(left, _, right):
-            return contains_loop(left) or contains_loop(right)
-        case Ite(_, then, orelse):
-            return contains_loop(then) or contains_loop(orelse)
-        case _:
-            return False
+    stack = [prog]
+    while stack:
+        match stack.pop():
+            case While():
+                return True
+            case Seq(a, b) | PChoice(a, _, b) | Ite(_, a, b):
+                stack += (a, b)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -544,20 +555,26 @@ def all_vars(node) -> frozenset[Var]:
 
 
 def vars_program(prog: Program) -> set[Var]:
-    match prog:
-        case Skip():
-            return set()
-        case Assign(v, e):
-            return {v} | free_vars(e)
-        case Seq(a, b):
-            return vars_program(a) | vars_program(b)
-        case PChoice(a, _, b):
-            return vars_program(a) | vars_program(b)
-        case Ite(cond, a, b):
-            return vars_program(a) | vars_program(b) | free_vars(cond)
-        case While(cond, body):
-            return vars_program(body) | free_vars(cond)
-    raise TypeError(prog)
+    out: set[Var] = set()
+    stack = [prog]
+    while stack:
+        match stack.pop():
+            case Skip():
+                pass
+            case Assign(v, e):
+                out.add(v)
+                out |= free_vars(e)
+            case Seq(a, b) | PChoice(a, _, b):
+                stack += (a, b)
+            case Ite(cond, a, b):
+                out |= free_vars(cond)
+                stack += (a, b)
+            case While(cond, body):
+                out |= free_vars(cond)
+                stack.append(body)
+            case other:
+                raise TypeError(other)
+    return out
 
 
 def constants(node) -> set[Fraction]:
@@ -842,8 +859,8 @@ def print_program(prog: Program, indent: str = "") -> str:
             return f"{indent}skip"
         case Assign(v, e):
             return f"{indent}{v.name} := {print_aexpr(e)}"
-        case Seq(a, b):
-            return f"{print_program(a, indent)};\n{print_program(b, indent)}"
+        case Seq():
+            return ";\n".join(print_program(stmt, indent) for stmt in statements(prog))
         case PChoice(a, p, b):
             inner = indent + "  "
             return (

@@ -52,6 +52,7 @@ from .syntax import (
     contains_loop,
     eq_,
     free_vars,
+    statements,
     substitute,
     true_,
     vars_program,
@@ -148,7 +149,7 @@ def wp_loop_free(prog: Program, post: Exp) -> Exp:
     """Backward transform of ``post`` through a loop-free program.
 
     One walk over the statements from last to first, with ``Seq`` flattened
-    on an explicit stack, so deep sequencing costs no recursion.  skip
+    by ``statements``, so deep sequencing costs no recursion.  skip
     keeps the postexpectation.  Each maximal run of assignments
     ``x1 := e1; ...; xn := en`` (skips aside) is one parallel substitution
     whose mapping is built forward, ``m[xi] = ei[m]``: by the substitution
@@ -158,12 +159,10 @@ def wp_loop_free(prog: Program, post: Exp) -> Exp:
     conditional case.  A branch separates two runs; on a tagged post their
     ``SubstPlan``s compose into one.
     """
-    stack, block = [prog], []  # block: the current run, last first
+    stack, block = statements(prog), []  # block: the current run, last first
     while True:
         stmt = stack.pop() if stack else None  # None: the program's start
-        if isinstance(stmt, Seq):
-            stack += (stmt.first, stmt.second)
-        elif isinstance(stmt, Assign):
+        if isinstance(stmt, Assign):
             block.append(stmt)
         elif not isinstance(stmt, Skip):
             mapping: dict[Var, AExpr] = {}
@@ -241,9 +240,10 @@ def _forward(prog: Program, frontier: dict[State, Fraction], varset: VarSet,
                 out[tau] = out.get(tau, Fraction(0)) + w
             _check_cap(out, state_cap)
             return out
-        case Seq(first, second):
-            mid = _forward(first, frontier, varset, fuel, state_cap)
-            return _forward(second, mid, varset, fuel, state_cap)
+        case Seq():
+            for stmt in statements(prog):
+                frontier = _forward(stmt, frontier, varset, fuel, state_cap)
+            return frontier
         case PChoice(left, p, right):
             out = {}
             branches = []

@@ -159,6 +159,14 @@ def test_long_statement_chain(capsys, tmp_path):
     assert out == "1\n"
 
 
+def test_long_statement_chain_forward(capsys, tmp_path):
+    chain = tmp_path / "chain.pgcl"
+    chain.write_text("; ".join(["x := 1"] * 10**4))
+    code, out, _ = run(capsys, "forward", "-p", str(chain), "--at", "x=0", "--fuel", "1")
+    assert code == 0
+    assert out == "{'x': '1'} -> 1\nmass 1\n"
+
+
 @pytest.mark.parametrize("exp, message", [
     (" + ".join(f"[x < {i}] * {i}" for i in range(17)),
      "17 summands exceed the 2^n cap of 16"),

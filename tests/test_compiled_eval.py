@@ -2,6 +2,7 @@
 lifetime, staleness after rewrites, and deep inputs."""
 
 import gc
+import itertools
 import random
 import sys
 import traceback
@@ -14,6 +15,7 @@ import pytest
 from eval_reference import ref_aexpr, ref_bexpr, ref_exp
 from wpengine import semantics
 from wpengine.cli import main
+from wpengine.normalform import to_dnf
 from wpengine.parser import parse_aexpr, parse_exp, parse_program
 from wpengine.semantics import (
     ORACLE,
@@ -43,6 +45,10 @@ from wpengine.syntax import (
     Var,
     VarRef,
     balanced,
+    eq_,
+    implies_,
+    le_,
+    or_,
     subst_exp,
     true_,
 )
@@ -287,6 +293,153 @@ def test_oracle_assisted_matches_reference(build):
 
 
 # ---------------------------------------------------------------------------
+# Chains of clauses over shared atoms
+# ---------------------------------------------------------------------------
+
+def _compiled_by(phi, builder: str) -> bool:
+    """Whether ``phi``'s closure is made by the named compile function."""
+    return semantics._guard(phi).__qualname__ == f"{builder}.<locals>.fn"
+
+
+def test_shared_clause_chains_match_reference_fuzz():
+    """Chains of implications, disjunctions and equalities over one pool of
+    guards, so that atoms and sub-chains recur across clauses."""
+    rng = random.Random(7104)
+    outcomes = {True: 0, False: 0}
+    tabled = 0
+    for _ in range(150):
+        literals = [rand_value(rng) for _ in range(3)]
+        maker = TermMaker(rng, literals)
+        pool = [maker.guard(2) for _ in range(4)]
+        pool += [eq_(maker.side(), maker.side()), le_(maker.side(), maker.side())]
+        pool += [Not(rng.choice(pool))]
+        parts = []
+        for _ in range(rng.randint(2, 12)):
+            p, q = rng.choice(pool), rng.choice(pool)
+            match rng.randint(0, 4):
+                case 0:
+                    parts.append(implies_(p, q))
+                case 1:
+                    parts.append(or_(p, q))
+                case 2:
+                    parts.append(eq_(maker.side(), maker.side()))
+                case 3:
+                    parts.append(And(p, q))
+                case _:
+                    parts.append(p)
+        chain = rng.choice([left_nested, right_nested])(parts)
+        if rng.random() < 0.2:
+            chain = Not(chain)
+        for _ in range(8):
+            sigma = rand_state(rng, literals)
+            got = eval_bexpr(chain, sigma)
+            assert type(got) is bool and got == ref_bexpr(chain, sigma)
+            outcomes[got] += 1
+        tabled += _compiled_by(chain, "_clause_table")
+    assert min(outcomes.values()) > 150
+    assert tabled > 50
+
+
+SUMMAND_GUARDS = [
+    lambda s, c: Lt(s, c),
+    lambda s, c: le_(s, c),
+    lambda s, c: eq_(s, c),
+    lambda s, c: And(le_(c, s), Lt(s, RatLit(c.value + 2))),
+    lambda s, c: or_(Lt(s, c), Lt(RatLit(c.value + 2), s)),
+    lambda s, c: Not(eq_(s, c)),
+]
+
+
+def test_cut_form_matches_reference_at_every_sign_pattern():
+    """``to_dnf(f).matrix`` of 1-6 guarded summands, each guard over a
+    variable of its own, at a state for each of the 2^n sign patterns and
+    cuts at, below and above the pattern's sum."""
+    rng = random.Random(7105)
+    compared = 0
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        literals = [rand_value(rng) for _ in range(3)]
+        maker = TermMaker(rng, literals)
+        summands, choices = [], []
+        for i in range(n):
+            s, c = VarRef(Var(f"s{i}")), RatLit(F(rng.randint(1, 3)))
+            phi = rng.choice(SUMMAND_GUARDS)(s, c)
+            # values of s at which phi holds, and at which it fails
+            values = {True: [], False: []}
+            for q in (F(0), c.value, c.value + 1, c.value + 3):
+                values[ref_bexpr(phi, state(**{f"s{i}": q}))].append(q)
+            summands.append(Guard(phi, Arith(maker.term(2))))
+            choices.append(values)
+        d = to_dnf(reduce(Plus, summands))
+        for signs in itertools.product((True, False), repeat=n):
+            base = rand_state(rng, literals)
+            bindings = {v: q for v, q in base.items() if v != d.cut_var}
+            for i, sign in enumerate(signs):
+                bindings[Var(f"s{i}")] = rng.choice(choices[i][sign])
+            sigma = State(bindings)
+            total = sum((ref_aexpr(g.body.expr, sigma)
+                         for g, sign in zip(summands, signs) if sign), F(0))
+            for cut in {total, total + F(1, 2), max(total - F(1, 3), F(0))}:
+                at = sigma.set(d.cut_var, cut)
+                got = eval_bexpr(d.matrix, at)
+                assert got == ref_bexpr(d.matrix, at) == (cut < total)
+                compared += 1
+        if n > 1:
+            assert _compiled_by(d.matrix, "_clause_table")
+    assert compared > 1000
+
+
+def _counting(atom, calls: list):
+    """Put a closure that logs its calls in ``atom``'s compiled slot."""
+    def fn(s):
+        calls.append(atom)
+        return ref_bexpr(atom, s)
+    object.__setattr__(atom, "_fn", fn)
+
+
+def test_shared_atom_runs_at_most_once_per_call():
+    x, y = VarRef(Var("x")), VarRef(Var("y"))
+    a, b, c = Lt(x, RatLit(F(1))), Lt(y, RatLit(F(2))), Lt(x, y)
+    calls = []
+    for atom in (a, b, c):
+        _counting(atom, calls)
+    chain = balanced(And, [implies_(a, b), or_(Not(a), c), implies_(Not(b), Not(c)),
+                           or_(a, Not(b)), Not(And(a, And(b, Not(c))))], true_)
+    most = 0
+    for xv in (0, 1, 2, 3):
+        for yv in (0, 1, 2, 3):
+            sigma = state(x=xv, y=yv)
+            calls.clear()
+            assert eval_bexpr(chain, sigma) == ref_bexpr(chain, sigma)
+            assert len(calls) == len({id(atom) for atom in calls})
+            most = max(most, len(calls))
+    assert most == 3
+
+
+def test_cut_form_runs_each_summand_guard_at_most_once_per_call():
+    names = [Var(f"s{i}") for i in range(5)]
+    guards = [Lt(VarRef(v), RatLit(F(1))) for v in names]
+    calls = []
+    for phi in guards:
+        _counting(phi, calls)
+    f = reduce(Plus, [Guard(phi, Arith(VarRef(v))) for phi, v in zip(guards, names)])
+    d = to_dnf(f)
+    for signs in itertools.product((0, 2), repeat=len(names)):
+        sigma = State(dict(zip(names, map(F, signs)))).set(d.cut_var, 1)
+        calls.clear()
+        assert eval_bexpr(d.matrix, sigma) == ref_bexpr(d.matrix, sigma)
+        assert sorted(map(id, calls)) == sorted(map(id, guards))
+
+
+def test_chains_without_shared_atoms_keep_the_plain_loop():
+    x, c = VarRef(Var("x")), VarRef(Var("c"))
+    loop_guard = And(eq_(c, RatLit(F(1))), Lt(x, RatLit(F(40))))
+    assert _compiled_by(loop_guard, "_conjunction")
+    # a negated chain, like every implication at the root, too
+    assert _compiled_by(implies_(Lt(x, c), Lt(c, x)), "_conjunction")
+
+
+# ---------------------------------------------------------------------------
 # Lifetime and staleness
 # ---------------------------------------------------------------------------
 
@@ -372,6 +525,26 @@ def test_deep_conjunction_at_default_recursion_limit(nesting):
     assert eval_bexpr(chain, state(y=F(1, 2))) is True
     assert eval_bexpr(chain, state(y=1)) is False
     assert eval_bexpr(chain, state(x=n)) is False
+
+
+def test_deep_shared_clauses_at_default_recursion_limit():
+    """Atoms shared by a clause of 5000 literals, and by 5000 clauses,
+    compile and evaluate without recursion."""
+    assert sys.getrecursionlimit() == 1000
+    x, y = VarRef(Var("x")), VarRef(Var("y"))
+    n = 5000
+    below = Lt(y, RatLit(F(1)))
+    long = left_nested([Lt(x, RatLit(F(i + 1))) for i in range(n)])
+    # (long -> y < 1) && (long || !(y < 1)), and long holds when x < 1
+    deep = And(implies_(long, below), or_(long, Not(below)))
+    assert _compiled_by(deep, "_clause_table")
+    assert [eval_bexpr(deep, sigma) for sigma in
+            (state(), state(y=1), state(x=n, y=1), state(x=n))] == [True, False, True, False]
+    # y < 1 || x < 1, with y < 1 in every clause
+    wide = balanced(And, [or_(below, Lt(x, RatLit(F(i + 1)))) for i in range(n)], true_)
+    assert _compiled_by(wide, "_clause_table")
+    assert [eval_bexpr(wide, sigma) for sigma in
+            (state(), state(y=1), state(x=1, y=1), state(x=1))] == [True, True, False, True]
 
 
 def test_deep_guard_exit_code(capsys, tmp_path):

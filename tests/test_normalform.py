@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -11,19 +12,24 @@ from wpengine.normalform import DNF, dnf_recover, to_dnf, to_prenex, to_snf
 from wpengine.parser import parse_bexpr, parse_exp
 from wpengine.semantics import QDomain, calkin_wilf, eval_exp, state
 from wpengine.syntax import (
+    Add,
     And,
     Arith,
     Guard,
     Inf,
     Lt,
     Mul,
+    Not,
     Plus,
     RatLit,
     Scale,
     Sup,
     Var,
     VarRef,
+    alit,
+    balanced,
     free_vars,
+    implies_,
     print_bexpr,
     print_exp,
     true_,
@@ -246,3 +252,64 @@ def test_dnf_cut_var_fresh_and_distinct():
     d = to_dnf(f)
     assert d.cut_var not in {v for _, v in d.prefix}
     assert d.cut_var.reserved
+
+
+def reference_dnf_matrix(f, cut: Var):
+    """The cut form's matrix built one sign pattern at a time, each with
+    balanced joins of its own."""
+    zero = RatLit(F(0))
+    conjuncts = []
+    for signs in product(*(((phi, a), (Not(phi), zero)) for phi, a in to_snf(f).summands)):
+        sign_guards = balanced(And, [b for b, _ in signs], true_)
+        total = balanced(Add, [t for _, t in signs], lambda: alit(0))
+        conjuncts.append(implies_(sign_guards, Lt(VarRef(cut), total)))
+    return balanced(And, conjuncts, true_)
+
+
+def _distinct_joins(phi) -> dict[type, int]:
+    """The number of distinct ``And`` and ``Add`` nodes of a guard, by
+    identity."""
+    seen, stack = {}, [phi]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            match node:
+                case And(l, r) | Add(l, r) | Lt(l, r) | Mul(l, r):
+                    stack += (l, r)
+                case Not(arg):
+                    stack.append(arg)
+    kinds = [type(node) for node in seen.values()]
+    return {kind: kinds.count(kind) for kind in (And, Add)}
+
+
+def test_dnf_matrix_equals_pattern_by_pattern_reference():
+    from wpengine.checks import rand_exp
+
+    rng = random.Random(12)
+    sizes = set()
+    for _ in range(60):
+        f = rand_exp(rng, [Var("x"), Var("y")], 3)
+        if len(to_snf(f).summands) > 8:
+            continue
+        d = to_dnf(f)
+        want = reference_dnf_matrix(f, d.cut_var)
+        assert d.matrix == want
+        assert print_bexpr(d.matrix) == print_bexpr(want)
+        sizes.add(len(to_snf(f).summands))
+    assert {1, 2, 3, 4} <= sizes
+
+
+def test_dnf_patterns_share_their_joins():
+    f = parse_exp("[x < 1] * x + [y < 2] * y + [x = y] * 3 + [y <= x && x < 4] * (x * y)"
+                  " + 2 + [z < x] * z")
+    n = len(to_snf(f).summands)
+    assert n == 6
+    d = to_dnf(f)
+    want = reference_dnf_matrix(f, d.cut_var)
+    assert d.matrix == want
+    # about 2^n joins of each kind in sign patterns, and 2^n implications
+    # and 2^n - 1 joins of the matrix's own chain
+    got = _distinct_joins(d.matrix)
+    assert all(count <= 4 * 2 ** n for count in got.values()), got
+    assert all(count > 4 * 2 ** n for count in _distinct_joins(want).values())

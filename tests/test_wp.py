@@ -27,8 +27,10 @@ from wpengine.syntax import (
     Var,
     VarRef,
     balanced,
+    contains_loop,
     print_exp,
     print_program,
+    vars_program,
 )
 from wpengine.wp import (
     VarSet,
@@ -331,6 +333,18 @@ def test_long_statement_chain_parses_without_recursion():
     prog = parse_program("; ".join(["x := 1"] * 10**4))
     assert isinstance(prog, Seq) and isinstance(prog.second, Seq)
     assert wp_loop_free(prog, POST_X) == Arith(RatLit(F(1)))
+
+
+def test_long_statement_chain_walks_without_recursion():
+    """The program walkers flatten a 10^4-statement chain on a stack."""
+    assert sys.getrecursionlimit() == 1000
+    n = 10**4
+    prog = parse_program("; ".join(["x := 1"] * n))
+    assert vars_program(prog) == {Var("x")}
+    assert not contains_loop(prog)
+    assert contains_loop(Seq(prog, parse_program("while (x < 1) { x := 1 }")))
+    assert print_program(prog) == ";\n".join(["x := 1"] * n)
+    assert forward_dist(prog, state(x=5), VarSet.of("x"), 1).items() == {state(x=1): F(1)}.items()
 
 
 def test_path_sum_matches_kleene():
