@@ -33,7 +33,7 @@ for k in range(9):
     assert plan == path_sum(geo, post, start, vs, k)
     print(f"  k={k}: {plan}")
 
-limit = encoding.plan_sup(start, 30)
+limit = encoding.plan_eval(start, 30)
 print(f"\nsupremum over k<=30: {limit} ~ {float(limit.finite):.7f}")
 print("the concise closed form x + [c = 1] * 2 evaluates to",
       eval_exp(parse_exp('x + [c = 1] * 2'), start))

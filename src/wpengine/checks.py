@@ -198,16 +198,25 @@ def rand_loop(rng: random.Random) -> tuple[While, Exp, VarSet]:
 # Suites
 # ---------------------------------------------------------------------------
 
-def check_duality(seed: int = 0, cases: int = 200, states_per_case: int = 20) -> CheckReport:
+# The size of each suite, fixed so that a report depends on its seed alone.
+DUALITY_CASES, DUALITY_STATES = 200, 20
+PRENEX_CASES, PRENEX_STATES, PRENEX_DOM_SIZES = 100, 10, (0, 3, 8)
+DNF_CASES, DNF_STATES, DNF_CUTS = 100, 10, 10
+SERIES_ODOT_CASES, SERIES_CUT_CASES = 200, 100
+LOOP_COUNT, LOOP_DEPTH = 20, 8
+FO_CASES = 200
+
+
+def check_duality(seed: int = 0) -> CheckReport:
     """Backward transformer vs forward distribution on loop-free programs."""
     rng = random.Random(seed)
     report = CheckReport("duality")
-    for i in range(cases):
+    for i in range(DUALITY_CASES):
         prog = rand_loop_free(rng, PROGRAM_VARS, 4)
         post = rand_qf_exp(rng, PROGRAM_VARS, 2)
         varset = VarSet.of(*[v.name for v in PROGRAM_VARS])
         pre = wp_loop_free(prog, post)
-        for _ in range(states_per_case):
+        for _ in range(DUALITY_STATES):
             sigma = rand_state(rng, PROGRAM_VARS)
             report.cases += 1
             backward = eval_exp(pre, sigma)
@@ -240,19 +249,18 @@ def _rule_instance(rng: random.Random, rule: str, quant) -> tuple[Exp, Exp]:
     return Guard(phi, quant(v, inner)), quant(fresh, Guard(phi, renamed))
 
 
-def check_prenex(seed: int = 0, cases: int = 100, states_per_case: int = 10,
-                 dom_sizes: tuple[int, ...] = (0, 3, 8)) -> CheckReport:
+def check_prenex(seed: int = 0) -> CheckReport:
     """The four pull rules, for both quantifiers, under restricted evaluation."""
     rng = random.Random(seed)
     report = CheckReport("prenex")
-    per_rule = max(1, cases // 8)
+    per_rule = max(1, PRENEX_CASES // 8)
     for rule in _PRENEX_RULES:
         for quant in (Sup, Inf):
             for i in range(per_rule):
                 lhs, rhs = _rule_instance(rng, rule, quant)
-                for _ in range(states_per_case):
+                for _ in range(PRENEX_STATES):
                     sigma = rand_state(rng, [Var("x"), Var("y")])
-                    for size in dom_sizes:
+                    for size in PRENEX_DOM_SIZES:
                         dom = calkin_wilf(size, {rand_rat(rng)})
                         report.cases += 1
                         lv = eval_exp(lhs, sigma, dom)
@@ -285,21 +293,20 @@ def rand_snf_exp(rng: random.Random) -> Exp:
     return out
 
 
-def check_dnf(seed: int = 0, cases: int = 100, states_per_case: int = 10,
-              cuts_per_state: int = 10) -> CheckReport:
+def check_dnf(seed: int = 0) -> CheckReport:
     """Indicator equivalence and recovery of the cut normal form."""
     rng = random.Random(seed)
     report = CheckReport("dnf")
-    for i in range(cases):
+    for i in range(DNF_CASES):
         f = rand_snf_exp(rng)
         d = to_dnf(f)
         de = d.to_exp()
         recovered = dnf_recover(d)
-        for _ in range(states_per_case):
+        for _ in range(DNF_STATES):
             sigma = rand_state(rng, [Var("x"), Var("y")])
             dom = calkin_wilf(6, {rand_rat(rng)})
             value = eval_exp(f, sigma, dom)
-            cuts = list(dom)[:cuts_per_state]
+            cuts = list(dom)[:DNF_CUTS]
             for r in cuts:
                 report.cases += 1
                 got = eval_exp(de, sigma.set(d.cut_var, r), dom)
@@ -378,8 +385,7 @@ def check_goedel(seed: int = 0) -> CheckReport:
     return report
 
 
-def check_series(seed: int = 0, odot_cases: int = 200,
-                 cut_cases: int = 100) -> CheckReport:
+def check_series(seed: int = 0) -> CheckReport:
     """Aggregates against direct iteration; both product constructions."""
     rng = random.Random(seed)
     report = CheckReport("series")
@@ -407,7 +413,7 @@ def check_series(seed: int = 0, odot_cases: int = 200,
             report.fail(kind="factorial", n=n, got=got)
 
     variables = [Var("x"), Var("y")]
-    for i in range(odot_cases):
+    for i in range(SERIES_ODOT_CASES):
         f = rand_qf_exp(rng, variables, 2)
         g = rand_qf_exp(rng, variables, 2)
         sigma = rand_state(rng, variables)
@@ -417,7 +423,7 @@ def check_series(seed: int = 0, odot_cases: int = 200,
         if got != want:
             report.fail(kind="odot", case=i, f=print_exp(f), g=print_exp(g),
                         state=sigma, got=got, want=want)
-    for i in range(cut_cases):
+    for i in range(SERIES_CUT_CASES):
         f = rand_qf_exp(rng, variables, 1)
         g = rand_qf_exp(rng, variables, 1)
         sigma = rand_state(rng, variables)
@@ -430,16 +436,16 @@ def check_series(seed: int = 0, odot_cases: int = 200,
     return report
 
 
-def check_loop(seed: int = 0, loops: int = 20, depth: int = 8) -> CheckReport:
+def check_loop(seed: int = 0) -> CheckReport:
     """Four-way agreement at every truncation depth."""
     rng = random.Random(seed)
     report = CheckReport("loop")
-    for i in range(loops):
+    for i in range(LOOP_COUNT):
         loop, post, varset = rand_loop(rng)
         sigma = State({Var("c"): Fraction(1), Var("x"): Fraction(rng.randint(0, 2))})
         encoding = encode_loop(loop, post, varset)
         phi_values = []
-        for k in range(depth + 1):
+        for k in range(LOOP_DEPTH + 1):
             report.cases += 1
             kleene = kleene_iterate(loop, post, sigma, k)
             paths = path_sum(loop, post, sigma, varset, k)
@@ -474,12 +480,12 @@ def rand_fo(rng: random.Random, variables, depth: int) -> FOFormula:
             return ctor(v, rand_fo(rng, variables + [v], depth - 1))
 
 
-def check_fo(seed: int = 0, cases: int = 200) -> CheckReport:
+def check_fo(seed: int = 0) -> CheckReport:
     """{0,1}-valuedness of embeddings; guarding of the naturals translation."""
     rng = random.Random(seed)
     report = CheckReport("fo")
     variables = [Var("x"), Var("y")]
-    for i in range(cases):
+    for i in range(FO_CASES):
         p = goedel.fo_prenex(rand_fo(rng, variables, 3))
         emb = goedel.fo_to_exp(p)
         sigma = rand_state(rng, variables)
@@ -495,7 +501,7 @@ def check_fo(seed: int = 0, cases: int = 200) -> CheckReport:
                         got=value, want=want)
     # naturalness guarding: quantifier-free and bounded-quantifier instances
     y = Var("y")
-    for i in range(cases // 2):
+    for i in range(FO_CASES // 2):
         qf = rand_bexpr(rng, [y], 1)
         bound = rng.randint(1, 3)
         v = Var("v")

@@ -50,10 +50,12 @@ from .syntax import (
     Mul,
     Nat,
     Not,
+    Prefix,
     RatLit,
     Sup,
     Var,
     VarRef,
+    _children,
     aexpr,
     all_vars,
     balanced,
@@ -63,6 +65,8 @@ from .syntax import (
     is_quantifier_free,
     le_,
     or_,
+    quantify,
+    split_prefix,
     substitute,
     true_,
     with_intrinsic,
@@ -520,30 +524,10 @@ def stateseq_formula(varset, num: AExpr, length: AExpr) -> FOFormula:
 
 def _map_fo(p: FOFormula, leaf) -> FOFormula:
     """Rebuild a formula with each atom mapped by ``leaf``."""
-
-    def go(q: FOFormula) -> FOFormula:
-        spine = []
-        while isinstance(q, (Exists, Forall)):
-            spine.append((type(q), q.var))
-            q = q.body
-        match q:
-            case Atom() | Nat():
-                out = leaf(q)
-            case FOAnd(l, r):
-                out = FOAnd(go(l), go(r))
-            case FOOr(l, r):
-                out = FOOr(go(l), go(r))
-            case FOImplies(l, r):
-                out = FOImplies(go(l), go(r))
-            case FONot(arg):
-                out = FONot(go(arg))
-            case _:
-                raise TypeError(q)
-        for ctor, v in reversed(spine):
-            out = ctor(v, out)
-        return out
-
-    return go(p)
+    prefix, q = split_prefix(p)
+    if isinstance(q, (Atom, Nat)):
+        return quantify(prefix, leaf(q))
+    return quantify(prefix, type(q)(*(_map_fo(c, leaf) for c in _children(q))))
 
 
 def expand_nat_atoms(p: FOFormula) -> FOFormula:
@@ -553,9 +537,8 @@ def expand_nat_atoms(p: FOFormula) -> FOFormula:
     )
 
 
-FOPrefix = list[tuple[str, Var]]  # "E" | "A"
-
 _DUAL = {Exists: Forall, Forall: Exists}
+_TO_EXP = {Exists: Sup, Forall: InfExp}
 
 
 def fo_prenex(p: FOFormula) -> FOFormula:
@@ -573,7 +556,7 @@ def fo_prenex(p: FOFormula) -> FOFormula:
     """
     free = free_vars(p)
     taken = {v.name for v in all_vars(p)}
-    prefix: list[tuple[type, Var]] = []
+    prefix: Prefix = []
     bound: set[Var] = set()
 
     def bind(quant: type, var: Var, ren: dict) -> dict:
@@ -589,9 +572,9 @@ def fo_prenex(p: FOFormula) -> FOFormula:
         return {**ren, var: new} if new != var else ren
 
     def go(q: FOFormula, ren: dict, flip: bool) -> FOFormula:
-        while isinstance(q, (Exists, Forall)):
-            ren = bind(_DUAL[type(q)] if flip else type(q), q.var, ren)
-            q = q.body
+        heads, q = split_prefix(q)
+        for quant, var in heads:
+            ren = bind(_DUAL[quant] if flip else quant, var, ren)
         match q:
             case Atom(pred):
                 clashes = ren.keys() & free_vars(pred)
@@ -608,28 +591,17 @@ def fo_prenex(p: FOFormula) -> FOFormula:
                 return type(q)(go(l, ren, flip), go(r, ren, flip))
         raise TypeError(q)
 
-    out = go(p, {}, False)
-    for quant, var in reversed(prefix):
-        out = quant(var, out)
-    return out
+    matrix = go(p, {}, False)
+    return quantify(prefix, matrix)
 
 
-def fo_prenex_split(p: FOFormula) -> tuple[FOPrefix, FOFormula]:
-    """Split an already-prenex formula into its prefix and matrix."""
-    prefix: FOPrefix = []
-    while True:
-        match p:
-            case Exists(v, body):
-                prefix.append(("E", v))
-                p = body
-            case Forall(v, body):
-                prefix.append(("A", v))
-                p = body
-            case _:
-                break
-    if not is_quantifier_free(p):
+def fo_prenex_split(p: FOFormula) -> tuple[Prefix, FOFormula]:
+    """Split an already-prenex formula into its prefix of (Exists|Forall,
+    variable) pairs and its matrix."""
+    prefix, matrix = split_prefix(p)
+    if not is_quantifier_free(matrix):
         raise NotPrenex("quantifier below a connective")
-    return prefix, p
+    return prefix, matrix
 
 
 def fo_nat_to_rat(p: FOFormula) -> FOFormula:
@@ -646,10 +618,7 @@ def fo_nat_to_rat(p: FOFormula) -> FOFormula:
     for g in guards:
         out = FOAnd(out, g)
     for quant, var in reversed(prefix):
-        if quant == "E":
-            out = Exists(var, out)
-        else:
-            out = Forall(var, FOImplies(Nat(var), out))
+        out = quant(var, out if quant is Exists else FOImplies(Nat(var), out))
     return out
 
 
@@ -679,10 +648,8 @@ def fo_to_exp(p: FOFormula) -> Exp:
     becomes an Iverson guard over the constant one.
     """
     prefix, matrix = fo_prenex_split(p)
-    out: Exp = Guard(_matrix_to_bexpr(matrix), Arith(RatLit(Fraction(1))))
-    for quant, var in reversed(prefix):
-        out = Sup(var, out) if quant == "E" else InfExp(var, out)
-    return out
+    return quantify([(_TO_EXP[quant], var) for quant, var in prefix],
+                    Guard(_matrix_to_bexpr(matrix), Arith(RatLit(Fraction(1)))))
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,7 @@ from .syntax import (
     eq_,
     free_vars,
     le_,
+    quantify,
     substitute,
     true_,
     vars_program,
@@ -80,7 +81,7 @@ from .wp import (
     path_frontiers,
     wp_loop_free,
 )
-from .xreal import ONE, XReal, ZERO, is_natural, sup
+from .xreal import ONE, XReal, ZERO, is_natural
 
 
 def primed(var: Var) -> Var:
@@ -126,9 +127,7 @@ def _state_term(target: Exp, variables: tuple[Var, ...], num: Var,
          for i, h in enumerate(helpers)]
     )
     replaced = substitute(target, {s: VarRef(h) for s, h in zip(slots, helpers)})
-    term: Exp = odot(bracket, replaced)
-    for helper in reversed(helpers):
-        term = Sup(helper, term)
+    term = quantify([(Sup, h) for h in helpers], odot(bracket, replaced))
 
     def state_plan(sigma: State, rec) -> XReal:
         code = sigma[num]
@@ -437,17 +436,6 @@ class LoopEncoding:
         if k <= 0:
             return ZERO
         return self.plan_truncations(sigma, k, dom, state_cap)[-1]
-
-    def plan_sup(self, sigma: State, max_k: int, dom=None,
-                 state_cap: int = DEFAULT_STATE_CAP) -> XReal:
-        """Monotone supremum of the truncations up to ``max_k``."""
-        return sup(self.plan_truncations(sigma, max_k, dom, state_cap))
-
-
-def path_expectation(loop: While, post: Exp, varset: VarSet,
-                     v1: Var, v2: Var) -> Exp:
-    """The per-path expectation with the length and sequence code free."""
-    return LoopEncoding(loop, post, varset, v1, v2).path_term
 
 
 def encode_loop(loop: While, post: Exp, varset: VarSet) -> LoopEncoding:

@@ -24,11 +24,11 @@ from .syntax import (
     BExpr,
     Exp,
     Guard,
-    Inf,
     Lt,
     Mul,
     Not,
     Plus,
+    Prefix,
     RatLit,
     Scale,
     Sup,
@@ -40,22 +40,19 @@ from .syntax import (
     fresh_var,
     implies_,
     quantify,
+    split_prefix,
     substitute,
     true_,
 )
 
 DEFAULT_SUMMAND_CAP = 16
 
-Quantifier = type  # Sup or Inf
-
-Prefix = list[tuple[Quantifier, Var]]
-
 
 @dataclass(frozen=True)
 class PrenexExp:
     """Quantifier prefix (outermost first) over a quantifier-free matrix."""
 
-    prefix: tuple[tuple[Quantifier, Var], ...]
+    prefix: tuple[tuple[type, Var], ...]
     matrix: Exp
 
     def to_exp(self) -> Exp:
@@ -66,7 +63,7 @@ class PrenexExp:
 class SNF:
     """Prefix over a non-empty sum of guarded terms."""
 
-    prefix: tuple[tuple[Quantifier, Var], ...]
+    prefix: tuple[tuple[type, Var], ...]
     summands: tuple[tuple[BExpr, AExpr], ...]
 
     def __post_init__(self):
@@ -94,7 +91,7 @@ class DNF:
     every prefix variable.
     """
 
-    prefix: tuple[tuple[Quantifier, Var], ...]
+    prefix: tuple[tuple[type, Var], ...]
     cut_var: Var
     matrix: BExpr
 
@@ -120,7 +117,7 @@ def to_prenex(f: Exp) -> PrenexExp:
     prefix: Prefix = []
     bound: set[Var] = set()
 
-    def bind(quant: Quantifier, var: Var, ren: dict, nested: bool) -> dict:
+    def bind(quant: type, var: Var, ren: dict, nested: bool) -> dict:
         new = var
         if var in free or var in bound or (nested and not var.reserved):
             name = var.name + "'"
@@ -139,9 +136,9 @@ def to_prenex(f: Exp) -> PrenexExp:
         return substitute(node, {v: VarRef(ren[v]) for v in clashes})
 
     def go(g: Exp, ren: dict, nested: bool) -> Exp:
-        while isinstance(g, (Sup, Inf)):
-            ren = bind(type(g), g.var, ren, nested)
-            g = g.body
+        heads, g = split_prefix(g)
+        for quant, var in heads:
+            ren = bind(quant, var, ren, nested)
         match g:
             case Arith():
                 return rename(g, ren)
@@ -231,6 +228,5 @@ def dnf_recover(d: DNF) -> Exp:
     Since the cut form is {0,1}-valued and guard-shaped, the product is the
     guard scaled by the cut variable.
     """
-    body = quantify(list(d.prefix),
+    return quantify([(Sup, d.cut_var), *d.prefix],
                     Scale(VarRef(d.cut_var), Guard(d.matrix, Arith(RatLit(Fraction(1))))))
-    return Sup(d.cut_var, body)

@@ -118,7 +118,7 @@ def _aggregate_pure(body: Exp, bound: AExpr, kind: str, agg: Var) -> Exp:
         lambda: Atom(true_()),
     )
     embedded = fo_to_exp(fo_prenex(expand_nat_atoms(bracket)))
-    inner = Inf(u, Inf(z, Sup(cut, quantify(list(dnf.prefix), embedded))))
+    inner = quantify([(Inf, u), (Inf, z), (Sup, cut), *dnf.prefix], embedded)
     return Sup(vp, Sup(num, Scale(VarRef(vp), inner)))
 
 
@@ -213,14 +213,13 @@ def dedekind_product(f: Exp, g: Exp) -> Exp:
             cut2,
             substitute(d2.matrix, {v: VarRef(v2) for v, v2 in mapping.items()}),
         )
-    body = quantify(
-        list(d1.prefix) + list(d2.prefix),
+    pure = quantify(
+        [(Sup, d1.cut_var), (Sup, cut2), *d1.prefix, *d2.prefix],
         Scale(
             Mul(VarRef(d1.cut_var), VarRef(cut2)),
             Guard(BAnd(d1.matrix, d2.matrix), Arith(RatLit(Fraction(1)))),
         ),
     )
-    pure = Sup(d1.cut_var, Sup(cut2, body))
 
     def cut_product_plan(sigma: State, rec) -> XReal:
         return rec(f, sigma) * rec(g, sigma)

@@ -8,6 +8,12 @@ tag: an evaluation plan attached by higher layers, a function
 ``plan(sigma, rec)`` of the state that is ignored by printing, equality,
 and hashing; substitution keeps it (see ``SubstPlan``).
 
+The analysis walkers read each node's children from one table,
+``_CHILDREN``.  A quantifier prefix is a list of (quantifier class,
+variable) pairs, outermost first, for ``Sup``/``Inf`` and
+``Exists``/``Forall`` alike: ``split_prefix`` takes it off, ``quantify``
+puts it back.
+
 Generated terms share subterms heavily, so they are DAGs in memory.  The
 variable, constant and substitution walkers visit each distinct node once
 per call, keying their memos on the nodes of their own input, which stay
@@ -29,6 +35,7 @@ from __future__ import annotations
 import re
 import zlib
 from collections import Counter
+from operator import attrgetter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -332,8 +339,9 @@ def with_intrinsic(node: Exp, tag: object) -> Exp:
     return replace(node, intrinsic=tag)
 
 
-def quantify(prefix: list[tuple[type, Var]], body: Exp) -> Exp:
-    """Wrap ``body`` in a quantifier prefix given as (Sup|Inf, var) pairs."""
+def quantify(prefix: Prefix, body):
+    """Wrap an expectation or formula in a prefix of (quantifier class,
+    variable) pairs, outermost first: the inverse of ``split_prefix``."""
     for quant, var in reversed(prefix):
         body = quant(var, body)
     return body
@@ -399,12 +407,58 @@ FOFormula = Union[Atom, Nat, FOAnd, FOOr, FONot, FOImplies, Exists, Forall]
 
 
 # ---------------------------------------------------------------------------
-# Variable analysis and other walkers
+# Node shapes and the walkers over them
 # ---------------------------------------------------------------------------
 
 _QF_TYPES = (RatLit, VarRef, Add, Mul, Monus, Lt, And, Not)
 _BINDERS = (Sup, Inf, Exists, Forall)
 _NO_VARS: frozenset[Var] = frozenset()
+
+_leaf = lambda node: ()
+_pair = attrgetter("left", "right")
+_body = lambda node: (node.body,)
+_arg = lambda node: (node.arg,)
+
+# The child nodes of each term, guard, expectation and formula class, left
+# to right: the one place a walker learns the shape of a node.
+_CHILDREN = {
+    RatLit: _leaf, VarRef: _leaf, Add: _pair, Mul: _pair, Monus: _pair,
+    Lt: _pair, And: _pair, Not: _arg,
+    Arith: lambda node: (node.expr,), Guard: attrgetter("cond", "body"),
+    Plus: _pair, Scale: attrgetter("factor", "body"), Sup: _body, Inf: _body,
+    Atom: lambda node: (node.pred,), Nat: _leaf, FOAnd: _pair, FOOr: _pair,
+    FONot: _arg, FOImplies: _pair, Exists: _body, Forall: _body,
+}
+
+
+def _children(node) -> tuple:
+    """The child nodes of a term, guard, expectation or formula, left to
+    right; a subclass of a node class has the shape of its node class."""
+    get = _CHILDREN.get(type(node))
+    if get is None:
+        get = next((_CHILDREN[c] for c in type(node).__mro__ if c in _CHILDREN), None)
+        if get is None:
+            # the type alone: the repr of a shared term can be astronomical
+            raise TypeError(type(node).__name__)
+    return get(node)
+
+
+Prefix = list[tuple[type, Var]]  # (Sup | Inf | Exists | Forall, variable)
+
+
+def split_prefix(node) -> tuple[Prefix, object]:
+    """Split the leading binders off an expectation or formula: their
+    (quantifier class, variable) pairs, outermost first, and the body.
+
+    Quantifier prefixes are the one place trees grow deep (generated
+    encodings stack hundreds of binders), so walkers split them off in a
+    loop instead of recursing; ``quantify`` puts a prefix back.
+    """
+    prefix: Prefix = []
+    while isinstance(node, _BINDERS):
+        prefix.append((type(node), node.var))
+        node = node.body
+    return prefix, node
 
 
 def _union(a: frozenset, b: frozenset) -> frozenset:
@@ -441,19 +495,10 @@ def _qf_vars(node) -> frozenset[Var]:
         known = getattr(n, "_vars", None)
         if known is not None:
             found.update(known)
-            continue
-        match n:
-            case RatLit():
-                pass
-            case VarRef(v):
-                found.add(v)
-            case Add(l, r) | Mul(l, r) | Monus(l, r) | Lt(l, r) | And(l, r):
-                stack.append(l)
-                stack.append(r)
-            case Not(arg):
-                stack.append(arg)
-            case _:
-                raise TypeError(n)
+        elif isinstance(n, VarRef):
+            found.add(n.var)
+        else:
+            stack.extend(_children(n))
     out = frozenset(found) if found else _NO_VARS
     object.__setattr__(node, "_vars", out)
     return out
@@ -477,33 +522,11 @@ def _mask(node) -> int:
         return node._mask
     except AttributeError:
         pass
-    match node:
-        case RatLit():
-            out = 0
-        case VarRef(v):
-            out = _bit(v)
-        case Add(l, r) | Mul(l, r) | Monus(l, r) | Lt(l, r) | And(l, r):
-            out = _mask(l) | _mask(r)
-        case Not(arg):
-            out = _mask(arg)
-        case _:
-            raise TypeError(node)
+    out = _bit(node.var) if isinstance(node, VarRef) else 0
+    for child in _children(node):
+        out |= _mask(child)
     object.__setattr__(node, "_mask", out)
     return out
-
-
-def _peel_quantifiers(f: Exp) -> tuple[list[tuple[type, Var, object]], Exp]:
-    """Split a leading quantifier chain off iteratively.
-
-    Quantifier prefixes are the one place trees grow deep (generated
-    encodings stack hundreds of binders), so every walker peels them in a
-    loop instead of recursing.
-    """
-    spine: list[tuple[type, Var, object]] = []
-    while isinstance(f, (Sup, Inf)):
-        spine.append((type(f), f.var, f.intrinsic))
-        f = f.body
-    return spine, f
 
 
 def _vars(node, free: bool, memo: dict) -> frozenset[Var]:
@@ -521,23 +544,14 @@ def _vars(node, free: bool, memo: dict) -> frozenset[Var]:
     if hit is not None:
         return hit
     root = node
-    bound = []
+    bound = []  # not ``split_prefix``: a pair per binder of a long spine wakes the
+    # cyclic collector, and ``free_vars`` of a compiled loop took 1.8x as long
     while isinstance(node, _BINDERS):
         bound.append(node.var)
         node = node.body
-    match node:
-        case Arith(a) | Atom(a):
-            out = _qf_vars(a)
-        case Nat(v):
-            out = frozenset((v,))
-        case Guard(a, body) | Scale(a, body):
-            out = _union(_qf_vars(a), _vars(body, free, memo))
-        case Plus(l, r) | FOAnd(l, r) | FOOr(l, r) | FOImplies(l, r):
-            out = _union(_vars(l, free, memo), _vars(r, free, memo))
-        case FONot(arg):
-            out = _vars(arg, free, memo)
-        case _:
-            raise TypeError(node)
+    out = frozenset((node.var,)) if isinstance(node, Nat) else _NO_VARS
+    for child in _children(node):
+        out = _union(out, _vars(child, free, memo))
     if bound:
         out = out.difference(bound) if free else out.union(bound)
     memo[id(root)] = out
@@ -578,7 +592,8 @@ def vars_program(prog: Program) -> set[Var]:
 
 
 def constants(node) -> set[Fraction]:
-    """Rational literals occurring anywhere in a term, guard or expectation.
+    """Rational literals occurring anywhere in a term, guard, expectation
+    or formula.
 
     Iterative, and each distinct node is visited once, so the cost follows
     the in-memory structure, not its tree expansion.
@@ -591,46 +606,28 @@ def constants(node) -> set[Fraction]:
         if id(n) in seen:
             continue
         seen.add(id(n))
-        match n:
-            case RatLit(q):
-                found.add(q)
-            case VarRef():
-                pass
-            case Arith(child) | Not(child) | Sup(_, child) | Inf(_, child):
-                stack.append(child)
-            case (Add(l, r) | Mul(l, r) | Monus(l, r) | Lt(l, r) | And(l, r)
-                  | Guard(l, r) | Scale(l, r) | Plus(l, r)):
-                stack.append(l)
-                stack.append(r)
-            case _:
-                raise TypeError(n)
+        if isinstance(n, RatLit):
+            found.add(n.value)
+        stack.extend(_children(n))
     return found
 
 
 def is_quantifier_free(node) -> bool:
     """Whether an expectation or formula contains no quantifier.
 
-    Iterative, and each distinct node is visited once.
+    Iterative, and each distinct node is visited once; terms and guards,
+    which cannot hold a quantifier, are not entered.
     """
     seen: set[int] = set()
     stack = [node]
     while stack:
         n = stack.pop()
-        if id(n) in seen:
+        if isinstance(n, _QF_TYPES) or id(n) in seen:
             continue
         seen.add(id(n))
-        match n:
-            case Sup() | Inf() | Exists() | Forall():
-                return False
-            case Arith() | Atom() | Nat():
-                pass
-            case Guard(_, child) | Scale(_, child) | FONot(child):
-                stack.append(child)
-            case Plus(l, r) | FOAnd(l, r) | FOOr(l, r) | FOImplies(l, r):
-                stack.append(l)
-                stack.append(r)
-            case _:
-                raise TypeError(n)
+        if isinstance(n, _BINDERS):
+            return False
+        stack.extend(_children(n))
     return True
 
 
@@ -882,6 +879,11 @@ def print_program(prog: Program, indent: str = "") -> str:
     raise TypeError(prog)
 
 
+def _print_prefix(prefix: Prefix) -> str:
+    """``sup v: inf w: ...``; each binder prints as its class name."""
+    return "".join(f"{quant.__name__.lower()} {v.name}: " for quant, v in prefix)
+
+
 def print_exp(f: Exp, prec: int = 0) -> str:
     """Render an expectation.
 
@@ -904,11 +906,8 @@ def print_exp(f: Exp, prec: int = 0) -> str:
             s = f"{print_exp(l, 1)} + {print_exp(r, 2)}"
             return f"({s})" if prec > 1 else s
         case Sup(_, _) | Inf(_, _):
-            spine, matrix = _peel_quantifiers(f)
-            heads = "".join(
-                f"{'sup' if ctor is Sup else 'inf'} {v.name}: " for ctor, v, _ in spine
-            )
-            s = heads + print_exp(matrix, 0)
+            prefix, matrix = split_prefix(f)
+            s = _print_prefix(prefix) + print_exp(matrix, 0)
             return f"({s})" if prec > 0 else s
     raise TypeError(f)
 
@@ -924,35 +923,15 @@ def exp_tree_size(f: Exp) -> int:
     stack: list[tuple[object, bool]] = [(f, False)]
     while stack:
         node, expanded = stack.pop()
-        if id(node) in sizes and sizes[id(node)] >= 0:
+        if sizes.get(id(node), -1) >= 0:
             continue
-        children: list
-        match node:
-            case RatLit() | VarRef() | Var():
-                sizes[id(node)] = 1
-                continue
-            case Arith(a):
-                children = [a]
-            case Guard(cond, body):
-                children = [cond, body]
-            case Plus(l, r) | Add(l, r) | Mul(l, r) | Monus(l, r) | And(l, r) | Lt(l, r):
-                children = [l, r]
-            case Scale(a, body):
-                children = [a, body]
-            case Sup(_, body) | Inf(_, body):
-                children = [body]
-            case Not(arg):
-                children = [arg]
-            case _:
-                raise TypeError(node)
-        if expanded:
+        children = _children(node)
+        if expanded or not children:
             sizes[id(node)] = 1 + sum(sizes[id(c)] for c in children)
         else:
             sizes[id(node)] = -1
             stack.append((node, True))
-            for child in children:
-                if sizes.get(id(child), -1) < 0:
-                    stack.append((child, False))
+            stack.extend((c, False) for c in children if sizes.get(id(c), -1) < 0)
     return sizes[id(f)]
 
 
@@ -981,11 +960,7 @@ def print_fo(p: FOFormula, prec: int = 0) -> str:
         case FONot(arg):
             return f"!{print_fo(arg, 4)}"
         case Exists(_, _) | Forall(_, _):
-            heads = []
-            while isinstance(p, (Exists, Forall)):
-                word = "exists" if isinstance(p, Exists) else "forall"
-                heads.append(f"{word} {p.var.name}: ")
-                p = p.body
-            s = "".join(heads) + print_fo(p, 0)
+            prefix, matrix = split_prefix(p)
+            s = _print_prefix(prefix) + print_fo(matrix, 0)
             return f"({s})" if prec > 0 else s
     raise TypeError(p)

@@ -295,34 +295,41 @@ def _forward(prog: Program, frontier: dict[State, Fraction], varset: VarSet,
 # Semantic backward interpreter and fixed-point iteration
 # ---------------------------------------------------------------------------
 
-def _sem_wp(prog: Program, cont, sigma: State, fuel: int, state_cap: int) -> XReal:
+def _sem_wp(todo, cont, sigma: State, fuel: int, state_cap: int) -> XReal:
     """Apply the backward transformer to a semantic continuation.
 
-    ``cont`` maps states to extended reals.  While loops are approximated by
-    their own ``fuel``-fold iteration (the documented approximation knob for
+    ``todo`` is the statements still to run, as a linked stack of
+    (statement, rest) pairs ending in None, and ``cont`` maps final states
+    to extended reals.  Assignments update the state in place and ``;``
+    and conditionals push statements, so only coin flips and loops
+    recurse, not a chain's length.  While loops are approximated by their
+    own ``fuel``-fold iteration (the documented approximation knob for
     nested loops), each with its own memo table under ``state_cap``.
     """
-    match prog:
-        case Skip():
-            return cont(sigma)
-        case Assign(var, expr):
-            return cont(sigma.set(var, eval_aexpr(expr, sigma)))
-        case Seq(first, second):
-            rest = lambda tau: _sem_wp(second, cont, tau, fuel, state_cap)
-            return _sem_wp(first, rest, sigma, fuel, state_cap)
-        case PChoice(left, p, right):
-            total = ZERO
-            for branch, weight in ((left, p), (right, 1 - p)):
-                if weight:
-                    total = total + XReal.of(weight) * _sem_wp(
-                        branch, cont, sigma, fuel, state_cap)
-            return total
-        case Ite(cond, then, orelse):
-            branch = then if eval_bexpr(cond, sigma) else orelse
-            return _sem_wp(branch, cont, sigma, fuel, state_cap)
-        case While():
-            return _kleene_value(prog, cont, sigma, fuel, state_cap)
-    raise TypeError(prog)
+    while todo is not None:
+        prog, todo = todo
+        match prog:
+            case Skip():
+                pass
+            case Assign(var, expr):
+                sigma = sigma.set(var, eval_aexpr(expr, sigma))
+            case Seq(first, second):
+                todo = (first, (second, todo))
+            case Ite(cond, then, orelse):
+                todo = (then if eval_bexpr(cond, sigma) else orelse, todo)
+            case PChoice(left, p, right):
+                total = ZERO
+                for branch, weight in ((left, p), (right, 1 - p)):
+                    if weight:
+                        total = total + XReal.of(weight) * _sem_wp(
+                            (branch, todo), cont, sigma, fuel, state_cap)
+                return total
+            case While():
+                after = lambda tau: _sem_wp(todo, cont, tau, fuel, state_cap)
+                return _kleene_value(prog, after, sigma, fuel, state_cap)
+            case _:
+                raise TypeError(prog)
+    return cont(sigma)
 
 
 def _kleene_value(loop: While, cont, sigma: State, fuel: int, state_cap: int) -> XReal:
@@ -343,8 +350,8 @@ def _kleene_value(loop: While, cont, sigma: State, fuel: int, state_cap: int) ->
                 f"memo table reached {met} entries, above the cap of {state_cap}"
             )
         if eval_bexpr(loop.cond, s):
-            value = _sem_wp(loop.body, lambda tau: go(level - 1, tau), s, fuel,
-                            state_cap)
+            value = _sem_wp((loop.body, None), lambda tau: go(level - 1, tau), s,
+                            fuel, state_cap)
         else:
             value = cont(s)
         cache[key] = value

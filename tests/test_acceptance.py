@@ -35,7 +35,7 @@ def _report(number: int, name: str, passed: bool, detail: str):
 
 def test_criterion_1_duality():
     started = time.time()
-    report = check_duality(seed=1, cases=200, states_per_case=20)
+    report = check_duality(seed=1)
     elapsed = time.time() - started
     detail = f"{report.cases} evaluations, {elapsed:.1f}s"
     if report.failures:
@@ -71,7 +71,7 @@ def test_criterion_2_geometric_closed_form():
 
 def test_criterion_3_three_way_identity():
     started = time.time()
-    report = check_loop(seed=3, loops=20, depth=8)
+    report = check_loop(seed=3)
     elapsed = time.time() - started
     detail = f"{report.cases} depth checks over 20 loops, {elapsed:.1f}s"
     if report.failures:
@@ -81,8 +81,7 @@ def test_criterion_3_three_way_identity():
 
 
 def test_criterion_4_prenex_rules():
-    report = check_prenex(seed=4, cases=100, states_per_case=10,
-                          dom_sizes=(0, 3, 8))
+    report = check_prenex(seed=4)
     detail = f"{report.cases} rule-instantiation evaluations"
     if report.failures:
         detail += f"; first failure {report.failures[0]}"
@@ -90,7 +89,7 @@ def test_criterion_4_prenex_rules():
 
 
 def test_criterion_5_dedekind_normal_form():
-    report = check_dnf(seed=5, cases=100, states_per_case=10, cuts_per_state=10)
+    report = check_dnf(seed=5)
     detail = f"{report.cases} indicator and recovery checks"
     if report.failures:
         detail += f"; first failure {report.failures[0]}"
@@ -111,7 +110,7 @@ def test_criterion_6_goedelization():
 
 
 def test_criterion_7_series():
-    report = check_series(seed=7, odot_cases=200, cut_cases=100)
+    report = check_series(seed=7)
     detail = f"{report.cases} aggregate and product checks"
     if report.failures:
         detail += f"; first failure {report.failures[0]}"
@@ -119,7 +118,7 @@ def test_criterion_7_series():
 
 
 def test_criterion_8_fo_embedding():
-    report = check_fo(seed=8, cases=200)
+    report = check_fo(seed=8)
     detail = f"{report.cases} formula checks"
     if report.failures:
         detail += f"; first failure {report.failures[0]}"

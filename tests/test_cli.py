@@ -167,6 +167,16 @@ def test_long_statement_chain_forward(capsys, tmp_path):
     assert out == "{'x': '1'} -> 1\nmass 1\n"
 
 
+def test_kleene_long_loop_body(capsys, tmp_path):
+    assert sys.getrecursionlimit() == 1000
+    loop = tmp_path / "loop.pgcl"
+    loop.write_text("while (c = 1) { " + "x := x + 1; " * 9999 + "c := 0 }")
+    code, out, _ = run(capsys, "wp", "--kleene", "2", "-p", str(loop), "-f", "x",
+                       "--at", "c=1")
+    assert code == 0
+    assert out == "9999\n"
+
+
 @pytest.mark.parametrize("exp, message", [
     (" + ".join(f"[x < {i}] * {i}" for i in range(17)),
      "17 summands exceed the 2^n cap of 16"),

@@ -9,12 +9,12 @@ import pytest
 from wpengine.errors import ContainsLoop, FreeVarsOutsideVarSet
 from wpengine.goedel import encode_state, encode_state_seq, logical_var
 from wpengine.loops import (
+    LoopEncoding,
     body_wp_template,
     char_assertion,
     encode_loop,
     goedel_apply,
     goedel_subst,
-    path_expectation,
     primed,
 )
 from wpengine.parser import parse_exp, parse_program
@@ -41,7 +41,7 @@ import functools
 @functools.lru_cache(maxsize=1)
 def geo_path():
     v1, v2 = logical_var("length"), logical_var("v")
-    return v1, v2, path_expectation(GEO, POST_X, VS, v1, v2)
+    return v1, v2, LoopEncoding(GEO, POST_X, VS, v1, v2).path_term
 
 
 def oracle(f, sigma):
@@ -218,7 +218,7 @@ def test_plan_monotone_and_converges():
     s0 = state(c=1, x=0)
     values = [encoding.plan_eval(s0, k) for k in range(12)]
     assert all(a <= b for a, b in zip(values, values[1:]))
-    limit = encoding.plan_sup(s0, 30)
+    limit = encoding.plan_eval(s0, 30)
     assert abs(limit.finite - 2) < F(1, 10 ** 6)
     # the loop's concise closed form: x + [c = 1] * 2
     concise = parse_exp("x + [c = 1] * 2")

@@ -81,7 +81,6 @@ def test_walk_depth_20_within_default_cap():
     assert path_sum(WALK, POST_X, s0, WALK_VS, 20) == want
     encoding = encode_loop(WALK, POST_X, WALK_VS)
     assert encoding.plan_eval(s0, 20) == want
-    assert encoding.plan_sup(s0, 20) == want
 
 
 def test_caps_count_step_state_entries():
@@ -94,8 +93,6 @@ def test_caps_count_step_state_entries():
     encoding = encode_loop(WALK, POST_X, WALK_VS)
     with pytest.raises(FuelExceeded, match=message):
         encoding.plan_eval(s0, 20, state_cap=10)
-    with pytest.raises(FuelExceeded, match=message):
-        encoding.plan_sup(s0, 20, state_cap=10)
     # k = 4 needs the frontiers of steps 0 to 3: 10 entries
     assert path_sum(WALK, POST_X, s0, WALK_VS, 4, path_cap=10) == \
         encoding.plan_eval(s0, 4, state_cap=10)
@@ -121,13 +118,23 @@ def test_truncation_zero_is_zero():
     assert encoding.plan_eval(s0, 1) == XReal.of(F(40))
     assert encoding.plan_truncations(s0, 0) == [ZERO]
     assert encoding.plan_truncations(s0, -1) == []
-    assert encoding.plan_sup(s0, 0) == ZERO
     assert encoding.plan_eval(s0, 0) == ZERO
     assert path_sum(WALK, POST_X, s0, WALK_VS, 0) == ZERO
     geo = parse_program("while (c = 1) { {c := 0} [1/2] {c := 1}; x := x + 1 }")
     geo_encoding = encode_loop(geo, POST_X, VarSet.of("c", "x"))
-    assert geo_encoding.plan_sup(state(c=0, x=7), 0) == ZERO
-    assert geo_encoding.plan_sup(state(c=0, x=7), 1) == XReal.of(F(7))
+    assert geo_encoding.plan_eval(state(c=0, x=7), 0) == ZERO
+    assert geo_encoding.plan_eval(state(c=0, x=7), 1) == XReal.of(F(7))
+
+
+def test_truncations_never_decrease():
+    """The truncations are the fixed-point iterates from zero, which never
+    decrease, so truncation k is also the supremum of those up to k."""
+    rng = random.Random(40)
+    for _ in range(40):
+        loop, post, varset = rand_loop(rng)
+        s0 = State({Var("c"): F(1), Var("x"): F(rng.randint(0, 2))})
+        values = encode_loop(loop, post, varset).plan_truncations(s0, 10)
+        assert all(a <= b for a, b in zip(values, values[1:])), values
 
 
 def _kernel_cases(seed):

@@ -6,6 +6,7 @@ import random
 import weakref
 from dataclasses import fields, is_dataclass
 from fractions import Fraction as F
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,12 +23,20 @@ from wpengine.parser import (
 )
 from wpengine.semantics import calkin_wilf, eval_bexpr, eval_exp, state
 from wpengine.syntax import (
+    AExpr,
     Add,
     And,
     Arith,
     Assign,
     Atom,
+    BExpr,
     Exists,
+    Exp,
+    FOAnd,
+    FOFormula,
+    FOImplies,
+    FONot,
+    FOOr,
     Forall,
     Guard,
     Inf,
@@ -35,6 +44,7 @@ from wpengine.syntax import (
     Lt,
     Monus,
     Mul,
+    Nat,
     Not,
     PChoice,
     Plus,
@@ -46,8 +56,11 @@ from wpengine.syntax import (
     Var,
     VarRef,
     While,
+    _CHILDREN,
     _bit,
+    _children,
     all_vars,
+    avar,
     balanced,
     constants,
     eq_,
@@ -282,8 +295,6 @@ def fos(depth):
     if depth == 0:
         return atom
     sub = fos(depth - 1)
-    from wpengine.syntax import FOAnd, FOImplies, FONot, FOOr, Nat
-
     return st.one_of(
         atom,
         st.builds(Nat, st.builds(Var, names)),
@@ -470,6 +481,40 @@ def test_constants_visits_each_distinct_node_once():
     assert constants(g) == {F(k) for k in range(1, 42)}
     assert len(visits) == 40
     assert set(visits.values()) == {1}
+
+
+def test_child_table_gives_each_node_its_fields():
+    """Every node class has an entry, whose children are the node-valued
+    fields in field order; a subclass reads as its node class, and any
+    other object raises a TypeError that names its type alone."""
+    node_classes = tuple(c for union in (AExpr, BExpr, Exp, FOFormula)
+                         for c in get_args(union))
+    assert set(_CHILDREN) == set(node_classes)
+    v, x, one = Var("v"), avar("x"), RatLit(F(1))
+    lt, ge = Lt(x, one), Not(Lt(one, x))
+    e, g = Arith(x), Arith(one)
+    p, q = Atom(lt), Nat(v)
+    samples = [
+        one, x, Add(x, one), Mul(one, x), Monus(x, one), lt, ge, And(lt, ge),
+        e, Guard(lt, e), Plus(e, g), Scale(one, e), Sup(v, e), Inf(v, g),
+        p, q, FOAnd(p, q), FOOr(q, p), FONot(p), FOImplies(p, q),
+        Exists(v, p), Forall(v, q),
+    ]
+    assert {type(node) for node in samples} == set(node_classes)
+    for node in samples:
+        values = (getattr(node, f.name) for f in fields(node))
+        want = tuple(c for c in values if isinstance(c, node_classes))
+        assert _children(node) == want
+        assert all(a is b for a, b in zip(_children(node), want))
+
+    class Sub(Plus):
+        pass
+
+    assert _children(Sub(e, g)) == (e, g)
+    for foreign in (F(1), v, Skip(), "x"):
+        with pytest.raises(TypeError) as raised:
+            _children(foreign)
+        assert str(raised.value) == type(foreign).__name__
 
 
 def test_dropped_terms_are_freed():

@@ -347,6 +347,18 @@ def test_long_statement_chain_walks_without_recursion():
     assert forward_dist(prog, state(x=5), VarSet.of("x"), 1).items() == {state(x=1): F(1)}.items()
 
 
+def test_kleene_runs_a_long_loop_body_without_recursion():
+    """Assignments, skips and conditionals of a 10^4-statement loop body
+    update the state in place; a coin flip hands on the rest of the chain."""
+    assert sys.getrecursionlimit() == 1000
+    loop = parse_program("while (c = 1) { " + "x := x + 1; " * 9999 + "c := 0 }")
+    assert kleene_iterate(loop, POST_X, state(c=1), 2) == XReal.of(9999)
+    flip = parse_program(
+        "while (c = 1) { " + "x := x + 1; " * 5000 + "{c := 0} [1/2] {c := 1}; "
+        + "if (c = 0) { x := x + 1 } else { skip }; " * 4999 + "skip }")
+    assert kleene_iterate(flip, POST_X, state(c=1), 2) == XReal.of(F(9999, 2))
+
+
 def test_path_sum_matches_kleene():
     s0 = state(c=1, x=0)
     for k in range(7):
