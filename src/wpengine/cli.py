@@ -23,7 +23,7 @@ from .goedel import decode_seq, encode_seq
 from .loops import encode_loop
 from .normalform import dnf_recover, to_dnf, to_prenex, to_snf
 from .parser import parse_exp, parse_program, parse_state
-from .semantics import ORACLE, calkin_wilf, eval_exp
+from .semantics import DEFAULT_DEPTH, ORACLE, default_domain, eval_exp
 from .series import make_product, make_sum
 from .syntax import Var, While, exp_tree_size, print_exp
 from .wp import (
@@ -34,7 +34,6 @@ from .wp import (
     wp_loop_free,
 )
 
-DEFAULT_DEPTH = 32
 DEFAULT_FUEL = 30
 
 
@@ -83,7 +82,7 @@ def cmd_wp(args) -> int:
         lines.append(print_exp(pre))
         if args.at is not None:
             sigma = parse_state(args.at)
-            value = eval_exp(pre, sigma, calkin_wilf(args.depth))
+            value = eval_exp(pre, sigma, default_domain(pre, sigma, args.depth))
             payload["value"] = str(value)
             lines.append(f"at {args.at}: {value}")
     else:
@@ -147,7 +146,7 @@ def cmd_series(args) -> int:
     else:
         aggregate = make_product(body, bound)
     sigma = parse_state(args.at or "").set(bound, args.n)
-    dom = calkin_wilf(args.depth)
+    dom = default_domain(aggregate.pure, sigma, args.depth)
     value = eval_exp(aggregate.pure, sigma, dom, mode=ORACLE)
     payload = {"value": str(value)}
     lines = [str(value)]

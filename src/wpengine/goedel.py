@@ -18,6 +18,12 @@ sequence-element relation, its rational variant, canonical (minimal)
 sequence codes, state codes, and state-sequence codes.  Naturalness of a
 rational is expressible with Robinson's squares trick; the construction is
 emitted verbatim but only the opaque ``Nat`` atom is ever decided.
+
+Formulas are prenexed by ``syntax.prenex``, the pass expectations use too:
+a binder is renamed when its name is free in the formula or already in the
+prefix, and the generated formulas, whose binders carry distinct reserved
+names, keep them.  The prenex matrix lowers to an Iverson guard through
+``syntax.GUARD_OF``, the guard constructor of each connective.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from .semantics import State, eval_aexpr
 from .syntax import (
     Add,
     AExpr,
-    And,
     Arith,
     Atom,
     BExpr,
@@ -41,15 +46,14 @@ from .syntax import (
     FOAnd,
     FOFormula,
     FOImplies,
-    FONot,
     FOOr,
     Forall,
+    GUARD_OF,
     Guard,
     Inf as InfExp,
     Lt,
     Mul,
     Nat,
-    Not,
     Prefix,
     RatLit,
     Sup,
@@ -57,17 +61,14 @@ from .syntax import (
     VarRef,
     _children,
     aexpr,
-    all_vars,
     balanced,
     eq_,
     free_vars,
-    implies_,
     is_quantifier_free,
     le_,
-    or_,
+    prenex,
     quantify,
     split_prefix,
-    substitute,
     true_,
     with_intrinsic,
 )
@@ -537,62 +538,14 @@ def expand_nat_atoms(p: FOFormula) -> FOFormula:
     )
 
 
-_DUAL = {Exists: Forall, Forall: Exists}
 _TO_EXP = {Exists: Sup, Forall: InfExp}
 
 
 def fo_prenex(p: FOFormula) -> FOFormula:
-    """Equivalent prenex form: a quantifier block over a quantifier-free matrix.
-
-    One pre-order, left-first pass appends each binder to the prefix when
-    it meets it, flipping the quantifier under a negation and under an
-    implication premise.  A binder is renamed when its name is free in
-    ``p`` or already in the prefix; the new name is the first priming of
-    the old one that is neither a name of ``p`` nor chosen before, so the
-    result depends on ``p`` alone.  Generated formulas use distinct
-    reserved names and come back with their binders as they are.  The
-    renaming travels down to the atoms, so each binder is renamed at most
-    once and each atom at most once.
-    """
-    free = free_vars(p)
-    taken = {v.name for v in all_vars(p)}
-    prefix: Prefix = []
-    bound: set[Var] = set()
-
-    def bind(quant: type, var: Var, ren: dict) -> dict:
-        new = var
-        if var in free or var in bound:
-            name = var.name + "'"
-            while name in taken:
-                name += "'"
-            taken.add(name)
-            new = Var(name)
-        prefix.append((quant, new))
-        bound.add(new)
-        return {**ren, var: new} if new != var else ren
-
-    def go(q: FOFormula, ren: dict, flip: bool) -> FOFormula:
-        heads, q = split_prefix(q)
-        for quant, var in heads:
-            ren = bind(_DUAL[quant] if flip else quant, var, ren)
-        match q:
-            case Atom(pred):
-                clashes = ren.keys() & free_vars(pred)
-                if not clashes:
-                    return q
-                return Atom(substitute(pred, {v: VarRef(ren[v]) for v in clashes}))
-            case Nat(v):
-                return Nat(ren[v]) if v in ren else q
-            case FONot(arg):
-                return FONot(go(arg, ren, not flip))
-            case FOImplies(l, r):
-                return FOImplies(go(l, ren, not flip), go(r, ren, flip))
-            case FOAnd(l, r) | FOOr(l, r):
-                return type(q)(go(l, ren, flip), go(r, ren, flip))
-        raise TypeError(q)
-
-    matrix = go(p, {}, False)
-    return quantify(prefix, matrix)
+    """Equivalent prenex form: a quantifier block over a quantifier-free
+    matrix, by ``syntax.prenex``.  Generated formulas use distinct reserved
+    names and come back with their binders as they are."""
+    return quantify(*prenex(p))
 
 
 def fo_prenex_split(p: FOFormula) -> tuple[Prefix, FOFormula]:
@@ -623,22 +576,13 @@ def fo_nat_to_rat(p: FOFormula) -> FOFormula:
 
 
 def _matrix_to_bexpr(p: FOFormula) -> BExpr:
-    match p:
-        case Atom(pred):
-            return pred
-        case FOAnd(l, r):
-            return And(_matrix_to_bexpr(l), _matrix_to_bexpr(r))
-        case FOOr(l, r):
-            return or_(_matrix_to_bexpr(l), _matrix_to_bexpr(r))
-        case FOImplies(l, r):
-            return implies_(_matrix_to_bexpr(l), _matrix_to_bexpr(r))
-        case FONot(arg):
-            return Not(_matrix_to_bexpr(arg))
-        case Nat(v):
-            raise NotPrenex(
-                f"naturalness atom N({v}) must be expanded before embedding"
-            )
-    raise TypeError(p)
+    """The guard of a quantifier-free formula, each connective lowered
+    through ``GUARD_OF``."""
+    if isinstance(p, Atom):
+        return p.pred
+    if isinstance(p, Nat):
+        raise NotPrenex(f"naturalness atom N({p.var}) must be expanded before embedding")
+    return GUARD_OF[type(p)](*map(_matrix_to_bexpr, _children(p)))
 
 
 def fo_to_exp(p: FOFormula) -> Exp:

@@ -2,7 +2,10 @@
 
 Any expectation rewrites into a quantifier prefix over a quantifier-free
 matrix by pulling quantifiers outward in one pass (leftmost-outermost, left
-argument first) that renames each bound variable at most once.  The matrix
+argument first) that renames each bound variable at most once: the pass
+``syntax.prenex``, which formulas share.  A binder is renamed when its name
+is free in the input or already in the prefix, and a user-named ``sup`` or
+``inf`` binder also when it sits below a connective.  The matrix
 then flattens into a sum of guarded terms, and from that shape the cut form
 replaces the value by its lower cut: a {0,1}-valued expectation over a
 fresh cut variable that holds exactly when the cut variable lies strictly
@@ -28,7 +31,6 @@ from .syntax import (
     Mul,
     Not,
     Plus,
-    Prefix,
     RatLit,
     Scale,
     Sup,
@@ -36,12 +38,10 @@ from .syntax import (
     VarRef,
     all_vars,
     balanced,
-    free_vars,
     fresh_var,
     implies_,
+    prenex,
     quantify,
-    split_prefix,
-    substitute,
     true_,
 )
 
@@ -100,57 +100,8 @@ class DNF:
 
 
 def to_prenex(f: Exp) -> PrenexExp:
-    """Pull all quantifiers to the front in one pass.
-
-    The pass is pre-order and left-first: it appends each binder to the
-    prefix when it meets it, so the prefix lists binders outermost first,
-    left argument before right.  A binder is renamed when its name is free
-    in ``f``, when it is already in the prefix, or when it is user-named
-    and sits below a connective; the new name is the first priming of the
-    old one that is neither a name of ``f`` nor chosen before.  Reserved
-    machine-generated names, unique by construction, are thus renamed only
-    on an actual clash.  The renaming travels down to the leaves, so each
-    binder is renamed at most once and each leaf term at most once.
-    """
-    free = free_vars(f)
-    taken = {v.name for v in all_vars(f)}
-    prefix: Prefix = []
-    bound: set[Var] = set()
-
-    def bind(quant: type, var: Var, ren: dict, nested: bool) -> dict:
-        new = var
-        if var in free or var in bound or (nested and not var.reserved):
-            name = var.name + "'"
-            while name in taken:
-                name += "'"
-            taken.add(name)
-            new = Var(name)
-        prefix.append((quant, new))
-        bound.add(new)
-        return {**ren, var: new} if new != var else ren
-
-    def rename(node, ren: dict):
-        clashes = ren.keys() & free_vars(node)
-        if not clashes:
-            return node
-        return substitute(node, {v: VarRef(ren[v]) for v in clashes})
-
-    def go(g: Exp, ren: dict, nested: bool) -> Exp:
-        heads, g = split_prefix(g)
-        for quant, var in heads:
-            ren = bind(quant, var, ren, nested)
-        match g:
-            case Arith():
-                return rename(g, ren)
-            case Guard(cond, body):
-                return Guard(rename(cond, ren), go(body, ren, True))
-            case Scale(a, body):
-                return Scale(rename(a, ren), go(body, ren, True))
-            case Plus(l, r):
-                return Plus(go(l, ren, True), go(r, ren, True))
-        raise TypeError(g)
-
-    matrix = go(f, {}, False)
+    """Pull all quantifiers to the front in one pass (``syntax.prenex``)."""
+    prefix, matrix = prenex(f)
     return PrenexExp(tuple(prefix), matrix)
 
 

@@ -12,10 +12,24 @@ Grammar sketch::
             | "{" prog "}" "[" rat "]" "{" prog "}"
             | "if" "(" bexpr ")" "{" prog "}" "else" "{" prog "}"
             | "while" "(" bexpr ")" "{" prog "}"
-    exp   ::= ("sup" | "inf") var ":" exp | eprod ("+" eprod)*
+    exp   ::= binder exp | eprod ("+" eprod)*
     eprod ::= ("[" bexpr "]" "*" | aexpr "*")* atom
+    fo    ::= binder fo | imp(fatom)
+    bexpr ::= imp(batom)
+    imp(a) ::= or(a) ("->" imp(a))?
+    or(a)  ::= and(a) ("||" and(a))*
+    and(a) ::= not(a) ("&&" not(a))*
+    not(a) ::= "!" not(a) | a
+    batom ::= "true" | "false" | aexpr cmp aexpr | "(" bexpr ")"
+    fatom ::= "true" | "false" | "N" "(" var ")" | aexpr cmp aexpr | "(" fo ")"
+    binder ::= ("sup" | "inf" | "forall" | "exists") var ":"
 
-``*`` binds tighter than ``+`` and quantifiers bind loosest.  A product of
+Guards and formulas climb one connective ladder and differ in their atoms
+and constructors: formulas build their own connective nodes, guards the
+lowered connective of each (``syntax.GUARD_OF``).  The binder rule serves
+all four quantifier words; ``sup``/``inf`` bind expectations and
+``forall``/``exists`` formulas.  ``*`` binds tighter than ``+`` and
+quantifiers bind loosest.  A product of
 two non-arithmetic expectations is rejected with ``IllegalProduct``.
 Reserved ``$``-prefixed names are allowed in expectations (they are used by
 generated helper terms) but rejected in programs.
@@ -57,6 +71,8 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"skip", "if", "else", "while", "sup", "inf", "true", "false",
              "forall", "exists"}
+
+_QUANTIFIERS = {"sup": s.Sup, "inf": s.Inf, "forall": s.Forall, "exists": s.Exists}
 
 
 @dataclass(frozen=True)
@@ -174,34 +190,44 @@ class _Parser:
             return inner
         return s.VarRef(self.ident())
 
-    # -- guards ------------------------------------------------------------
+    # -- guards and formulas: one connective ladder, one binder rule ----------
 
     def bexpr(self) -> BExpr:
-        left = self.bor()
+        return self.implication(_GUARDS)
+
+    def implication(self, ops: dict):
+        left = self.disjunction(ops)
         if self.at_op("->"):
             self.advance()
-            return s.implies_(left, self.bexpr())
+            return ops["->"](left, self.implication(ops))
         return left
 
-    def bor(self) -> BExpr:
-        left = self.band()
+    def disjunction(self, ops: dict):
+        left = self.conjunction(ops)
         while self.at_op("||"):
             self.advance()
-            left = s.or_(left, self.band())
+            left = ops["||"](left, self.conjunction(ops))
         return left
 
-    def band(self) -> BExpr:
-        left = self.bunary()
+    def conjunction(self, ops: dict):
+        left = self.negation(ops)
         while self.at_op("&&"):
             self.advance()
-            left = s.And(left, self.bunary())
+            left = ops["&&"](left, self.negation(ops))
         return left
 
-    def bunary(self) -> BExpr:
+    def negation(self, ops: dict):
         if self.at_op("!"):
             self.advance()
-            return s.Not(self.bunary())
-        return self.batom()
+            return ops["!"](self.negation(ops))
+        return ops["atom"](self)
+
+    def binder(self, body):
+        """``word var ":" body`` for the quantifier word at the cursor."""
+        quant = _QUANTIFIERS[self.advance().text]
+        var = self.ident()
+        self.expect_op(":")
+        return quant(var, body())
 
     def batom(self) -> BExpr:
         if self.at_word("true"):
@@ -210,18 +236,15 @@ class _Parser:
         if self.at_word("false"):
             self.advance()
             return s.false_()
+        cmp = self.try_comparison()
+        if cmp is not None:
+            return cmp
         if self.at_op("("):
-            comparison = self.try_comparison()
-            if comparison is not None:
-                return comparison
             self.advance()
             inner = self.bexpr()
             self.expect_op(")")
             return inner
-        cmp = self.try_comparison()
-        if cmp is None:
-            raise self.error(f"expected a comparison, found {self.cur.text!r}")
-        return cmp
+        raise self.error(f"expected a comparison, found {self.cur.text!r}")
 
     def try_comparison(self) -> BExpr | None:
         mark = self.pos
@@ -299,16 +322,8 @@ class _Parser:
     # -- expectations --------------------------------------------------------
 
     def exp(self) -> Exp:
-        if self.at_word("sup"):
-            self.advance()
-            var = self.ident()
-            self.expect_op(":")
-            return s.Sup(var, self.exp())
-        if self.at_word("inf"):
-            self.advance()
-            var = self.ident()
-            self.expect_op(":")
-            return s.Inf(var, self.exp())
+        if self.at_word("sup", "inf"):
+            return self.binder(self.exp)
         left = self.eproduct()
         while self.at_op("+"):
             self.advance()
@@ -379,44 +394,9 @@ class _Parser:
     # -- first-order formulas -------------------------------------------------
 
     def fo(self) -> FOFormula:
-        if self.at_word("forall"):
-            self.advance()
-            var = self.ident()
-            self.expect_op(":")
-            return s.Forall(var, self.fo())
-        if self.at_word("exists"):
-            self.advance()
-            var = self.ident()
-            self.expect_op(":")
-            return s.Exists(var, self.fo())
-        return self.fo_implies()
-
-    def fo_implies(self) -> FOFormula:
-        left = self.fo_or()
-        if self.at_op("->"):
-            self.advance()
-            return s.FOImplies(left, self.fo_implies())
-        return left
-
-    def fo_or(self) -> FOFormula:
-        left = self.fo_and()
-        while self.at_op("||"):
-            self.advance()
-            left = s.FOOr(left, self.fo_and())
-        return left
-
-    def fo_and(self) -> FOFormula:
-        left = self.fo_unary()
-        while self.at_op("&&"):
-            self.advance()
-            left = s.FOAnd(left, self.fo_unary())
-        return left
-
-    def fo_unary(self) -> FOFormula:
-        if self.at_op("!"):
-            self.advance()
-            return s.FONot(self.fo_unary())
-        return self.fo_atom()
+        if self.at_word("forall", "exists"):
+            return self.binder(self.fo)
+        return self.implication(_FORMULAS)
 
     def fo_atom(self) -> FOFormula:
         if self.at_word("true"):
@@ -445,6 +425,13 @@ class _Parser:
             self.expect_op(")")
             return inner
         raise self.error(f"expected a formula, found {self.cur.text!r}")
+
+
+# The connective ladder of each syntax: the constructor of each rung's
+# operator, and the rule for its atoms.
+_RUNGS = {"->": s.FOImplies, "||": s.FOOr, "&&": s.FOAnd, "!": s.FONot}
+_FORMULAS = {**_RUNGS, "atom": _Parser.fo_atom}
+_GUARDS = {**{op: s.GUARD_OF[c] for op, c in _RUNGS.items()}, "atom": _Parser.batom}
 
 
 def _as_aexpr(f: Exp) -> AExpr | None:

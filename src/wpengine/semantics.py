@@ -219,8 +219,12 @@ def calkin_wilf(k: int, extra: Iterable[Fraction] = ()) -> QDomain:
     return QDomain(prefix + sorted(rat(q) for q in extra))
 
 
-def default_domain(f: Exp, sigma: State, k: int = 32) -> QDomain:
-    """A Calkin-Wilf prefix enriched with the constants of ``f`` and ``sigma``.
+DEFAULT_DEPTH = 32
+
+
+def default_domain(f: Exp, sigma: State, k: int = DEFAULT_DEPTH) -> QDomain:
+    """A Calkin-Wilf prefix of size ``k`` enriched with the constants of
+    ``f`` and ``sigma``.
 
     Including the constants in sight greatly improves guard hits under the
     restricted quantifier semantics.

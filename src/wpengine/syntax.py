@@ -405,6 +405,11 @@ class Forall:
 
 FOFormula = Union[Atom, Nat, FOAnd, FOOr, FONot, FOImplies, Exists, Forall]
 
+# The guard constructor of each formula connective: a quantifier-free
+# formula lowers to a guard through it (``goedel.fo_to_exp``), and the parser
+# climbs one connective ladder for guards and formulas with it.
+GUARD_OF = {FOImplies: implies_, FOOr: or_, FOAnd: And, FONot: Not}
+
 
 # ---------------------------------------------------------------------------
 # Node shapes and the walkers over them
@@ -788,6 +793,77 @@ def substitute(node, mapping: dict[Var, AExpr]):
 def subst_exp(f: Exp, x: Var, value: AExpr) -> Exp:
     """Capture-avoiding substitution of ``x`` by the term ``value``."""
     return substitute(f, {x: value})
+
+
+# ---------------------------------------------------------------------------
+# Prenex form
+# ---------------------------------------------------------------------------
+
+_DUAL = {Exists: Forall, Forall: Exists}
+# the children of a formula connective whose pulled quantifiers flip: the
+# argument of a negation and the premise of an implication
+_FLIPS = {FONot: (True,), FOImplies: (True, False)}
+_NO_FLIPS = (False, False)
+
+
+def prenex(node) -> tuple[Prefix, object]:
+    """Pull every quantifier of an expectation or formula to the front:
+    the prefix of (quantifier class, variable) pairs, outermost first, and
+    the quantifier-free matrix; ``quantify`` puts them together.
+
+    One pre-order, left-first pass appends each binder to the prefix when
+    it meets it, so the prefix lists binders outermost first, left argument
+    before right; ``Exists`` and ``Forall`` swap under a negation and under
+    an implication premise.  A binder is renamed when its name is free in
+    ``node`` or already in the prefix, and a ``Sup``/``Inf`` binder also
+    when it is user-named and sits below a connective; the new name is the
+    first priming of the old one that is neither a name of ``node`` nor
+    chosen before, so the result depends on ``node`` alone, and reserved
+    machine-generated names, unique by construction, are renamed only on a
+    clash.  The renaming travels down to the leaves, so each binder is
+    renamed at most once and each leaf at most once: terms and guards
+    through ``substitute``, and a leaf with nothing to rename comes back as
+    it is.  Rebuilt nodes carry no plan: none of a node whose quantifiers
+    were pulled out applies to what is left of it, and a term needs none.
+    """
+    free = free_vars(node)
+    taken = {v.name for v in all_vars(node)}
+    prefix: Prefix = []
+    bound: set[Var] = set()
+
+    def rename(t, ren: dict):
+        clashes = ren.keys() & _qf_vars(t)
+        if not clashes:
+            return t
+        return substitute(t, {v: VarRef(ren[v]) for v in clashes})
+
+    def go(g, ren: dict, nested: bool, flip: bool):
+        while isinstance(g, _BINDERS):  # a loop, as in ``_vars``: spines run long
+            quant, var = type(g), g.var
+            new = var
+            if var in free or var in bound or (
+                    nested and quant in (Sup, Inf) and not var.reserved):
+                name = var.name + "'"
+                while name in taken:
+                    name += "'"
+                taken.add(name)
+                new = Var(name)
+                ren = {**ren, var: new}
+            prefix.append((_DUAL[quant] if flip else quant, new))
+            bound.add(new)
+            g = g.body
+        if isinstance(g, Nat):
+            return Nat(ren[g.var]) if g.var in ren else g
+        children = _children(g)
+        if len(children) == 1 and isinstance(children[0], _QF_TYPES):  # Arith, Atom
+            t = rename(children[0], ren)
+            return g if t is children[0] else type(g)(t)
+        flips = _FLIPS.get(type(g), _NO_FLIPS)
+        return type(g)(*[rename(c, ren) if isinstance(c, _QF_TYPES)
+                         else go(c, ren, True, flip ^ f)
+                         for c, f in zip(children, flips)])
+
+    return prefix, go(node, {}, False, False)
 
 
 # ---------------------------------------------------------------------------

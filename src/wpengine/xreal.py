@@ -11,7 +11,7 @@ value is ``inf``, and ``0 * inf == 0``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 Rat = Fraction
 
@@ -145,29 +145,3 @@ XReal.INF = XReal(None)
 ZERO = XReal(Fraction(0))
 ONE = XReal(Fraction(1))
 
-
-def xsum(values: Iterable[XReal]) -> XReal:
-    total = ZERO
-    for v in values:
-        total = total + v
-    return total
-
-
-def sup(values: Iterable[XReal]) -> XReal:
-    """Supremum of a finite set; the supremum of the empty set is 0."""
-    best = ZERO
-    empty = True
-    for v in values:
-        empty = False
-        if best < v:
-            best = v
-    return ZERO if empty else best
-
-
-def inf(values: Iterable[XReal]) -> XReal:
-    """Infimum of a finite set; the infimum of the empty set is infinity."""
-    best = XReal.INF
-    for v in values:
-        if v < best:
-            best = v
-    return best

@@ -5,7 +5,9 @@ on its node.  These references walk the syntax tree on every call, with
 ``Fraction``'s own comparison and ``XReal.of``'s validation, and serve as
 the oracle the compiled evaluators are fuzzed against.  Plans of tagged
 nodes are called with the reference's own recursion, so in oracle-assisted
-mode only a plan's internals use the compiled path.
+mode only a plan's internals use the compiled path.  ``xsum``, ``xsup`` and
+``xinf`` fold finite sets of extended reals, as references for sums and
+quantifiers.
 """
 
 from fractions import Fraction
@@ -101,3 +103,29 @@ def ref_exp(f, sigma, dom=None, mode=RESTRICTED) -> XReal:
         raise TypeError(g)
 
     return rec(f, sigma)
+
+
+def xsum(values) -> XReal:
+    """Sum of finitely many extended reals."""
+    total = ZERO
+    for v in values:
+        total = total + v
+    return total
+
+
+def xsup(values) -> XReal:
+    """Supremum of a finite set of extended reals; the empty one is 0."""
+    best = ZERO
+    for v in values:
+        if best < v:
+            best = v
+    return best
+
+
+def xinf(values) -> XReal:
+    """Infimum of a finite set of extended reals; the empty one is inf."""
+    best = XReal.INF
+    for v in values:
+        if v < best:
+            best = v
+    return best

@@ -212,6 +212,26 @@ def test_series_product(capsys):
     assert out.strip() == "120"
 
 
+def test_cli_domains_hold_the_constants_in_sight(capsys, tmp_path):
+    # 11/13 is far out in the Calkin-Wilf order: only the constants of the
+    # term put it into a domain of size --depth, as eval_exp's default does
+    post = "sup v: [v = 11/13] * v"
+    prog = tmp_path / "inc.pgcl"
+    prog.write_text("x := x + 1")
+    code, out, _ = run(capsys, "wp", "-p", str(prog), "-f", post, "--at", "x=0")
+    assert code == 0
+    assert out.splitlines()[1] == "at x=0: 11/13"
+    code, out, _ = run(capsys, "wp", "-p", str(prog), "-f", post, "--at", "x=0",
+                       "--depth", "0")
+    assert out.splitlines()[1] == "at x=0: 11/13"
+    code, out, _ = run(capsys, "series", "sum", "--body", post, "--n", "0")
+    assert code == 0
+    assert out.strip() == "11/13"
+    code, out, _ = run(capsys, "series", "sum", "--body", post, "--n", "1",
+                       "--depth", "3")
+    assert out.strip() == "22/13"
+
+
 def test_encode_loop_values_json(capsys, geo_file):
     code, out, _ = run(capsys, "encode-loop", "--program", geo_file,
                        "--post", "x", "--eval-at", "c=1,x=0",

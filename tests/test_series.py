@@ -4,11 +4,12 @@ import math
 import random
 from fractions import Fraction as F
 
+from eval_reference import xsum, xsup
 from wpengine.parser import parse_exp
 from wpengine.semantics import ORACLE, calkin_wilf, eval_exp, state
 from wpengine.series import PROD_VAR, SUM_VAR, dedekind_product, make_product, make_sum, odot
 from wpengine.syntax import Arith, Guard, Inf, RatLit, Sup, Var, VarRef, eq_, print_exp
-from wpengine.xreal import ONE, XReal, ZERO, sup as xsup, xsum
+from wpengine.xreal import ONE, XReal, ZERO
 
 DOM = calkin_wilf(4)
 
