@@ -436,16 +436,20 @@ _CHILDREN = {
 }
 
 
+def _lookup(table: dict, node):
+    """The entry of the nearest class of ``node`` in a table keyed on node
+    classes: a subclass of a node class has its node class's entry."""
+    entry = next((table[c] for c in type(node).__mro__ if c in table), None)
+    if entry is None:
+        # the type alone: the repr of a shared term can be astronomical
+        raise TypeError(type(node).__name__)
+    return entry
+
+
 def _children(node) -> tuple:
     """The child nodes of a term, guard, expectation or formula, left to
-    right; a subclass of a node class has the shape of its node class."""
-    get = _CHILDREN.get(type(node))
-    if get is None:
-        get = next((_CHILDREN[c] for c in type(node).__mro__ if c in _CHILDREN), None)
-        if get is None:
-            # the type alone: the repr of a shared term can be astronomical
-            raise TypeError(type(node).__name__)
-    return get(node)
+    right."""
+    return (_CHILDREN.get(type(node)) or _lookup(_CHILDREN, node))(node)
 
 
 Prefix = list[tuple[type, Var]]  # (Sup | Inf | Exists | Forall, variable)
@@ -870,60 +874,66 @@ def prenex(node) -> tuple[Prefix, object]:
 # Printing
 # ---------------------------------------------------------------------------
 
-def print_aexpr(a: AExpr, prec: int = 0) -> str:
-    """Render a term; ``-`` denotes monus (subtraction truncated at zero).
+# The infix and prefix nodes: each class's format, its own precedence, and
+# the precedence its children are printed at, each in the scale of its own
+# syntax.  A node is parenthesized when its context binds tighter than it:
+# terms 1 = + and -, 2 = *; guards 1 = &&; expectations 0 = quantifiers,
+# 1 = +, 2 = *; formulas 0 = quantifiers, 1 = ->, 2 = ||, 3 = &&, 4 = !
+# and atoms.  Negations and atoms are never parenthesized.
+_NEVER = 9
+_FORMS = {
+    Add: ("{} + {}", 1, 1, 2), Monus: ("{} - {}", 1, 1, 2), Mul: ("{} * {}", 2, 2, 3),
+    Lt: ("{} < {}", _NEVER, 1, 1), And: ("{} && {}", 1, 1, 2), Not: ("!{}", _NEVER, 2),
+    Guard: ("[{}] * {}", 2, 0, 2), Scale: ("{} * {}", 2, 3, 2), Plus: ("{} + {}", 1, 1, 2),
+    Atom: ("{}", _NEVER, 4), FOImplies: ("{} -> {}", 1, 2, 1),
+    FOOr: ("{} || {}", 2, 2, 3), FOAnd: ("{} && {}", 3, 3, 4), FONot: ("!{}", _NEVER, 4),
+}
 
-    + and - are left-associative and share a precedence level; * binds
-    tighter.
+
+def _print(node, prec: int = 0) -> str:
+    """Render a term, guard, expectation or formula at context precedence
+    ``prec``, in the scale of its syntax (see ``_FORMS``).
+
+    ``-`` in a term denotes monus (subtraction truncated at zero).  Guards
+    print ``false``, ``true``, ``=`` and ``<=`` back from their lowered
+    forms.  A compound term inside an expectation is parenthesized so that
+    it reads back as a single term, and an atom of a formula prints as a
+    guard at precedence 4: round-tripping is guaranteed only for atoms that
+    are comparisons, ``true`` or ``false``, since the parser builds
+    formula-level connectives.  Each node costs one frame of recursion.
     """
-    match a:
+    match node:
         case RatLit(q):
             return format_rat(q)
         case VarRef(v):
             return v.name
-        case Add(l, r):
-            s = f"{print_aexpr(l, 1)} + {print_aexpr(r, 2)}"
-            return f"({s})" if prec > 1 else s
-        case Monus(l, r):
-            s = f"{print_aexpr(l, 1)} - {print_aexpr(r, 2)}"
-            return f"({s})" if prec > 1 else s
-        case Mul(l, r):
-            s = f"{print_aexpr(l, 2)} * {print_aexpr(r, 3)}"
-            return f"({s})" if prec > 2 else s
-    raise TypeError(a)
-
-
-def _comparison(phi: BExpr) -> str | None:
-    """Recover sugared comparisons (=, <=, <) from the lowered core tree."""
-    match phi:
+        case Nat(v):
+            return f"N({v.name})"
+        case Arith(a):
+            return _print(a) if isinstance(a, (RatLit, VarRef)) else f"({_print(a)})"
+        case Lt(RatLit(0), RatLit(0)):
+            return "false"
+        case Not(Lt(RatLit(0), RatLit(0))):
+            return "true"
         case And(Not(Lt(a1, b1)), Not(Lt(b2, a2))) if a1 == a2 and b1 == b2:
-            return f"{print_aexpr(a1, 1)} = {print_aexpr(b1, 1)}"
+            return f"{_print(a1, 1)} = {_print(b1, 1)}"
         case Not(Lt(b, a)):
-            return f"{print_aexpr(a, 1)} <= {print_aexpr(b, 1)}"
-        case Lt(a, b):
-            return f"{print_aexpr(a, 1)} < {print_aexpr(b, 1)}"
-    return None
+            return f"{_print(a, 1)} <= {_print(b, 1)}"
+        case Sup() | Inf() | Exists() | Forall():
+            prefix, matrix = split_prefix(node)
+            s = "".join(f"{quant.__name__.lower()} {v.name}: " for quant, v in prefix)
+            s += _print(matrix)
+            return f"({s})" if prec > 0 else s
+    form, own, *inner = _FORMS.get(type(node)) or _lookup(_FORMS, node)
+    children = _children(node)
+    if len(children) == 1:
+        s = form.format(_print(children[0], inner[0]))
+    else:
+        s = form.format(_print(children[0], inner[0]), _print(children[1], inner[1]))
+    return f"({s})" if prec > own else s
 
 
-def print_bexpr(phi: BExpr, prec: int = 0) -> str:
-    """Render a guard; = and <= are printed back from their lowered forms.
-
-    Precedence levels: 1 = &&, 2 = ! and atoms; && is left-associative.
-    """
-    if phi == false_():
-        return "false"
-    if phi == true_():
-        return "true"
-    sugar = _comparison(phi)
-    if sugar is not None:
-        return sugar
-    match phi:
-        case And(l, r):
-            s = f"{print_bexpr(l, 1)} && {print_bexpr(r, 2)}"
-            return f"({s})" if prec > 1 else s
-        case Not(arg):
-            return f"!{print_bexpr(arg, 2)}"
-    raise TypeError(phi)
+print_aexpr = print_bexpr = print_exp = print_fo = _print
 
 
 def print_program(prog: Program, indent: str = "") -> str:
@@ -955,39 +965,6 @@ def print_program(prog: Program, indent: str = "") -> str:
     raise TypeError(prog)
 
 
-def _print_prefix(prefix: Prefix) -> str:
-    """``sup v: inf w: ...``; each binder prints as its class name."""
-    return "".join(f"{quant.__name__.lower()} {v.name}: " for quant, v in prefix)
-
-
-def print_exp(f: Exp, prec: int = 0) -> str:
-    """Render an expectation.
-
-    Precedence: quantifiers bind loosest (0), + next (1), * tightest (2);
-    + is left-associative and * chains fold to the right.  Compound
-    arithmetic leaves are parenthesized so they read back as single terms.
-    """
-    match f:
-        case Arith(a):
-            if isinstance(a, (RatLit, VarRef)):
-                return print_aexpr(a)
-            return f"({print_aexpr(a)})"
-        case Guard(cond, body):
-            s = f"[{print_bexpr(cond)}] * {print_exp(body, 2)}"
-            return f"({s})" if prec > 2 else s
-        case Scale(a, body):
-            s = f"{print_aexpr(a, 3)} * {print_exp(body, 2)}"
-            return f"({s})" if prec > 2 else s
-        case Plus(l, r):
-            s = f"{print_exp(l, 1)} + {print_exp(r, 2)}"
-            return f"({s})" if prec > 1 else s
-        case Sup(_, _) | Inf(_, _):
-            prefix, matrix = split_prefix(f)
-            s = _print_prefix(prefix) + print_exp(matrix, 0)
-            return f"({s})" if prec > 0 else s
-    raise TypeError(f)
-
-
 def exp_tree_size(f: Exp) -> int:
     """Number of nodes in the tree expansion of an expectation.
 
@@ -1009,34 +986,3 @@ def exp_tree_size(f: Exp) -> int:
             stack.append((node, True))
             stack.extend((c, False) for c in children if sizes.get(id(c), -1) < 0)
     return sizes[id(f)]
-
-
-def print_fo(p: FOFormula, prec: int = 0) -> str:
-    """Render a first-order formula.
-
-    Precedence: quantifiers 0, -> 1 (right-assoc), || 2, && 3, ! / atoms 4.
-    """
-    match p:
-        case Atom(pred):
-            # Atoms print through the guard printer.  The parser builds
-            # formula-level connectives, so round-tripping is guaranteed only
-            # for atoms that are comparisons, true, or false.
-            return print_bexpr(pred, 4)
-        case Nat(v):
-            return f"N({v.name})"
-        case FOImplies(l, r):
-            s = f"{print_fo(l, 2)} -> {print_fo(r, 1)}"
-            return f"({s})" if prec > 1 else s
-        case FOOr(l, r):
-            s = f"{print_fo(l, 2)} || {print_fo(r, 3)}"
-            return f"({s})" if prec > 2 else s
-        case FOAnd(l, r):
-            s = f"{print_fo(l, 3)} && {print_fo(r, 4)}"
-            return f"({s})" if prec > 3 else s
-        case FONot(arg):
-            return f"!{print_fo(arg, 4)}"
-        case Exists(_, _) | Forall(_, _):
-            prefix, matrix = split_prefix(p)
-            s = _print_prefix(prefix) + print_fo(matrix, 0)
-            return f"({s})" if prec > 0 else s
-    raise TypeError(p)
