@@ -19,16 +19,19 @@ sequence codes, state codes, and state-sequence codes.  Naturalness of a
 rational is expressible with Robinson's squares trick; the construction is
 emitted verbatim but only the opaque ``Nat`` atom is ever decided.
 
-Formulas are prenexed by ``syntax.prenex``, the pass expectations use too:
-a binder is renamed when its name is free in the formula or already in the
-prefix, and the generated formulas, whose binders carry distinct reserved
-names, keep them.  The prenex matrix lowers to an Iverson guard through
-``syntax.GUARD_OF``, the guard constructor of each connective.
+Each construction numbers its helper variables from 0 and skips the names
+of its inputs (``construction``).  Formulas are prenexed by
+``syntax.prenex``, the pass expectations use too: a binder is renamed when
+its name is free in the formula or already in the prefix, so generated
+formulas keep their helpers' names.  The prenex matrix lowers to an Iverson
+guard through ``syntax.GUARD_OF``, the guard constructor of each connective.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -61,6 +64,7 @@ from .syntax import (
     VarRef,
     _children,
     aexpr,
+    all_vars,
     balanced,
     eq_,
     free_vars,
@@ -72,14 +76,52 @@ from .syntax import (
     true_,
     with_intrinsic,
 )
+from .wp import VarSet
 from .xreal import ONE, XReal, ZERO, is_natural
 
-_counter = itertools.count()
+# The name supply of the construction under way (see ``construction``): the
+# reserved names taken, its arguments' and its helpers', and a counter.
+NAME_SUPPLY = ContextVar("name supply")
 
 
 def logical_var(base: str) -> Var:
-    """A reserved-namespace helper variable, unique per process run."""
-    return Var(f"${base}{next(_counter)}")
+    """A reserved helper variable, new in the construction under way."""
+    taken, counter = NAME_SUPPLY.get()
+    names = (f"${base}{n}" for n in counter)
+    name = next(name for name in names if name not in taken)
+    taken.add(name)  # ``$n11`` may be base ``n`` or ``n1``
+    return Var(name)
+
+
+def within(supply: tuple, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with ``supply`` as the name supply."""
+    token = NAME_SUPPLY.set(supply)
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        NAME_SUPPLY.reset(token)
+
+
+def construction(fn):
+    """Run a function that issues helper names, or combines the results of
+    several calls that do, in the name supply under way, or else in a new
+    one that counts from 0 and skips the reserved names, free or bound, of
+    the syntax nodes, variables and variable sets among its arguments."""
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        supply = NAME_SUPPLY.get(None)
+        if supply is None:
+            names = set()
+            for arg in (*args, *kwargs.values()):
+                if isinstance(arg, (AExpr, BExpr, Exp, FOFormula)):
+                    names |= all_vars(arg)
+                elif isinstance(arg, (Var, VarSet, tuple)):
+                    names.update((arg,) if isinstance(arg, Var) else arg)
+            supply = {v.name for v in names if v.reserved}, itertools.count()
+        return within(supply, fn, *args, **kwargs)
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +381,7 @@ def stateseq_holds(num: int, varset, length: int, sigma: State) -> bool:
 # First-order formula constructions
 # ---------------------------------------------------------------------------
 
+@construction
 def robinson_nat_formula(k: Var) -> FOFormula:
     """Naturalness of ``k`` via the squares identity, quantifying over Q>=0.
 
@@ -368,11 +411,13 @@ def robinson_nat_formula(k: Var) -> FOFormula:
     return Forall(a, Forall(b, FOImplies(closed, phi(VarRef(k)))))
 
 
+@construction
 def divides_formula(d: AExpr, n: AExpr) -> FOFormula:
     q = logical_var("q")
     return Exists(q, Atom(eq_(Mul(d, VarRef(q)), n)))
 
 
+@construction
 def relprime_formula(n1: AExpr, n2: AExpr) -> FOFormula:
     d = logical_var("d")
     return Forall(
@@ -392,6 +437,7 @@ def pair_formula(n: AExpr, n1: AExpr, n2: AExpr) -> FOFormula:
     return Atom(eq_(lhs, rhs))
 
 
+@construction
 def elem_formula(num: AExpr, i: AExpr, m: AExpr) -> FOFormula:
     """Element relation over naturals: m is the i-th remainder of num's pair."""
     num, i, m = aexpr(num), aexpr(i), aexpr(m)
@@ -404,6 +450,7 @@ def elem_formula(num: AExpr, i: AExpr, m: AExpr) -> FOFormula:
     return Exists(a, Exists(b, FOAnd(pair_formula(num, VarRef(a), VarRef(b)), residue)))
 
 
+@construction
 def relem_formula(num: AExpr, i: AExpr, r: AExpr) -> FOFormula:
     """Rational element relation, built over the natural-number core.
 
@@ -438,6 +485,7 @@ def lifted_elem_formula(num: AExpr, i: AExpr, m: AExpr) -> FOFormula:
     return fo_nat_to_rat(fo_prenex(elem_formula(num, i, m)))
 
 
+@construction
 def _seq_skeleton(num: AExpr, length: AExpr, element) -> FOFormula:
     """Shared shape of the canonical-sequence predicates (rational setting).
 
@@ -484,6 +532,7 @@ def rseq_formula(num: AExpr, length: AExpr) -> FOFormula:
     return _seq_skeleton(num, length, relem_formula)
 
 
+@construction
 def encstate_formula(varset, num: AExpr) -> FOFormula:
     """``num`` encodes the values of the relevant variables in order."""
     variables = tuple(varset)
@@ -494,6 +543,7 @@ def encstate_formula(varset, num: AExpr) -> FOFormula:
     return balanced(FOAnd, parts, lambda: Atom(true_()))
 
 
+@construction
 def stateseq_formula(varset, num: AExpr, length: AExpr) -> FOFormula:
     """``num`` encodes a sequence of state codes starting at the current state."""
     variables = tuple(varset)
@@ -531,6 +581,7 @@ def _map_fo(p: FOFormula, leaf) -> FOFormula:
     return quantify(prefix, type(q)(*(_map_fo(c, leaf) for c in _children(q))))
 
 
+@construction
 def expand_nat_atoms(p: FOFormula) -> FOFormula:
     """Replace each opaque naturalness atom by its verbatim construction."""
     return _map_fo(

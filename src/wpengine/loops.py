@@ -24,18 +24,22 @@ sequence codes), so each carries a plan whose step-k truncation mirrors the
 construction equation by equation and agrees exactly with the k-fold
 fixed-point iterate and the explicit path sum.  Plans read an encoded state
 by binding its decoded values in the state.  Helper variables live in the
-reserved ``$`` namespace, which user programs cannot mention.
+reserved ``$`` namespace, which user programs and the loop's variable set
+cannot mention, and one encoding's come from one name supply (``goedel``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
-from .errors import ContainsLoop, FreeVarsOutsideVarSet
+from .errors import ContainsLoop, EngineError, FreeVarsOutsideVarSet
 from .goedel import (
     GoedelPair,
+    NAME_SUPPLY,
     beta_decode,
     cantor_unpair,
+    construction,
     decode_seq,
     decode_state,
     elem_exp,
@@ -43,6 +47,7 @@ from .goedel import (
     logical_var,
     relem_exp,
     stateseq_exp,
+    within,
 )
 from .semantics import State, calkin_wilf, eval_exp
 from .series import PROD_VAR, SUM_VAR, make_product, make_sum, odot
@@ -101,16 +106,7 @@ def _bind_decoded(sigma: State, decoded: State, variables: tuple[Var, ...],
     return sigma
 
 
-def _conjoin_embeds(parts: list[Exp]) -> Exp:
-    """Product of {0,1}-valued embedded formulas."""
-    if not parts:
-        return Arith(RatLit(Fraction(1)))
-    out = parts[0]
-    for p in parts[1:]:
-        out = odot(out, p)
-    return out
-
-
+@construction
 def _state_term(target: Exp, variables: tuple[Var, ...], num: Var,
                 slots: tuple[Var, ...]) -> Exp:
     """sup over helpers: [each helper is the coded value] (x)
@@ -122,10 +118,9 @@ def _state_term(target: Exp, variables: tuple[Var, ...], num: Var,
     variables.  A code that is not a state yields 0.
     """
     helpers = [logical_var(v.name) for v in variables]
-    bracket = _conjoin_embeds(
-        [relem_exp(VarRef(num), RatLit(Fraction(i)), VarRef(h))
-         for i, h in enumerate(helpers)]
-    )
+    embeds = [relem_exp(VarRef(num), RatLit(Fraction(i)), VarRef(h))
+              for i, h in enumerate(helpers)]
+    bracket = reduce(odot, embeds) if embeds else Arith(RatLit(Fraction(1)))
     replaced = substitute(target, {s: VarRef(h) for s, h in zip(slots, helpers)})
     term = quantify([(Sup, h) for h in helpers], odot(bracket, replaced))
 
@@ -180,6 +175,9 @@ def body_wp_template(loop: While, varset: VarSet) -> Exp:
     """
     if contains_loop(loop.body):
         raise ContainsLoop("the loop body must be loop-free")
+    reserved = [v.name for v in varset if v.reserved]
+    if reserved:
+        raise EngineError(f"reserved variables in the variable set: {reserved}")
     variables = tuple(varset)
     post = Guard(
         balanced(And, [eq_(VarRef(v), VarRef(primed(v))) for v in variables], true_),
@@ -201,9 +199,11 @@ class LoopEncoding:
     with it, the one-step factor its product aggregate ranges over;
     ``body_template`` the one-step template over primed copies.  The two
     big terms are built on first access; the plan only needs the template
-    and the final-state expectation.
+    and the final-state expectation.  Their helpers come from the name
+    supply the encoding was built in, so they share one construction.
     """
 
+    @construction
     def __init__(self, loop: While, post: Exp, varset: VarSet,
                  length_var: Var, seq_var: Var):
         if contains_loop(loop.body):
@@ -228,23 +228,25 @@ class LoopEncoding:
         self._final_exp = Guard(Not(loop.cond), post)
         self._num_final = logical_var("num")
         self._num1, self._num2 = logical_var("num"), logical_var("num")
+        self._names = NAME_SUPPLY.get()
 
     @property
     def path_term(self) -> Exp:
         if self._path_term is None:
-            self._path_term = self._build_path_term()
+            self._path_term = within(self._names, self._build_path_term)
         return self._path_term
 
     @property
     def pure(self) -> Exp:
         if self._pure is None:
-            v1, nums = self.length_var, logical_var("nums")
-            body = odot(
-                stateseq_exp(self.varset, VarRef(self.seq_var), VarRef(v1)),
-                self.path_term,
-            )
-            self._pure = Sup(v1, Sup(nums, make_sum(body, VarRef(nums)).pure))
+            self._pure = within(self._names, self._build_pure)
         return self._pure
+
+    def _build_pure(self) -> Exp:
+        v1, nums = self.length_var, logical_var("nums")
+        body = odot(stateseq_exp(self.varset, VarRef(self.seq_var), VarRef(v1)),
+                    self.path_term)
+        return Sup(v1, Sup(nums, make_sum(body, VarRef(nums)).pure))
 
     def _build_path_term(self) -> Exp:
         v1, v2 = self.length_var, self.seq_var
@@ -438,6 +440,7 @@ class LoopEncoding:
         return self.plan_truncations(sigma, k, dom, state_cap)[-1]
 
 
+@construction
 def encode_loop(loop: While, post: Exp, varset: VarSet) -> LoopEncoding:
     """Compile a loop into its closed-form syntactic expectation.
 

@@ -58,7 +58,8 @@ from .syntax import (
     true_,
     with_intrinsic,
 )
-from .goedel import fo_prenex, fo_to_exp, expand_nat_atoms, logical_var, relem_formula
+from .goedel import (construction, expand_nat_atoms, fo_prenex, fo_to_exp,
+                     logical_var, relem_formula)
 from .xreal import ONE, XReal, ZERO, is_natural
 
 SUM_VAR = Var("$s")
@@ -74,6 +75,7 @@ class Aggregate:
     pure: Exp
 
 
+@construction
 def _aggregate_pure(body: Exp, bound: AExpr, kind: str, agg: Var) -> Exp:
     """The encoded-aggregate skeleton shared by sums and products.
 
@@ -164,6 +166,7 @@ def make_product(body: Exp, bound) -> Aggregate:
     return _aggregate(body, bound, "product", PROD_VAR)
 
 
+@construction
 def odot(f: Exp, g: Exp) -> Exp:
     """Unrestricted product of two expectations.
 

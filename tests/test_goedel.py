@@ -199,12 +199,11 @@ def test_robinson_innermost_atom_shape():
     assert print_fo(atom) == expected
 
 
-def test_robinson_calls_share_no_bound_names():
-    one = robinson_nat_formula(Var("k"))
-    two = robinson_nat_formula(Var("j"))
-    bound_one = all_vars_fo(one) - {Var("k")}
-    bound_two = all_vars_fo(two) - {Var("j")}
-    assert bound_one & bound_two == set()
+def test_nat_expansions_share_no_bound_names():
+    expanded = expand_nat_atoms(FOAnd(Nat(Var("k")), Nat(Var("j"))))
+    bound_one = all_vars_fo(expanded.left) - {Var("k")}
+    bound_two = all_vars_fo(expanded.right) - {Var("j")}
+    assert bound_one and bound_one & bound_two == set()
 
 
 def test_pair_formula_decidable_matches_oracle():

@@ -1,13 +1,16 @@
 """Loop compilation: characteristic assertions, encoded-state helpers,
 the one-step template, paths, and the full encoding."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from wpengine.errors import ContainsLoop, FreeVarsOutsideVarSet
-from wpengine.goedel import encode_state, encode_state_seq, logical_var
+from wpengine.errors import ContainsLoop, EngineError, FreeVarsOutsideVarSet
+from wpengine.goedel import encode_state, encode_state_seq
 from wpengine.loops import (
     LoopEncoding,
     body_wp_template,
@@ -40,7 +43,7 @@ import functools
 
 @functools.lru_cache(maxsize=1)
 def geo_path():
-    v1, v2 = logical_var("length"), logical_var("v")
+    v1, v2 = Var("$length"), Var("$v")
     return v1, v2, LoopEncoding(GEO, POST_X, VS, v1, v2).path_term
 
 
@@ -58,7 +61,7 @@ def test_char_assertion():
 
 
 def test_goedel_subst_decodes_and_substitutes():
-    num = logical_var("n")
+    num = Var("$n")
     term = goedel_subst(parse_exp("x + y"), VarSet.of("x", "y"), num)
     code = encode_state(state(x=1, y=2), VarSet.of("x", "y")).num
     sigma = state(z=5).set(num, code)
@@ -66,14 +69,14 @@ def test_goedel_subst_decodes_and_substitutes():
 
 
 def test_goedel_subst_constant_unchanged():
-    num = logical_var("n")
+    num = Var("$n")
     term = goedel_subst(parse_exp("7/2"), VS, num)
     code = encode_state(state(c=1, x=0), VS).num
     assert oracle(term, state().set(num, code)) == XReal.of(F(7, 2))
 
 
 def test_goedel_apply_examples():
-    num = logical_var("n")
+    num = Var("$n")
     term = goedel_apply(parse_exp("[!(c = 1)] * x"), VS, num)
     code = encode_state(state(c=0, x=3), VS).num
     assert oracle(term, state().set(num, code)) == XReal.of(3)
@@ -83,7 +86,7 @@ def test_goedel_apply_examples():
 
 def test_goedel_apply_ambient_independence():
     rng = random.Random(23)
-    num = logical_var("n")
+    num = Var("$n")
     term = goedel_apply(parse_exp("[!(c = 1)] * x"), VS, num)
     code = encode_state(state(c=0, x=3), VS).num
     values = set()
@@ -96,7 +99,7 @@ def test_goedel_apply_ambient_independence():
 
 def test_goedel_apply_requires_covered_vars():
     with pytest.raises(FreeVarsOutsideVarSet):
-        goedel_apply(parse_exp("q + x"), VS, logical_var("n"))
+        goedel_apply(parse_exp("q + x"), VS, Var("$n"))
 
 
 def test_goedel_subst_apply_roundtrip():
@@ -105,7 +108,7 @@ def test_goedel_subst_apply_roundtrip():
     rng = random.Random(29)
     from wpengine.checks import rand_qf_exp
 
-    num = logical_var("n")
+    num = Var("$n")
     for _ in range(10):
         f = rand_qf_exp(rng, [Var("c"), Var("x")], 2)
         applied = goedel_apply(f, VS, num)
@@ -266,3 +269,62 @@ def test_pure_term_built_on_demand():
     assert isinstance(pure.body, Sup)
     # closed over helpers: only program variables remain free
     assert free_vars(pure) <= {Var("c"), Var("x")}
+
+
+def _in_fresh_process(code: str) -> str:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                          capture_output=True, check=True).stdout
+
+
+_GENERATED_PRELUDE = """
+import hashlib
+from wpengine.loops import encode_loop
+from wpengine.parser import parse_exp, parse_program
+from wpengine.series import make_sum, odot
+from wpengine.syntax import Var, _children, print_exp
+from wpengine.wp import VarSet
+GEO = parse_program("while (c = 1) { {c := 0} [1/2] {c := 1}; x := x + 1 }")
+
+def shape(node):
+    # the distinct nodes in a fixed order, each with its class and variable:
+    # the printed text without the repeats of shared subterms, which make
+    # the text of a loop's term hundreds of megabytes long
+    out, seen, stack = [], set(), [node]
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            out.append(f"{type(n).__name__} {getattr(n, 'var', '')}")
+            stack.extend(reversed(_children(n)))
+    return hashlib.sha256("\\n".join(out).encode()).hexdigest()
+"""
+
+
+@pytest.mark.parametrize("expr", [
+    "print_exp(make_sum(parse_exp('1/$s'), Var('n')).pure)",
+    "print_exp(odot(parse_exp('[x < 1] * 5'), parse_exp('sup v: [v < 2] * v')))",
+    "shape(encode_loop(GEO, parse_exp('x'), VarSet.of('c', 'x')).path_term)",
+], ids=["make_sum", "odot", "path_term"])
+def test_generated_terms_print_the_same_in_a_fresh_and_a_warm_process(expr):
+    namespace = {}
+    exec(_GENERATED_PRELUDE, namespace)
+    first, second = eval(expr, namespace), eval(expr, namespace)
+    assert first == second
+    assert first == _in_fresh_process(_GENERATED_PRELUDE + f"print({expr}, end='')")
+
+
+def test_sum_helpers_capture_no_free_variable_of_the_body():
+    code = ("from wpengine.parser import parse_exp\n"
+            "from wpengine.series import make_sum\n"
+            "from wpengine.syntax import Var, free_vars\n"
+            "pure = make_sum(parse_exp('[$s < 1] * $num1'), Var('n')).pure\n"
+            "print(sorted(v.name for v in free_vars(pure)))")
+    assert _in_fresh_process(code) == "['$num1', 'n']\n"
+
+
+def test_reserved_variables_are_refused_in_a_loop_variable_set():
+    varset = VarSet.of("$y", "c", "x")
+    for build in (body_wp_template, lambda loop, vs: encode_loop(loop, parse_exp("$y"), vs)):
+        with pytest.raises(EngineError, match=r"reserved variables in the variable set: \['\$y'\]"):
+            build(GEO, varset)
