@@ -40,16 +40,21 @@ DEFAULT_FUEL = 30
 def _at_least(low: int):
     """Argument type: an integer no smaller than ``low`` (else a usage error)."""
 
-    def parse(text: str) -> int:
+    def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
-    return parse
+    return integer
 
 
 _COUNT = _at_least(0)
+
+
+def naturals(text: str) -> list[int]:
+    """Argument type: comma-separated naturals (else a usage error)."""
+    return [_COUNT(part) for part in text.split(",") if part != ""]
 
 
 def _option(*flags, **kwargs) -> argparse.ArgumentParser:
@@ -128,11 +133,10 @@ def cmd_normalize(args) -> int:
 
 def cmd_goedel(args) -> int:
     if args.action == "encode-seq":
-        values = [int(part) for part in args.values.split(",") if part != ""]
-        code = encode_seq(values)
+        code = encode_seq(args.values)
         _emit(args, {"num": str(code.num), "length": code.length}, str(code.num))
     else:
-        values = decode_seq(int(args.num), int(args.length))
+        values = decode_seq(args.num, args.length)
         text = ",".join(str(v) for v in values)
         _emit(args, {"values": values}, text)
     return 0
@@ -247,11 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
     goedel_cmd = sub.add_parser("goedel", help="sequence encodings")
     goedel_sub = goedel_cmd.add_subparsers(dest="action", required=True)
     enc = goedel_sub.add_parser("encode-seq", parents=[fmt])
-    enc.add_argument("values", help="comma-separated naturals")
+    enc.add_argument("values", type=naturals, help="comma-separated naturals")
     enc.set_defaults(fn=cmd_goedel, action="encode-seq")
     dec = goedel_sub.add_parser("decode-seq", parents=[fmt])
-    dec.add_argument("num")
-    dec.add_argument("length")
+    dec.add_argument("num", type=_COUNT)
+    dec.add_argument("length", type=_COUNT)
     dec.set_defaults(fn=cmd_goedel, action="decode-seq")
 
     series = sub.add_parser("series", parents=[depth, fmt],

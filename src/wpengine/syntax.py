@@ -823,8 +823,8 @@ def prenex(node) -> tuple[Prefix, object]:
     when it is user-named and sits below a connective; the new name is the
     first priming of the old one that is neither a name of ``node`` nor
     chosen before, so the result depends on ``node`` alone, and reserved
-    machine-generated names, unique by construction, are renamed only on a
-    clash.  The renaming travels down to the leaves, so each binder is
+    machine-generated names, unique within the construction that made them,
+    are renamed only on a clash.  The renaming travels down to the leaves, so each binder is
     renamed at most once and each leaf at most once: terms and guards
     through ``substitute``, and a leaf with nothing to rename comes back as
     it is.  Rebuilt nodes carry no plan: none of a node whose quantifiers
@@ -874,12 +874,10 @@ def prenex(node) -> tuple[Prefix, object]:
 # Printing
 # ---------------------------------------------------------------------------
 
-# The infix and prefix nodes: each class's format, its own precedence, and
-# the precedence its children are printed at, each in the scale of its own
-# syntax.  A node is parenthesized when its context binds tighter than it:
-# terms 1 = + and -, 2 = *; guards 1 = &&; expectations 0 = quantifiers,
-# 1 = +, 2 = *; formulas 0 = quantifiers, 1 = ->, 2 = ||, 3 = &&, 4 = !
-# and atoms.  Negations and atoms are never parenthesized.
+# The infix and prefix nodes: each class's format, its own precedence and
+# its children's, in the scale of its syntax (terms: 1 + and -, 2 *; guards:
+# 1 &&; expectations: 0 quantifiers, 1 +, 2 *; formulas: 0 quantifiers,
+# 1 ->, 2 ||, 3 &&, 4 ! and atoms).  Negations and atoms are never wrapped.
 _NEVER = 9
 _FORMS = {
     Add: ("{} + {}", 1, 1, 2), Monus: ("{} - {}", 1, 1, 2), Mul: ("{} * {}", 2, 2, 3),
@@ -892,15 +890,13 @@ _FORMS = {
 
 def _print(node, prec: int = 0) -> str:
     """Render a term, guard, expectation or formula at context precedence
-    ``prec``, in the scale of its syntax (see ``_FORMS``).
+    ``prec``: a node is parenthesized when its context binds tighter.
 
-    ``-`` in a term denotes monus (subtraction truncated at zero).  Guards
-    print ``false``, ``true``, ``=`` and ``<=`` back from their lowered
-    forms.  A compound term inside an expectation is parenthesized so that
-    it reads back as a single term, and an atom of a formula prints as a
-    guard at precedence 4: round-tripping is guaranteed only for atoms that
-    are comparisons, ``true`` or ``false``, since the parser builds
-    formula-level connectives.  Each node costs one frame of recursion.
+    ``-`` denotes monus.  Guards print ``false``, ``true``, ``=`` and ``<=``
+    back from their lowered forms, a compound term in an expectation is
+    parenthesized so that it reads back as one term, and a formula's atom
+    prints as a guard at precedence 4 (so only atoms that are comparisons,
+    ``true`` or ``false`` round-trip).  Each node costs one recursion frame.
     """
     match node:
         case RatLit(q):
@@ -925,11 +921,7 @@ def _print(node, prec: int = 0) -> str:
             s += _print(matrix)
             return f"({s})" if prec > 0 else s
     form, own, *inner = _FORMS.get(type(node)) or _lookup(_FORMS, node)
-    children = _children(node)
-    if len(children) == 1:
-        s = form.format(_print(children[0], inner[0]))
-    else:
-        s = form.format(_print(children[0], inner[0]), _print(children[1], inner[1]))
+    s = form.format(*map(_print, _children(node), inner))
     return f"({s})" if prec > own else s
 
 

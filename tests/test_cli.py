@@ -189,6 +189,12 @@ def test_engine_errors_exit_2(capsys, exp, message):
     assert err.strip() == f"error: {message}"
 
 
+def test_encode_loop_refuses_a_reserved_variable(capsys, geo_file):
+    code, out, err = run(capsys, "encode-loop", "--program", geo_file, "--post", "$y")
+    assert (code, out) == (2, "")
+    assert err == "error: reserved variables in the variable set: ['$y']\n"
+
+
 def test_goedel_roundtrip(capsys):
     code, out, _ = run(capsys, "goedel", "encode-seq", "3,1,4")
     assert code == 0
@@ -314,6 +320,10 @@ def test_encode_loop_emit_pure_cap(capsys, geo_file):
     ["series", "sum", "--body", "1/$s", "--n", "-1"],
     ["forward", "-p", "geo", "--iters", "3"],
     ["normalize", "--dnf", "-f", "x", "--seed", "1"],
+    ["goedel", "decode-seq", "abc", "2"],
+    ["goedel", "decode-seq", "5", "-1"],
+    ["goedel", "encode-seq", "1,-2"],
+    ["goedel", "encode-seq", "1,x"],
 ])
 def test_bad_counts_and_unread_flags_are_usage_errors(capsys, geo_file, coin_file,
                                                       argv):
