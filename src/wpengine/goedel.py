@@ -87,8 +87,8 @@ NAME_SUPPLY = ContextVar("name supply")
 def logical_var(base: str) -> Var:
     """A reserved helper variable, new in the construction under way."""
     taken, counter = NAME_SUPPLY.get()
-    names = (f"${base}{n}" for n in counter)
-    name = next(name for name in names if name not in taken)
+    while (name := f"${base}{next(counter)}") in taken:
+        pass
     taken.add(name)  # ``$n11`` may be base ``n`` or ``n1``
     return Var(name)
 

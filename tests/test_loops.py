@@ -325,6 +325,8 @@ def test_sum_helpers_capture_no_free_variable_of_the_body():
 
 def test_reserved_variables_are_refused_in_a_loop_variable_set():
     varset = VarSet.of("$y", "c", "x")
-    for build in (body_wp_template, lambda loop, vs: encode_loop(loop, parse_exp("$y"), vs)):
-        with pytest.raises(EngineError, match=r"reserved variables in the variable set: \['\$y'\]"):
-            build(GEO, varset)
+    message = r"reserved variables in the variable set: \['\$y'\]"
+    with pytest.raises(EngineError, match=message):
+        body_wp_template(GEO, varset)
+    with pytest.raises(EngineError, match=message):
+        encode_loop(GEO, parse_exp("$y"), varset)
