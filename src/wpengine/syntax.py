@@ -824,8 +824,8 @@ def prenex(node) -> tuple[Prefix, object]:
     first priming of the old one that is neither a name of ``node`` nor
     chosen before, so the result depends on ``node`` alone, and reserved
     machine-generated names, unique within the construction that made them,
-    are renamed only on a clash.  The renaming travels down to the leaves, so each binder is
-    renamed at most once and each leaf at most once: terms and guards
+    are renamed only on a clash.  The renaming travels down to the leaves,
+    so each binder and each leaf is renamed at most once: terms and guards
     through ``substitute``, and a leaf with nothing to rename comes back as
     it is.  Rebuilt nodes carry no plan: none of a node whose quantifiers
     were pulled out applies to what is left of it, and a term needs none.
