@@ -206,8 +206,9 @@ class LoopEncoding:
     @construction
     def __init__(self, loop: While, post: Exp, varset: VarSet,
                  length_var: Var, seq_var: Var):
-        if contains_loop(loop.body):
-            raise ContainsLoop("the loop body must be loop-free")
+        # the template refuses a nested loop first, and the variable set
+        # is checked against the loop only once it is known to be loop-free
+        self.body_template = body_wp_template(loop, varset)
         if not varset.issuperset(vars_program(loop) | free_vars(post)):
             raise ValueError("variable set must cover the loop and postexpectation")
         self.loop = loop
@@ -216,7 +217,6 @@ class LoopEncoding:
         self.length_var = length_var
         self.seq_var = seq_var
         self.variables = tuple(varset)
-        self.body_template = body_wp_template(loop, varset)
         self._factor_cache: dict[tuple[int, int], XReal] = {}
         self._finals: dict[tuple[int, tuple], XReal] = {}
         self._state_codes: dict[State, int] = {}

@@ -23,9 +23,15 @@ chain of ``&&`` compiles into one closure over its conjuncts, and a ``<``
 between variables and literals reads the bindings itself.  When the
 chain's clauses share atoms, as the 2^n sign patterns of a cut form share
 their n summand guards, the closure keeps a table of atom values for the
-call and evaluates each atom at most once (see ``_conjunction``).  States key
-their bindings on variable names, so a compiled read is a dict lookup on
-a string that runs in C; the ``State`` API takes and returns ``Var``s.
+call and evaluates each atom at most once (see ``_conjunction``).  Such a
+closure pays for what its calls read: its trie of clauses grows as calls
+reach it, so a clause is flattened only as far as a call reads it, and
+each atom compiles when a call first reads it, so a call of a cut form's
+matrix compiles one ``$cut < total`` atom of 2^n.  An addition of a
+literal 0 compiles to the closure of its other side, which is exact and
+leaves the syntax as it is.  States key their bindings on variable names,
+so a compiled read is a dict lookup on a string that runs in C; the
+``State`` API takes and returns ``Var``s.
 ``eval_aexpr`` and ``eval_bexpr`` compile, then call.  ``eval_exp``'s own
 walk over expectation nodes stays structural.
 """
@@ -236,19 +242,32 @@ def default_domain(f: Exp, sigma: State, k: int = DEFAULT_DEPTH) -> QDomain:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+def _zero(s: State) -> Fraction:
+    """The closure of every literal 0, by which ``_term`` folds additions."""
+    return _ZERO
+
+
 def _term(a: AExpr) -> Callable[[State], Fraction]:
     """The closure that evaluates the term ``a`` at a state.
 
     Compiled on first use and cached on the node as ``_fn``, a slot
     outside its dataclass fields (``syntax._Cached``), the way
     ``syntax._mask`` caches variable masks: a shared subterm is compiled
-    once, and the closure is freed with its node.  Rewrites build new nodes, which compile afresh.
+    once, and the closure is freed with its node.  Rewrites build new
+    nodes, which compile afresh.
+
+    Every literal 0 compiles to ``_zero``, and an ``Add`` with a side that
+    compiled to it is the other side's closure: ``a + 0`` is ``a`` exactly,
+    and a cut form's totals add the 0 of each negated summand.  This folds
+    closures only; the node keeps its syntax.
     """
     try:
         return a._fn
     except AttributeError:
         pass
     match a:
+        case RatLit(q) if not q:
+            fn = _zero
         case RatLit(q):
             def fn(s):
                 return q
@@ -259,9 +278,13 @@ def _term(a: AExpr) -> Callable[[State], Fraction]:
                 return s._bindings.get(name, _ZERO)
         case Add(l, r):
             lf, rf = _term(l), _term(r)
-
-            def fn(s):
-                return lf(s) + rf(s)
+            if lf is _zero:
+                fn = rf
+            elif rf is _zero:
+                fn = lf
+            else:
+                def fn(s):
+                    return lf(s) + rf(s)
         case Mul(l, r):
             lf, rf = _term(l), _term(r)
 
@@ -367,15 +390,15 @@ def _less(l: AExpr, r: AExpr,
     return fn
 
 
-def _conjuncts(chain: And) -> list[BExpr]:
+def _conjuncts(chain: And) -> Iterator[BExpr]:
     """The distinct conjuncts of the maximal ``&&`` chain rooted at
-    ``chain``, left to right, flattened with an explicit stack.
+    ``chain``, left to right, flattened with an explicit stack as they are
+    asked for.
 
     Guards are pure, so a conjunct or shared sub-chain met a second time is
     left out: it held the first time, or the chain stopped before reaching
     it.
     """
-    out = []
     seen = set()  # ids of nodes alive through chain
     stack = [chain]
     while stack:
@@ -386,8 +409,7 @@ def _conjuncts(chain: And) -> list[BExpr]:
                 stack.append(node.right)
                 stack.append(node.left)
             else:
-                out.append(node)
-    return out
+                yield node
 
 
 def _literal(phi: BExpr) -> tuple[BExpr, bool]:
@@ -399,6 +421,37 @@ def _literal(phi: BExpr) -> tuple[BExpr, bool]:
     return phi, value
 
 
+def _clause(c: BExpr) -> Iterator[tuple[BExpr, bool]]:
+    """The literals of the conjunct ``c`` read as a clause, which holds when
+    one of them does, flattened as they are asked for.
+
+    A conjunct ``!(a1 && ... && ak)``, which is what implications and
+    disjunctions lower to, holds when some ``ai`` is false; any other
+    conjunct is a clause of one literal.
+    """
+    if isinstance(c, Not) and isinstance(c.arg, And):
+        return map(_falsified, _conjuncts(c.arg))
+    return iter((_literal(c),))
+
+
+def _falsified(phi: BExpr) -> tuple[BExpr, bool]:
+    """``phi`` as an atom and the value of the atom at which ``phi`` fails."""
+    atom, value = _literal(phi)
+    return atom, not value
+
+
+def _shares_atoms(conjuncts: list[BExpr]) -> bool:
+    """Whether an atom occurs in two of the clauses (``_clause``) that
+    ``conjuncts`` are; the clauses are read only up to the first such
+    atom."""
+    first: dict[int, int] = {}  # id of an atom (alive through conjuncts) -> clause
+    for j, c in enumerate(conjuncts):
+        for atom, _ in _clause(c):
+            if first.setdefault(id(atom), j) != j:
+                return True
+    return False
+
+
 def _conjunction(phi: And, negated: bool) -> Callable[[State], bool]:
     """One closure for the maximal chain of ``&&`` rooted at ``phi``, or
     for its negation.
@@ -408,38 +461,20 @@ def _conjunction(phi: And, negated: bool) -> Callable[[State], bool]:
     of their own.  The conjuncts run left to right and the first false one
     stops the chain.
 
-    A chain is also a conjunction of clauses over atoms (``_literal``): a
-    conjunct ``!(a1 && ... && ak)``, which is what implications and
-    disjunctions lower to, holds when some ``ai`` is false, and any other
-    conjunct is a clause of one literal.  When an atom occurs in two or
-    more clauses, as the summand guards do in each of the 2^n sign patterns
-    of a cut form, the chain runs over its clauses (``_clause_table``) with
-    a table of atom values local to the call, so each atom runs at most
-    once per call (the way a BDD evaluates a shared node once: Bryant,
-    "Graph-Based Algorithms for Boolean Function Manipulation", 1986).
-    Atoms give exact ``bool``s and guards are pure and total, so neither
-    the order nor the short-circuit changes a value.  A chain without
-    shared atoms, and every negated chain, runs its conjuncts' own
-    closures.
+    A chain is also a conjunction of clauses over atoms (``_clause``).
+    When an atom occurs in two or more clauses, as the summand guards do in
+    each of the 2^n sign patterns of a cut form, the chain runs over its
+    clauses (``_clause_table``) with a table of atom values local to the
+    call, so each atom runs at most once per call (the way a BDD evaluates
+    a shared node once: Bryant, "Graph-Based Algorithms for Boolean
+    Function Manipulation", 1986).  Atoms give exact ``bool``s and guards
+    are pure and total, so neither the order nor the short-circuit changes
+    a value.  A chain without shared atoms, and every negated chain, runs
+    its conjuncts' own closures.
     """
-    conjuncts = _conjuncts(phi)
-    if not negated:
-        # a clause holds when one of its literals (atom, value) does
-        clauses = []
-        for c in conjuncts:
-            if isinstance(c, Not) and isinstance(c.arg, And):
-                clauses.append([(atom, not value) for atom, value
-                                in map(_literal, _conjuncts(c.arg))])
-            else:
-                clauses.append([_literal(c)])
-        slots: dict[int, int] = {}  # id of an atom (alive through phi) -> slot
-        shared = False
-        for clause in clauses:
-            for atom_id in {id(atom) for atom, _ in clause}:
-                shared = shared or atom_id in slots
-                slots.setdefault(atom_id, len(slots))
-        if shared:
-            return _clause_table(clauses, slots)
+    conjuncts = list(_conjuncts(phi))
+    if not negated and _shares_atoms(conjuncts):
+        return _clause_table(conjuncts)
     fns = tuple(_guard(c) for c in conjuncts)
     holds = not negated
 
@@ -451,9 +486,8 @@ def _conjunction(phi: And, negated: bool) -> Callable[[State], bool]:
     return fn
 
 
-def _clause_table(clauses: list[list[tuple[BExpr, bool]]],
-                  slots: dict[int, int]) -> Callable[[State], bool]:
-    """The closure for a conjunction of ``clauses`` that share atoms.
+def _clause_table(conjuncts: list[BExpr]) -> Callable[[State], bool]:
+    """The closure for a conjunction of clauses that share atoms.
 
     Each literal reads its atom's slot in a table of the call's own, and
     runs the atom only when the slot is still empty.  Clauses that begin
@@ -462,32 +496,83 @@ def _clause_table(clauses: list[list[tuple[BExpr, bool]]],
     of them at once, and a cut form's 2^n sign patterns cost about 2n
     literal reads per call in place of about 2^(n+1).  The trie is walked
     depth first, in the order of the clauses, with an explicit stack.
+
+    The closure pays for what its calls read.  The trie grows as calls
+    reach it: an edge keeps the unread rest of each clause that goes on
+    through it, and the first call that goes below the edge takes the next
+    literal of each (``grow``), so a clause is flattened only as far as
+    some call reads it.  An atom compiles when a call first reads its
+    slot, into a list of closures by slot that this closure owns.  A call
+    of a cut form's matrix reads about 2n of its 2^n + n atoms, so most
+    ``$cut < total`` atoms and their sums are never flattened or compiled.
+    A call that an exception stops while it grows the trie drops the
+    trie, whose clauses it may have read in part, and the next call
+    starts a new one.
     """
-    root: list = []
-    edges_at: dict[tuple, list] = {}  # (id of an edge list, slot, value) -> edge
-    for clause in clauses:
-        edges = root
-        for atom, value in clause:
-            i = slots[id(atom)]
-            edge = edges_at.get((id(edges), i, value))
-            if edge is None:
-                # slot, atom, value, a clause ends here, the edges that go on
-                edge = [i, _guard(atom), value, False, []]
-                edges_at[id(edges), i, value] = edge
-                edges.append(edge)
-            edges = edge[4]
-        edge[3] = True
-    size = len(slots)
+    slots: dict[int, int]  # id of an atom (alive through the chain) -> slot
+    atoms: list[BExpr]  # the atom of each slot
+    fns: list  # the closure of each slot's atom, once a call read it
+
+    def grow(edge: list) -> None:
+        """Fill the edges below ``edge`` from the next literal of each
+        clause waiting there."""
+        below: dict[tuple[int, bool], list] = {}
+        for clause in edge[4]:
+            literal = next(clause, None)
+            if literal is None:
+                edge[2] = True
+                continue
+            atom, value = literal
+            i = slots.get(id(atom))
+            if i is None:
+                i = slots[id(atom)] = len(atoms)
+                atoms.append(atom)
+                fns.append(None)
+            child = below.get((i, value))
+            if child is None:
+                # slot, value, a clause ends here, the edges below, the
+                # clauses waiting to grow them (None once grown)
+                child = below[i, value] = [i, value, False, [], []]
+                edge[3].append(child)
+            child[4].append(clause)
+        edge[4] = None
+
+    def start() -> list:
+        """The root's edges of a new trie, over new slots."""
+        nonlocal slots, atoms, fns
+        slots, atoms, fns = {}, [], []
+        top = [None, None, False, [], list(map(_clause, conjuncts))]
+        grow(top)
+        return top[3]
+
+    root = start()
 
     def fn(s):
-        known = [None] * size
+        nonlocal root
+        if root is None:
+            root = start()
+        known = [None] * len(atoms)
         stack = [iter(root)]
         while stack:
-            for i, f, value, ends, rest in stack[-1]:
+            for edge in stack[-1]:
+                i, value, ends, rest, waiting = edge
                 v = known[i]
                 if v is None:
+                    f = fns[i]
+                    if f is None:
+                        f = fns[i] = _guard(atoms[i])
                     v = known[i] = f(s)
                 if v is not value:
+                    if waiting is not None:
+                        try:
+                            grow(edge)
+                        except BaseException:
+                            # an interrupt or a RecursionError may leave
+                            # clauses read in part: the next call starts anew
+                            root = None
+                            raise
+                        ends = edge[2]
+                        known += [None] * (len(atoms) - len(known))
                     if ends:
                         return False
                     stack.append(iter(rest))

@@ -431,6 +431,101 @@ def test_cut_form_runs_each_summand_guard_at_most_once_per_call():
         assert sorted(map(id, calls)) == sorted(map(id, guards))
 
 
+def _lt_atoms(phi) -> list:
+    """The distinct ``Lt`` nodes of the guard DAG ``phi``."""
+    found, seen, stack = [], set(), [phi]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        match node:
+            case Lt():
+                found.append(node)
+            case And(l, r):
+                stack += [l, r]
+            case Not(arg):
+                stack.append(arg)
+    return found
+
+
+def _is_compiled(node) -> bool:
+    try:
+        node._fn
+    except AttributeError:
+        return False
+    return True
+
+
+def test_cut_form_compiles_only_the_atoms_a_call_reads():
+    """Ten summands: five terms ``[x < a && y < b] * (x + i)``."""
+    f = parse_exp(" + ".join(f"[x < a && y < b] * (x + {i})" for i in range(1, 6)))
+    d = to_dnf(f)
+    atoms = _lt_atoms(d.matrix)
+    cuts = [atom for atom in atoms if atom.left == VarRef(d.cut_var)]
+    assert (len(atoms), len(cuts)) == (1034, 1024)
+
+    def compiled():
+        return (sum(map(_is_compiled, atoms)), sum(map(_is_compiled, cuts)))
+
+    # every guard holds: the pattern asserts all ten summands
+    sigma = state(x=1, y=1, a=2, b=2)
+    assert eval_bexpr(d.matrix, sigma.set(d.cut_var, 19)) is True
+    assert compiled() == (11, 1)
+    assert eval_bexpr(d.matrix, sigma.set(d.cut_var, 20)) is False
+    assert compiled() == (11, 1)
+    # no guard holds: the pattern that negates every summand, total 0
+    assert eval_bexpr(d.matrix, sigma.set(Var("x"), 3).set(d.cut_var, 0)) is False
+    assert compiled() == (12, 2)
+
+
+def test_clause_ending_inside_the_trie_matches_reference():
+    """A clause whose literals begin another's ends at an inner edge of the
+    trie, which a call grows past only when the shorter clause holds."""
+    x, y = VarRef(Var("x")), VarRef(Var("y"))
+    a, b, c = Lt(x, RatLit(F(1))), Lt(y, RatLit(F(1))), Lt(x, y)
+    chain = And(Not(And(a, And(b, c))), And(Not(And(a, b)), or_(c, a)))
+    for xv, yv in itertools.product((0, 1, 2), repeat=2):
+        sigma = state(x=xv, y=yv)
+        assert eval_bexpr(chain, sigma) == ref_bexpr(chain, sigma)
+    assert _compiled_by(chain, "_clause_table")
+
+
+def test_interrupted_growth_leaves_no_half_read_clause(monkeypatch):
+    """An exception inside a call that grows the trie, such as an
+    interrupt, must not leave later calls a clause with a literal lost."""
+    f = parse_exp(" + ".join(f"[x < a && y < b] * (x + {i})" for i in range(1, 4)))
+    d = to_dnf(f)
+    assert eval_bexpr(d.matrix, state()) is False
+    literal, reads = semantics._literal, []
+
+    def interrupted(phi):
+        reads.append(phi)
+        if len(reads) == 5:
+            raise KeyboardInterrupt
+        return literal(phi)
+    monkeypatch.setattr(semantics, "_literal", interrupted)
+    sigma = state(x=1, y=1, a=2, b=2)
+    with pytest.raises(KeyboardInterrupt):
+        eval_bexpr(d.matrix, sigma.set(d.cut_var, 1))
+    monkeypatch.undo()
+    for xv, yv, cut in itertools.product((1, 3), (1, 3), (0, 4, 8, 11, 12)):
+        at = sigma.set(Var("x"), xv).set(Var("y"), yv).set(d.cut_var, cut)
+        assert eval_bexpr(d.matrix, at) == ref_bexpr(d.matrix, at)
+
+
+def test_zero_additions_fold_at_compile_time():
+    x = VarRef(Var("x"))
+    a = Mul(x, RatLit(F(3)))
+    zero = RatLit(F(0))
+    assert semantics._term(Add(a, zero)) is semantics._term(a)
+    assert semantics._term(Add(zero, a)) is semantics._term(a)
+    nested = Add(Add(zero, zero), Add(a, RatLit(F(0))))
+    assert semantics._term(nested) is semantics._term(a)
+    assert eval_aexpr(nested, state(x=2)) == 6 == ref_aexpr(nested, state(x=2))
+    assert eval_aexpr(Add(zero, zero), state(x=2)) == 0
+
+
 def test_chains_without_shared_atoms_keep_the_plain_loop():
     x, c = VarRef(Var("x")), VarRef(Var("c"))
     loop_guard = And(eq_(c, RatLit(F(1))), Lt(x, RatLit(F(40))))

@@ -196,6 +196,15 @@ def test_encode_loop_requires_loop_free_body():
         encode_loop(nested, POST_X, VS)
 
 
+def test_encode_loop_refuses_a_nested_loop_before_checking_the_varset():
+    # the inner loop's z lies outside {c, x}; the nested loop is reported
+    nested = parse_program(
+        "while (c = 1) { {c := 0} [1/2] {c := 1}; while (z < 1) { z := z + 1 } }")
+    assert not VS.issuperset({Var("z")})
+    with pytest.raises(ContainsLoop):
+        encode_loop(nested, POST_X, VS)
+
+
 def test_encode_loop_requires_covering_varset():
     with pytest.raises(ValueError):
         encode_loop(GEO, POST_X, VarSet.of("x"))
