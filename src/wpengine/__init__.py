@@ -23,7 +23,7 @@ from .errors import (
 from .parser import parse_exp, parse_fo, parse_program, parse_state
 from .semantics import ORACLE, RESTRICTED, QDomain, State, calkin_wilf, eval_exp, state
 from .syntax import print_exp, print_fo, print_program
-from .xreal import Rat, XReal, rat
+from .xreal import XReal, rat
 
 __all__ = [
     "ContainsLoop",
@@ -36,7 +36,6 @@ __all__ = [
     "ParseError",
     "ProbabilityOutOfRange",
     "QDomain",
-    "Rat",
     "RESTRICTED",
     "State",
     "SummandBlowup",

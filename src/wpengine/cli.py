@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .checks import SUITES
@@ -212,10 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = _option("--format", choices=["text", "json"], default="text")
-    depth = _option("--depth", type=_COUNT,
-                    default=os.environ.get("WPENGINE_DEPTH", str(DEFAULT_DEPTH)),
-                    help=f"quantifier domain size (default {DEFAULT_DEPTH}; "
-                         "env WPENGINE_DEPTH sets the default)")
+    depth = _option("--depth", type=_COUNT, default=DEFAULT_DEPTH,
+                    help=f"quantifier domain size (default {DEFAULT_DEPTH})")
     cap = _option("--state-cap", type=_at_least(1), default=DEFAULT_STATE_CAP,
                   help=f"exploration cap (default {DEFAULT_STATE_CAP})")
 

@@ -76,7 +76,6 @@ from .syntax import (
     true_,
     with_intrinsic,
 )
-from .wp import VarSet
 from .xreal import ONE, XReal, ZERO, is_natural
 
 # The name supply of the construction under way (see ``construction``): the
@@ -116,8 +115,10 @@ def construction(fn):
             for arg in (*args, *kwargs.values()):
                 if isinstance(arg, (AExpr, BExpr, Exp, FOFormula)):
                     names |= all_vars(arg)
-                elif isinstance(arg, (Var, VarSet, tuple)):
-                    names.update((arg,) if isinstance(arg, Var) else arg)
+                elif isinstance(arg, Var):
+                    names.add(arg)
+                elif isinstance(arg, tuple):  # of variables, not of values
+                    names.update(v for v in arg if isinstance(v, Var))
             supply = {v.name for v in names if v.reserved}, itertools.count()
         return within(supply, fn, *args, **kwargs)
 

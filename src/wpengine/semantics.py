@@ -177,35 +177,21 @@ def state(**bindings) -> State:
 # Quantifier domains
 # ---------------------------------------------------------------------------
 
-class QDomain:
-    """Finite, deduplicated, deterministically ordered set of rationals."""
+class QDomain(tuple):
+    """Finite, deduplicated, deterministically ordered set of rationals: the
+    tuple of its validated values, the first of equal values kept."""
 
-    __slots__ = ("values",)
+    __slots__ = ()
 
-    def __init__(self, values: Iterable[Fraction]):
-        seen = []
-        taken = set()
-        for q in values:
-            q = rat(q)
-            if q not in taken:
-                taken.add(q)
-                seen.append(q)
-        object.__setattr__(self, "values", tuple(seen))
+    def __new__(cls, values: Iterable[Fraction]):
+        return super().__new__(cls, dict.fromkeys(map(rat, values)))
 
-    def __setattr__(self, *_):
-        raise AttributeError("QDomain is immutable")
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __contains__(self, q) -> bool:
-        return rat(q) in self.values
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(self)
 
     def __repr__(self) -> str:
-        return f"QDomain({list(self.values)})"
+        return f"QDomain({list(self)})"
 
 
 def calkin_wilf_stream() -> Iterator[Fraction]:

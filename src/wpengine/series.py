@@ -68,10 +68,8 @@ PROD_VAR = Var("$p")
 
 @dataclass(frozen=True)
 class Aggregate:
-    """A sum or product aggregate: its body, its bound and its tagged term."""
+    """A sum or product aggregate: its tagged term."""
 
-    body: Exp
-    bound: AExpr
     pure: Exp
 
 
@@ -153,7 +151,7 @@ def _aggregate(body: Exp, bound, kind: str, agg: Var) -> Aggregate:
                     return ZERO
         return total
 
-    return Aggregate(body, bound, with_intrinsic(pure, aggregate_plan))
+    return Aggregate(with_intrinsic(pure, aggregate_plan))
 
 
 def make_sum(body: Exp, bound) -> Aggregate:

@@ -8,8 +8,8 @@ tag: an evaluation plan attached by higher layers, a function
 ``plan(sigma, rec)`` of the state that is ignored by printing, equality,
 and hashing; substitution keeps it (see ``SubstPlan``).
 
-The analysis walkers read each node's children from one table,
-``_CHILDREN``.  A quantifier prefix is a list of (quantifier class,
+The analysis walkers and substitution read each node's children from one
+table, ``_CHILDREN``.  A quantifier prefix is a list of (quantifier class,
 variable) pairs, outermost first, for ``Sup``/``Inf`` and
 ``Exists``/``Forall`` alike: ``split_prefix`` takes it off, ``quantify``
 puts it back.
@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 import zlib
 from collections import Counter
-from operator import attrgetter
+from operator import attrgetter, is_
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -416,6 +416,7 @@ GUARD_OF = {FOImplies: implies_, FOOr: or_, FOAnd: And, FONot: Not}
 # ---------------------------------------------------------------------------
 
 _QF_TYPES = (RatLit, VarRef, Add, Mul, Monus, Lt, And, Not)
+_SUBST_TYPES = (*_QF_TYPES, Arith, Guard, Plus, Scale)  # rebuilt from children
 _BINDERS = (Sup, Inf, Exists, Forall)
 _NO_VARS: frozenset[Var] = frozenset()
 
@@ -693,15 +694,10 @@ def _subst_plan(g: Exp, ctx: tuple) -> SubstPlan | None:
     return None if tag is None else SubstPlan(g, ctx[0])
 
 
-def _rebuilt(g: Exp, ctx: tuple, **changes) -> Exp:
-    if all(getattr(g, name) is part for name, part in changes.items()):
-        return g
-    return replace(g, intrinsic=_subst_plan(g, ctx), **changes)
-
-
 def _walk(g, ctx: tuple):
     m, keys, keymask, memo, _, _ = ctx
-    if isinstance(g, _QF_TYPES):
+    qf = isinstance(g, _QF_TYPES)
+    if qf:
         # a mask that misses the keys' mask proves that ``g`` mentions no
         # mapped variable; a hit may be a false positive, which a variable
         # set cached on ``g`` settles
@@ -713,27 +709,21 @@ def _walk(g, ctx: tuple):
     out = memo.get(id(g))
     if out is not None:
         return out
-    match g:
-        case VarRef(v):
-            out = m.get(v, g)  # masks can only give false positives
-        case Add(l, r) | Mul(l, r) | Monus(l, r) | Lt(l, r) | And(l, r):
-            l2, r2 = _walk(l, ctx), _walk(r, ctx)
-            out = g if l2 is l and r2 is r else type(g)(l2, r2)
-        case Not(arg):
-            a2 = _walk(arg, ctx)
-            out = g if a2 is arg else Not(a2)
-        case Arith(a):
-            out = _rebuilt(g, ctx, expr=_walk(a, ctx))
-        case Guard(cond, body):
-            out = _rebuilt(g, ctx, cond=_walk(cond, ctx), body=_walk(body, ctx))
-        case Plus(l, r):
-            out = _rebuilt(g, ctx, left=_walk(l, ctx), right=_walk(r, ctx))
-        case Scale(a, body):
-            out = _rebuilt(g, ctx, factor=_walk(a, ctx), body=_walk(body, ctx))
-        case Sup(_, _) | Inf(_, _):
-            out = _under_binders(g, ctx)
-        case _:
-            raise TypeError(g)
+    if isinstance(g, VarRef):
+        out = m.get(g.var, g)  # masks can only give false positives
+    elif isinstance(g, (Sup, Inf)):
+        out = _under_binders(g, ctx)
+    elif isinstance(g, _SUBST_TYPES):
+        kids = _children(g)
+        new = [_walk(child, ctx) for child in kids]
+        if all(map(is_, new, kids)):
+            out = g
+        elif qf:
+            out = type(g)(*new)
+        else:
+            out = type(g)(*new, intrinsic=_subst_plan(g, ctx))
+    else:
+        raise TypeError(g)
     memo[id(g)] = out
     return out
 
@@ -778,12 +768,13 @@ def substitute(node, mapping: dict[Var, AExpr]):
     copying the binder's body, so the walk visits only nodes of its input.
     Subtrees without a free mapped variable are returned as-is: a term or
     guard whose variable mask misses the mapped variables' bits is
-    skipped, and a node is rebuilt only when a child changed.  A rebuilt
-    tagged node gets one ``SubstPlan`` of the original node under the
-    mapping in force there, renames included; a node with a ``SubstPlan``
-    composes the mappings, so substitutions applied one after another keep
-    one.  ``wp_loop_free`` makes one substitution per block of
-    assignments, so composition serves blocks that branches separate.
+    skipped, and a node is rebuilt, from its children in ``_CHILDREN``,
+    only when a child changed.  A rebuilt tagged node gets one
+    ``SubstPlan`` of the original node under the mapping in force there,
+    renames included; a node with a ``SubstPlan`` composes the mappings, so
+    substitutions applied one after another keep one.  ``wp_loop_free``
+    makes one substitution per block of assignments, so composition serves
+    blocks that branches separate.
 
     Results are memoized for the one walk, keyed on input nodes, which the
     caller keeps alive for the call, so shared subterms are substituted

@@ -24,7 +24,6 @@ All arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContainsLoop, FuelExceeded
@@ -62,41 +61,37 @@ from .xreal import XReal, ZERO, format_rat
 DEFAULT_STATE_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class VarSet:
-    """Ordered, duplicate-free list of relevant variables.
+class VarSet(tuple):
+    """Ordered, duplicate-free tuple of relevant variables.
 
     The order is significant: it indexes positional encodings of states.
     """
 
-    variables: tuple[Var, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
+    def __new__(cls, variables):
+        out = super().__new__(cls, variables)
+        if len(set(out)) != len(out):
             raise ValueError("duplicate variables in variable set")
+        return out
 
     @staticmethod
     def of(*names) -> "VarSet":
-        return VarSet(tuple(Var(n) if isinstance(n, str) else n for n in names))
+        return VarSet(Var(n) if isinstance(n, str) else n for n in names)
 
     @staticmethod
     def for_program(prog: Program, *exps: Exp) -> "VarSet":
         seen = vars_program(prog)
         for f in exps:
             seen |= free_vars(f)
-        return VarSet(tuple(sorted(seen)))
+        return VarSet(sorted(seen))
 
-    def __iter__(self):
-        return iter(self.variables)
-
-    def __len__(self):
-        return len(self.variables)
-
-    def __contains__(self, var: Var) -> bool:
-        return var in self.variables
+    @property
+    def variables(self) -> tuple[Var, ...]:
+        return tuple(self)
 
     def issuperset(self, other) -> bool:
-        return set(self.variables) >= set(other)
+        return set(self) >= set(other)
 
 
 class Dist:
@@ -339,7 +334,7 @@ def _kleene_value(loop: While, cont, sigma: State, fuel: int, state_cap: int) ->
 
     def go(level: int, s: State) -> XReal:
         nonlocal met
-        if level == 0:
+        if level <= 0:
             return ZERO
         key = (level, s)
         if key in cache:

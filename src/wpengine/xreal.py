@@ -1,9 +1,9 @@
 """Exact non-negative rationals and their extension with infinity.
 
 Plain values are ``fractions.Fraction`` instances (always in lowest terms
-with positive denominator); this module adds validation and parsing helpers
-plus ``XReal``, the completion of the non-negative rationals with a top
-element ``inf``.  ``XReal`` arithmetic follows the complete-lattice
+with positive denominator); this module adds validation and printing
+helpers plus ``XReal``, the completion of the non-negative rationals with a
+top element ``inf``.  ``XReal`` arithmetic follows the complete-lattice
 conventions: addition with ``inf`` yields ``inf``, ``inf`` times a positive
 value is ``inf``, and ``0 * inf == 0``.
 """
@@ -13,41 +13,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-Rat = Fraction
-
-RatLike = Union[int, Fraction, str]
+RatLike = Union[int, Fraction]
 
 
-def rat(value: RatLike, denominator: int | None = None) -> Fraction:
-    """Build a validated non-negative rational.
-
-    Accepts an int, a Fraction, or a string ``"p"`` / ``"p/q"``; an optional
-    second argument gives a denominator for int inputs.  A Fraction is
-    returned as it is, not copied.
-    """
-    if denominator is not None:
-        q = Fraction(value, denominator)
-    elif isinstance(value, Fraction):
-        q = value
-    elif isinstance(value, str):
-        q = parse_rat(value)
-    else:
-        q = Fraction(value)
+def rat(value: RatLike) -> Fraction:
+    """Build a validated non-negative rational from an int or a Fraction; a
+    Fraction is returned as it is, not copied."""
+    q = value if isinstance(value, Fraction) else Fraction(value)
     if q.numerator < 0:
         raise ValueError(f"negative rational not allowed: {q}")
-    return q
-
-
-def parse_rat(text: str) -> Fraction:
-    """Parse ``"123"`` or ``"7/2"`` into a non-negative rational."""
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        q = Fraction(int(num), int(den))
-    else:
-        q = Fraction(int(text))
-    if q < 0:
-        raise ValueError(f"negative rational not allowed: {text!r}")
     return q
 
 

@@ -288,12 +288,6 @@ def test_check_deterministic_for_seed(capsys):
     assert first == second
 
 
-def test_env_depth_override(capsys, coin_file, monkeypatch):
-    monkeypatch.setenv("WPENGINE_DEPTH", "2")
-    code, out, _ = run(capsys, "wp", "--syntactic", "-p", coin_file, "-f", "x")
-    assert code == 0
-
-
 def test_series_emit_pure(capsys):
     code, out, _ = run(capsys, "series", "sum", "--body", "1/$s", "--n", "2",
                        "--emit-pure")

@@ -12,6 +12,7 @@ import pytest
 from wpengine.errors import NotPrenex
 from wpengine.goedel import (
     GoedelPair,
+    construction,
     beta_decode,
     beta_encode,
     cantor_pair,
@@ -30,6 +31,7 @@ from wpengine.goedel import (
     encstate_holds,
     expand_nat_atoms,
     fo_nat_to_rat,
+    logical_var,
     fo_prenex,
     fo_to_exp,
     pair_formula,
@@ -176,6 +178,16 @@ def test_state_seq_roundtrip():
 # ---------------------------------------------------------------------------
 # Formula constructions
 # ---------------------------------------------------------------------------
+
+def test_new_name_supply_skips_reserved_names_of_variables_only():
+    """A new supply skips the reserved names of its variable, variable-set
+    and tuple arguments; a domain, also a tuple, and a string give none."""
+    helper = construction(lambda *args: logical_var("h"))
+    taken = Var("$h0")
+    assert helper(taken) == helper(VarSet((taken,))) == Var("$h1")
+    assert helper((taken, Var("x")), "$h0") == Var("$h1")
+    assert helper(QDomain([F(0)]), "$h0") == taken
+
 
 def test_robinson_free_variables():
     k = Var("k")

@@ -126,6 +126,19 @@ def test_truncation_zero_is_zero():
     assert geo_encoding.plan_eval(state(c=0, x=7), 1) == XReal.of(F(7))
 
 
+def test_oracles_agree_at_negative_depth():
+    """A negative truncation is the zero iterate for all four oracles, from a
+    state where the guard fails and from one where it holds."""
+    geo = parse_program("while (c = 1) { {c := 0} [1/2] {c := 1}; x := x + 1 }")
+    varset = VarSet.of("c", "x")
+    encoding = encode_loop(geo, POST_X, varset)
+    for sigma in (state(c=0, x=5), state(c=1, x=0)):
+        assert kleene_iterate(geo, POST_X, sigma, -1) == ZERO
+        assert path_sum(geo, POST_X, sigma, varset, -1) == ZERO
+        assert eval_exp(char_iterates(geo, POST_X, -1), sigma) == ZERO
+        assert encoding.plan_eval(sigma, -1) == ZERO
+
+
 def test_truncations_never_decrease():
     """The truncations are the fixed-point iterates from zero, which never
     decrease, so truncation k is also the supremum of those up to k."""

@@ -76,6 +76,20 @@ def test_empty_domain_extremes():
     assert eval_exp(parse_exp("inf v: v + 1"), state(), dom) == XReal.INF
 
 
+def test_domain_is_the_tuple_of_its_values():
+    """A domain keeps the first of equal values in order, rejects a negative
+    one, and equal domains are equal and hash alike."""
+    dom = QDomain([F(2), 1, F(1, 2), F(2, 1), F(1)])
+    assert dom == (F(2), F(1), F(1, 2))
+    assert repr(dom) == f"QDomain({[F(2), F(1), F(1, 2)]})"
+    assert type(dom.values) is tuple and dom.values == dom
+    again = QDomain([F(2), F(1), F(1, 2)])
+    assert again == dom and hash(again) == hash(dom)
+    assert QDomain([F(1), F(2)]) != QDomain([F(2), F(1)])
+    with pytest.raises(ValueError):
+        QDomain([F(1), F(-1, 2)])
+
+
 def test_calkin_wilf_prefix():
     assert list(calkin_wilf(0)) == [F(0)]
     assert list(calkin_wilf(3)) == [F(0), F(1), F(1, 2), F(2)]
@@ -384,4 +398,4 @@ def test_state_set_and_rat_validate():
         State({x: F(-1, 2)})
     q = F(3, 4)
     assert rat(q) is q
-    assert rat(q, 1) == q and rat(6, 8) == q and rat("3/4") == q
+    assert rat(3) == F(3)

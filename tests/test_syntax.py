@@ -52,6 +52,7 @@ from wpengine.syntax import (
     Scale,
     Seq,
     Skip,
+    SubstPlan,
     Sup,
     Var,
     VarRef,
@@ -76,6 +77,7 @@ from wpengine.syntax import (
     substitute,
     true_,
 )
+from wpengine.xreal import ZERO
 
 
 def test_parse_skip():
@@ -515,6 +517,43 @@ def test_child_table_gives_each_node_its_fields():
         with pytest.raises(TypeError) as raised:
             _children(foreign)
         assert str(raised.value) == type(foreign).__name__
+
+
+def test_substitution_rebuilds_nodes_from_their_children():
+    """A changed tagged node comes back as its own class, subclasses
+    included, with a ``SubstPlan`` of the original and its unchanged
+    children as the same objects; an untouched node comes back as itself,
+    and a formula is refused whether or not a mapped variable occurs."""
+
+    class Tagged(Plus):
+        pass
+
+    x, v = Var("x"), Var("v")
+    mapping = {x: parse_aexpr("y + 1")}
+    plan = lambda sigma, rec: ZERO
+    y, lt = avar("y"), parse_bexpr("y < 1")
+    xs, ys = Arith(VarRef(x)), Arith(y)
+    nodes = [
+        Arith(Add(VarRef(x), y), intrinsic=plan),
+        Guard(lt, xs, intrinsic=plan),
+        Plus(ys, xs, intrinsic=plan),
+        Scale(y, xs, intrinsic=plan),
+        Tagged(xs, ys, intrinsic=plan),
+    ]
+    for node in nodes:
+        out = substitute(node, mapping)
+        assert type(out) is type(node)
+        assert isinstance(out.intrinsic, SubstPlan)
+        assert out.intrinsic.node is node and out.intrinsic.mapping == mapping
+        for old, new in zip(_children(node), _children(out), strict=True):
+            assert (new is old) == (x not in free_vars(old))
+        assert substitute(node, {v: y}) is node
+    term = nodes[0].expr
+    assert substitute(term, mapping).right is term.right
+    for formula in (Atom(lt), FOAnd(Atom(lt), Nat(x)), Exists(v, Atom(lt))):
+        for m in (mapping, {v: y}):
+            with pytest.raises(TypeError):
+                substitute(formula, m)
 
 
 def test_dropped_terms_are_freed():

@@ -39,6 +39,7 @@ from wpengine.wp import (
     forward_dist,
     kleene_iterate,
     path_sum,
+    step_kernel,
     wp_loop_free,
 )
 from wpengine.xreal import XReal, ZERO
@@ -402,3 +403,12 @@ def test_dist_json():
 def test_varset_rejects_duplicates():
     with pytest.raises(ValueError):
         VarSet.of("x", "x")
+
+
+def test_equal_varsets_share_one_kernel():
+    loop = parse_program("while (c = 1) { {c := 0} [1/2] {c := 1}; x := x + 1 }")
+    first, second = VarSet.of("c", "x"), VarSet.of("c", "x")
+    assert first is not second and first == second
+    assert step_kernel(loop, first) is step_kernel(loop, second)
+    assert type(first.variables) is tuple
+    assert first.variables == (Var("c"), Var("x")) == first
