@@ -1,45 +1,48 @@
 """Concrete syntax for programs, expectations, and first-order formulas.
 
-A hand-rolled tokenizer and recursive-descent parser with 1-based
-line/column error reporting.  ``-`` denotes monus (subtraction truncated at
-zero), since all values are non-negative.  Comments run from ``//`` to end
-of line.
+A hand-rolled tokenizer and recursive-descent parser.  A token keeps its
+offset, from which an error computes its 1-based line and column.  ``-``
+denotes monus (subtraction truncated at zero), since all values are
+non-negative.  Comments run from ``//`` to end of line.
 
 Grammar sketch::
 
     prog  ::= stmt (";" stmt)*
     stmt  ::= "skip" | var ":=" aexpr
             | "{" prog "}" "[" rat "]" "{" prog "}"
-            | "if" "(" bexpr ")" "{" prog "}" "else" "{" prog "}"
-            | "while" "(" bexpr ")" "{" prog "}"
+            | "if" cond "else" "{" prog "}" | "while" cond
+    cond  ::= "(" bexpr ")" "{" prog "}"
     exp   ::= binder exp | eprod ("+" eprod)*
     eprod ::= ("[" bexpr "]" "*" | aexpr "*")* atom
-    fo    ::= binder fo | imp(fatom)
-    bexpr ::= imp(batom)
+    fo    ::= binder fo | imp(fo)
+    bexpr ::= imp(bexpr)
     imp(a) ::= or(a) ("->" imp(a))?
     or(a)  ::= and(a) ("||" and(a))*
     and(a) ::= not(a) ("&&" not(a))*
-    not(a) ::= "!" not(a) | a
-    batom ::= "true" | "false" | aexpr cmp aexpr | "(" bexpr ")"
-    fatom ::= "true" | "false" | "N" "(" var ")" | aexpr cmp aexpr | "(" fo ")"
+    not(a) ::= "!" not(a) | atom(a)
+    atom(a) ::= "true" | "false" | aexpr cmp aexpr | "(" a ")"
+              | "N" "(" var ")"                      (formulas only)
     binder ::= ("sup" | "inf" | "forall" | "exists") var ":"
+    state ::= (var "=" rat ("," var "=" rat)*)?
 
-Guards and formulas climb one connective ladder and differ in their atoms
-and constructors: formulas build their own connective nodes, guards the
-lowered connective of each (``syntax.GUARD_OF``).  The binder rule serves
-all four quantifier words; ``sup``/``inf`` bind expectations and
+One rule, ``chain``, reads every left-associative operator.  Guards and
+formulas share the ladder and the atom rule and differ in their table:
+formulas build their own nodes, guards the lowered connective of each
+(``syntax.GUARD_OF``).  ``sup``/``inf`` bind expectations and
 ``forall``/``exists`` formulas.  ``*`` binds tighter than ``+`` and
-quantifiers bind loosest.  A product of
-two non-arithmetic expectations is rejected with ``IllegalProduct``.
-Reserved ``$``-prefixed names are allowed in expectations (they are used by
-generated helper terms) but rejected in programs.
+quantifiers bind loosest.  A product of two non-arithmetic expectations is
+rejected with ``IllegalProduct``.  Reserved ``$``-prefixed names are allowed
+in expectations (they are used by generated helper terms) but rejected in
+programs.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import NamedTuple
 
 from . import syntax as s
 from .errors import IllegalProduct, ParseError
@@ -60,13 +63,13 @@ from .xreal import XReal, ZERO
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
+    (?P<skip>\s+|//[^\n]*)
   | (?P<num>\d+(?:/\d+)?)
   | (?P<ident>\$?[a-zA-Z_][a-zA-Z0-9_']*)
   | (?P<op>:=|<=|>=|&&|\|\||->|[;{}\[\]()+\-*<>=!:,/])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 _KEYWORDS = {"skip", "if", "else", "while", "sup", "inf", "true", "false",
@@ -74,35 +77,40 @@ _KEYWORDS = {"skip", "if", "else", "while", "sup", "inf", "true", "false",
 
 _QUANTIFIERS = {"sup": s.Sup, "inf": s.Inf, "forall": s.Forall, "exists": s.Exists}
 
+_COMPARISONS = {"<": s.Lt, "<=": s.le_, "=": s.eq_,
+                ">": lambda a, b: s.Lt(b, a), ">=": lambda a, b: s.le_(b, a)}
 
-@dataclass(frozen=True)
-class Token:
+# what ``chain`` folds each operator into, outside the connective ladder
+_ARITH = {"+": s.Add, "-": s.Monus, "*": s.Mul}
+_SUMS = {"+": Plus}
+_MERGE = {",": operator.or_}
+
+
+class Token(NamedTuple):
     kind: str  # "num" | "ident" | "op" | "eof"
     text: str
-    line: int
-    column: int
+    offset: int
+
+
+class _Failure(Exception):
+    """A failed rule's ``(message, offset)``, positioned if it escapes ``_parse``."""
+
+
+def _error_at(text: str, message: str, offset: int) -> ParseError:
+    """The error ``message`` at the 1-based line and column of ``offset``."""
+    return ParseError(message, text.count("\n", 0, offset) + 1,
+                      offset - text.rfind("\n", 0, offset))
 
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        lexeme = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind == "bad":
+            raise _error_at(text, f"unexpected character {m.group()!r}", m.start())
+        if kind != "skip":
+            tokens.append(Token(kind, m.group(), m.start()))
+    tokens.append(Token("eof", "", len(text)))
     return tokens
 
 
@@ -117,28 +125,20 @@ class _Parser:
     def cur(self) -> Token:
         return self.tokens[self.pos]
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.cur.line, self.cur.column)
+    def error(self, message: str) -> _Failure:
+        return _Failure(message, self.cur.offset)
 
-    def at_op(self, *ops: str) -> bool:
-        return self.cur.kind == "op" and self.cur.text in ops
-
-    def at_word(self, *words: str) -> bool:
-        return self.cur.kind == "ident" and self.cur.text in words
+    def at(self, *texts: str) -> bool:
+        # the texts of an operator, a word and a number never coincide
+        return self.cur.text in texts
 
     def advance(self) -> Token:
-        tok = self.cur
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def expect_op(self, op: str) -> Token:
-        if not self.at_op(op):
-            raise self.error(f"expected {op!r}, found {self.cur.text!r}")
-        return self.advance()
-
-    def expect_word(self, word: str) -> Token:
-        if not self.at_word(word):
-            raise self.error(f"expected {word!r}, found {self.cur.text!r}")
+    def expect(self, text: str) -> Token:
+        if self.cur.text != text:
+            raise self.error(f"expected {text!r}, found {self.cur.text!r}")
         return self.advance()
 
     def expect_eof(self):
@@ -155,127 +155,106 @@ class _Parser:
     def number(self) -> Fraction:
         if self.cur.kind != "num":
             raise self.error(f"expected a rational, found {self.cur.text!r}")
-        text = self.advance().text
-        if "/" in text:
-            num, _, den = text.partition("/")
-            if int(den) == 0:
-                raise self.error("zero denominator")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        num, _, den = self.cur.text.partition("/")
+        if den and int(den) == 0:
+            raise self.error("zero denominator")
+        self.pos += 1
+        return Fraction(int(num), int(den or 1))
+
+    def chain(self, operand, ops: dict, *names: str):
+        """``operand (op operand)*`` for the operators ``names``, folded to
+        the left with the constructor ``ops[op]`` of each."""
+        left = operand()
+        while self.at(*names):
+            left = ops[self.advance().text](left, operand())
+        return left
 
     # -- arithmetic --------------------------------------------------------
 
     def aexpr(self) -> AExpr:
-        left = self.aterm()
-        while self.at_op("+", "-"):
-            op = self.advance().text
-            right = self.aterm()
-            left = s.Add(left, right) if op == "+" else s.Monus(left, right)
-        return left
+        return self.chain(self.aterm, _ARITH, "+", "-")
 
     def aterm(self) -> AExpr:
-        left = self.afactor()
-        while self.at_op("*"):
-            self.advance()
-            left = s.Mul(left, self.afactor())
-        return left
+        return self.chain(self.afactor, _ARITH, "*")
 
     def afactor(self) -> AExpr:
         if self.cur.kind == "num":
             return s.RatLit(self.number())
-        if self.at_op("("):
+        if self.at("("):
             self.advance()
             inner = self.aexpr()
-            self.expect_op(")")
+            self.expect(")")
             return inner
         return s.VarRef(self.ident())
 
-    # -- guards and formulas: one connective ladder, one binder rule ----------
+    # -- guards and formulas: one connective ladder, one atom rule -----------
 
     def bexpr(self) -> BExpr:
         return self.implication(_GUARDS)
 
     def implication(self, ops: dict):
-        left = self.disjunction(ops)
-        if self.at_op("->"):
+        left = self.chain(partial(self.conjunction, ops), ops, "||")
+        if self.at("->"):
             self.advance()
             return ops["->"](left, self.implication(ops))
         return left
 
-    def disjunction(self, ops: dict):
-        left = self.conjunction(ops)
-        while self.at_op("||"):
-            self.advance()
-            left = ops["||"](left, self.conjunction(ops))
-        return left
-
     def conjunction(self, ops: dict):
-        left = self.negation(ops)
-        while self.at_op("&&"):
-            self.advance()
-            left = ops["&&"](left, self.negation(ops))
-        return left
+        return self.chain(partial(self.negation, ops), ops, "&&")
 
     def negation(self, ops: dict):
-        if self.at_op("!"):
+        if self.at("!"):
             self.advance()
             return ops["!"](self.negation(ops))
-        return ops["atom"](self)
+        return self.atom(ops)
 
-    def binder(self, body):
-        """``word var ":" body`` for the quantifier word at the cursor."""
-        quant = _QUANTIFIERS[self.advance().text]
-        var = self.ident()
-        self.expect_op(":")
-        return quant(var, body())
-
-    def batom(self) -> BExpr:
-        if self.at_word("true"):
+    def atom(self, ops: dict):
+        """``N(v)`` where the syntax has it, ``true``, ``false``, a
+        comparison, or a parenthesized guard or formula."""
+        if ops["N"] and self.at("N") and self.tokens[self.pos + 1].text == "(":
+            self.pos += 2
+            var = self.ident()
+            self.expect(")")
+            return ops["N"](var)
+        if self.at("true", "false"):
+            atom = s.true_() if self.advance().text == "true" else s.false_()
+        else:
+            atom = self.try_comparison()
+        if atom is not None:
+            return ops["atom"](atom)
+        if self.at("("):
             self.advance()
-            return s.true_()
-        if self.at_word("false"):
-            self.advance()
-            return s.false_()
-        cmp = self.try_comparison()
-        if cmp is not None:
-            return cmp
-        if self.at_op("("):
-            self.advance()
-            inner = self.bexpr()
-            self.expect_op(")")
+            inner = ops["("](self)
+            self.expect(")")
             return inner
-        raise self.error(f"expected a comparison, found {self.cur.text!r}")
+        raise self.error(f"expected {ops['noun']}, found {self.cur.text!r}")
 
     def try_comparison(self) -> BExpr | None:
         mark = self.pos
         try:
             left = self.aexpr()
-            if not self.at_op("<", "<=", "=", ">=", ">"):
+            if not self.at(*_COMPARISONS):
                 raise self.error("expected a comparison operator")
-            op = self.advance().text
+            make = _COMPARISONS[self.advance().text]
             right = self.aexpr()
-        except ParseError:
+        except _Failure:
             self.pos = mark
             return None
-        match op:
-            case "<":
-                return s.Lt(left, right)
-            case "<=":
-                return s.le_(left, right)
-            case "=":
-                return s.eq_(left, right)
-            case ">":
-                return s.Lt(right, left)
-            case ">=":
-                return s.le_(right, left)
-        raise AssertionError(op)
+        return make(left, right)
+
+    def binder(self, body):
+        """``word var ":" body`` for the quantifier word at the cursor."""
+        quant = _QUANTIFIERS[self.advance().text]
+        var = self.ident()
+        self.expect(":")
+        return quant(var, body())
 
     # -- programs ------------------------------------------------------------
 
     def program(self) -> Program:
         # a loop, not recursion, so a long ``;`` chain parses at any length
         statements = [self.statement()]
-        while self.at_op(";"):
+        while self.at(";"):
             self.advance()
             statements.append(self.statement())
         prog = statements.pop()
@@ -284,51 +263,46 @@ class _Parser:
         return prog
 
     def statement(self) -> Program:
-        if self.at_word("skip"):
+        if self.at("skip"):
             self.advance()
             return s.Skip()
-        if self.at_word("if"):
-            self.advance()
-            self.expect_op("(")
-            cond = self.bexpr()
-            self.expect_op(")")
-            then = self.braced_program()
-            self.expect_word("else")
-            orelse = self.braced_program()
-            return s.Ite(cond, then, orelse)
-        if self.at_word("while"):
-            self.advance()
-            self.expect_op("(")
-            cond = self.bexpr()
-            self.expect_op(")")
-            return s.While(cond, self.braced_program())
-        if self.at_op("{"):
+        if self.at("if"):
+            cond, then = self.conditional()
+            self.expect("else")
+            return s.Ite(cond, then, self.braced_program())
+        if self.at("while"):
+            return s.While(*self.conditional())
+        if self.at("{"):
             left = self.braced_program()
-            self.expect_op("[")
+            self.expect("[")
             prob = self.number()
-            self.expect_op("]")
+            self.expect("]")
             right = self.braced_program()
             return s.PChoice(left, prob, right)
         var = self.ident(allow_reserved=False)
-        self.expect_op(":=")
+        self.expect(":=")
         return s.Assign(var, self.aexpr())
 
+    def conditional(self) -> tuple[BExpr, Program]:
+        """``cond`` after the ``if`` or ``while`` at the cursor."""
+        self.advance()
+        self.expect("(")
+        cond = self.bexpr()
+        self.expect(")")
+        return cond, self.braced_program()
+
     def braced_program(self) -> Program:
-        self.expect_op("{")
+        self.expect("{")
         prog = self.program()
-        self.expect_op("}")
+        self.expect("}")
         return prog
 
     # -- expectations --------------------------------------------------------
 
     def exp(self) -> Exp:
-        if self.at_word("sup", "inf"):
+        if self.at("sup", "inf"):
             return self.binder(self.exp)
-        left = self.eproduct()
-        while self.at_op("+"):
-            self.advance()
-            left = Plus(left, self.eproduct())
-        return left
+        return self.chain(self.eproduct, _SUMS, "+")
 
     def eproduct(self) -> Exp:
         """A ``*``-chain of guards, scalars, and a trailing expectation.
@@ -337,7 +311,7 @@ class _Parser:
         Iverson guard or an arithmetic term.
         """
         factors: list[tuple[str, object]] = [self.efactor()]
-        while self.at_op("*"):
+        while self.at("*"):
             self.advance()
             factors.append(self.efactor())
         kind, last = factors[-1]
@@ -358,22 +332,22 @@ class _Parser:
 
     def efactor(self) -> tuple[str, object]:
         """One ``*``-chain element: ('guard', BExpr) | ('aexpr', AExpr) | ('exp', Exp)."""
-        if self.at_op("["):
+        if self.at("["):
             self.advance()
             cond = self.bexpr()
-            self.expect_op("]")
+            self.expect("]")
             return ("guard", cond)
-        if self.at_word("sup", "inf"):
+        if self.at("sup", "inf"):
             return ("exp", self.exp())
         if self.cur.kind == "num":
             value = self.number()
-            if self.at_op("/"):
+            if self.at("/"):
                 # r / x: reciprocal-style shorthand for sup w: [w * x = r] * w
                 self.advance()
                 var = self.ident()
                 return ("exp", reciprocal_exp(value, var))
             return ("aexpr", s.RatLit(value))
-        if self.at_op("("):
+        if self.at("("):
             # parenthesized factors parse as expectations (the chain folding
             # views purely arithmetic ones as terms when they multiply); a
             # monus chain is not an expectation, so fall back to arithmetic
@@ -381,57 +355,45 @@ class _Parser:
             self.advance()
             try:
                 exp = self.exp()
-                self.expect_op(")")
+                self.expect(")")
                 return ("exp", exp)
-            except ParseError:
+            except _Failure:
                 self.pos = mark
             self.advance()
             inner = self.aexpr()
-            self.expect_op(")")
+            self.expect(")")
             return ("aexpr", inner)
         return ("aexpr", s.VarRef(self.ident()))
 
-    # -- first-order formulas -------------------------------------------------
+    # -- first-order formulas and states -------------------------------------
 
     def fo(self) -> FOFormula:
-        if self.at_word("forall", "exists"):
+        if self.at("forall", "exists"):
             return self.binder(self.fo)
         return self.implication(_FORMULAS)
 
-    def fo_atom(self) -> FOFormula:
-        if self.at_word("true"):
-            self.advance()
-            return s.Atom(s.true_())
-        if self.at_word("false"):
-            self.advance()
-            return s.Atom(s.false_())
-        if (
-            self.cur.kind == "ident"
-            and self.cur.text == "N"
-            and self.tokens[self.pos + 1].kind == "op"
-            and self.tokens[self.pos + 1].text == "("
-        ):
-            self.advance()
-            self.expect_op("(")
-            var = self.ident()
-            self.expect_op(")")
-            return s.Nat(var)
-        cmp = self.try_comparison()
-        if cmp is not None:
-            return s.Atom(cmp)
-        if self.at_op("("):
-            self.advance()
-            inner = self.fo()
-            self.expect_op(")")
-            return inner
-        raise self.error(f"expected a formula, found {self.cur.text!r}")
+    def bindings(self) -> dict:
+        """Comma-separated ``var "=" rat`` bindings, the later of two
+        bindings of one variable winning; none at end of input."""
+        if self.cur.kind == "eof":
+            return {}
+        return self.chain(self.binding, _MERGE, ",")
+
+    def binding(self) -> dict:
+        var = self.ident()
+        self.expect("=")
+        return {var: self.number()}
 
 
 # The connective ladder of each syntax: the constructor of each rung's
-# operator, and the rule for its atoms.
+# operator, what makes a comparison or constant an atom, the rule inside
+# parentheses, the noun of the atom error, and the constructor of ``N(v)``,
+# which only formulas read.
 _RUNGS = {"->": s.FOImplies, "||": s.FOOr, "&&": s.FOAnd, "!": s.FONot}
-_FORMULAS = {**_RUNGS, "atom": _Parser.fo_atom}
-_GUARDS = {**{op: s.GUARD_OF[c] for op, c in _RUNGS.items()}, "atom": _Parser.batom}
+_FORMULAS = {**_RUNGS, "atom": s.Atom, "(": _Parser.fo, "noun": "a formula",
+             "N": s.Nat}
+_GUARDS = {**{op: s.GUARD_OF[c] for op, c in _RUNGS.items()}, "atom": lambda g: g,
+           "(": _Parser.bexpr, "noun": "a comparison", "N": None}
 
 
 def _as_aexpr(f: Exp) -> AExpr | None:
@@ -469,52 +431,37 @@ def reciprocal_exp(value: Fraction, var: Var) -> Exp:
     return s.with_intrinsic(s.Sup(w, body), reciprocal_plan)
 
 
-def parse_program(text: str) -> Program:
+def _parse(text: str, rule):
+    """Run ``rule`` over the whole of ``text``."""
     parser = _Parser(text)
-    prog = parser.program()
-    parser.expect_eof()
-    return prog
+    try:
+        result = rule(parser)
+        parser.expect_eof()
+    except _Failure as failure:
+        raise _error_at(text, *failure.args) from None
+    return result
+
+
+def parse_program(text: str) -> Program:
+    return _parse(text, _Parser.program)
 
 
 def parse_exp(text: str) -> Exp:
-    parser = _Parser(text)
-    exp = parser.exp()
-    parser.expect_eof()
-    return exp
+    return _parse(text, _Parser.exp)
 
 
 def parse_bexpr(text: str) -> BExpr:
-    parser = _Parser(text)
-    phi = parser.bexpr()
-    parser.expect_eof()
-    return phi
+    return _parse(text, _Parser.bexpr)
 
 
 def parse_aexpr(text: str) -> AExpr:
-    parser = _Parser(text)
-    a = parser.aexpr()
-    parser.expect_eof()
-    return a
+    return _parse(text, _Parser.aexpr)
 
 
 def parse_fo(text: str) -> FOFormula:
-    parser = _Parser(text)
-    p = parser.fo()
-    parser.expect_eof()
-    return p
+    return _parse(text, _Parser.fo)
 
 
 def parse_state(text: str) -> State:
     """Parse comma-separated ``var=p/q`` bindings; unmentioned variables are 0."""
-    bindings = {}
-    text = text.strip()
-    if not text:
-        return State()
-    for part in text.split(","):
-        parser = _Parser(part)
-        var = parser.ident()
-        parser.expect_op("=")
-        value = parser.number()
-        parser.expect_eof()
-        bindings[var] = value
-    return State(bindings)
+    return State(_parse(text, _Parser.bindings))

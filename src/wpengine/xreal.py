@@ -18,8 +18,14 @@ RatLike = Union[int, Fraction]
 
 def rat(value: RatLike) -> Fraction:
     """Build a validated non-negative rational from an int or a Fraction; a
-    Fraction is returned as it is, not copied."""
-    q = value if isinstance(value, Fraction) else Fraction(value)
+    Fraction is returned as it is, not copied.  Anything else, rational text
+    or a float included, raises ``TypeError``: the parser reads text."""
+    if isinstance(value, Fraction):
+        q = value
+    elif isinstance(value, int):
+        q = Fraction(value)
+    else:
+        raise TypeError(f"expected an int or a Fraction, got {type(value).__name__}")
     if q.numerator < 0:
         raise ValueError(f"negative rational not allowed: {q}")
     return q

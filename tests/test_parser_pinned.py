@@ -7,14 +7,24 @@ exact message and ``line:column`` of the ``ParseError`` that every entry
 point raises on it.  Guards and formulas share their connective ladder and
 the four quantifier words share their binder rule, so these pins check
 that both syntaxes keep their own constructors, atoms and messages.
+Positions are pinned past the first line too, at end of input, at a
+rational with a zero denominator and across the bindings of a state.
 """
 
 from fractions import Fraction as F
 
 import pytest
 
+from wpengine.cli import main
 from wpengine.errors import ParseError
-from wpengine.parser import parse_aexpr, parse_bexpr, parse_exp, parse_fo, parse_program
+from wpengine.parser import (
+    parse_aexpr,
+    parse_bexpr,
+    parse_exp,
+    parse_fo,
+    parse_program,
+    parse_state,
+)
 from wpengine.syntax import (
     Add,
     And,
@@ -202,3 +212,38 @@ def test_parse_error_messages_and_positions(kind):
         position, _, _ = want.partition(": ")
         line, column = map(int, position.split(":"))
         assert (str(err.value), err.value.line, err.value.column) == (want, line, column), text
+
+
+# (entry point, text, message): positions on later lines, at end of input,
+# at the rational itself, and within the whole text of a state
+POSITIONS = [
+    (parse_program, "// first line\n  x := 1;\ny := x # 2", "3:8: unexpected character '#'"),
+    (parse_exp, "x +\n", "2:1: expected identifier, found ''"),
+    (parse_program, "x := 1;\n", "2:1: expected identifier, found ''"),
+    (parse_program, "x := 1/0", "1:6: zero denominator"),
+    (parse_exp, "3/0 * x", "1:1: zero denominator"),
+    (parse_state, "c=1,x=", "1:7: expected a rational, found ''"),
+    (parse_state, "c=1,\n  x=2/0", "2:5: zero denominator"),
+    (parse_state, "c=1,,x=2", "1:5: expected identifier, found ','"),
+    (parse_state, "c=1 x=2", "1:5: trailing input starting at 'x'"),
+]
+
+
+@pytest.mark.parametrize("parse, text, want", POSITIONS)
+def test_error_positions(parse, text, want):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    line, column = map(int, want.split(": ")[0].split(":"))
+    assert (str(err.value), err.value.line, err.value.column) == (want, line, column)
+
+
+def test_state_binds_the_whole_text():
+    assert parse_state(" c = 1 ,\n x=7/2, c=3 ") == parse_state("x=7/2,c=3")
+    assert parse_state("  // nothing bound\n") == parse_state("")
+
+
+def test_cli_at_error_position(capsys, tmp_path):
+    prog = tmp_path / "p.pgcl"
+    prog.write_text("x := x + 1")
+    assert main(["wp", "-p", str(prog), "-f", "x", "--at", "c=1,x="]) == 2
+    assert capsys.readouterr().err == "parse error: 1:7: expected a rational, found ''\n"

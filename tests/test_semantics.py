@@ -399,3 +399,14 @@ def test_state_set_and_rat_validate():
     q = F(3, 4)
     assert rat(q) is q
     assert rat(3) == F(3)
+
+
+@pytest.mark.parametrize("value", ["3/4", "1/2", 0.5, 0.1])
+def test_rat_reads_no_text_and_no_float(value):
+    # rational text has one reader, the parser; a float would enter inexactly
+    with pytest.raises(TypeError):
+        rat(value)
+    with pytest.raises(TypeError):
+        state(x=value)
+    with pytest.raises(TypeError):
+        QDomain([F(1, 2), value])
