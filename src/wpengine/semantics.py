@@ -13,7 +13,8 @@ building one.
 ``oracle_assisted`` lets a tagged subtree delegate to its plan, a function
 ``plan(sigma, rec)`` of the state that evaluates subterms through ``rec``
 (untagged quantifiers still fall back to the domain).  In both modes the
-default domain is built only when a quantifier is searched.
+default domain is built only when a quantifier is searched, and a delayed
+substitution (``syntax.substitute``) is evaluated without being built.
 
 Terms and guards are compiled once per node into closures over a state
 (Feeley and Lapalme, "Using closures for code generation", 1987) and the
@@ -590,6 +591,12 @@ def eval_exp(f: Exp, sigma: State, dom: QDomain | None = None,
     Oracle-assisted, a tagged node is worth ``plan(sigma, rec)`` for its
     plan: a function of the node's free variables in ``sigma``, which
     evaluates any subterm through ``rec`` and so over the same domain.
+
+    In both modes a delayed substitution that is not built yet is worth
+    its original at ``sigma`` with every mapped variable bound, all at
+    once, to its term's value at ``sigma`` (the substitution lemma).  That
+    is exact because the domain is fixed for the whole call; only the
+    default domain builds ``f``, as it reads the constants of ``f``.
     """
 
     def domain() -> QDomain:
@@ -603,6 +610,12 @@ def eval_exp(f: Exp, sigma: State, dom: QDomain | None = None,
     # compiled terms give validated non-negative Fractions, so their values
     # wrap into XReal as they are
     def rec(g: Exp, sig: State) -> XReal:
+        while (delay := g._delay) is not None:
+            g, mapping = delay
+            bound = sig
+            for x, a in mapping.items():
+                bound = bound._bind(x, _term(a)(sig))
+            sig = bound
         if oracle and g.intrinsic is not None:
             return g.intrinsic(sig, rec)
         match g:

@@ -6,7 +6,7 @@ lowered at construction time so that guard trees only ever contain the three
 core connectives ``<``, ``&&``, ``!``.  Expectations may carry an *intrinsic*
 tag: an evaluation plan attached by higher layers, a function
 ``plan(sigma, rec)`` of the state that is ignored by printing, equality,
-and hashing; substitution keeps it (see ``SubstPlan``).
+and hashing.  Substitution into an expectation is delayed (see ``_Exp``).
 
 The analysis walkers and substitution read each node's children from one
 table, ``_CHILDREN``.  A quantifier prefix is a list of (quantifier class,
@@ -287,14 +287,66 @@ def contains_loop(prog: Program) -> bool:
 # Expectations
 # ---------------------------------------------------------------------------
 
+class _Exp:
+    """Base of expectations.  A node is *built*, with its fields set, or
+    *delayed*: an explicit substitution (Abadi, Cardelli, Curien and Lévy,
+    "Explicit Substitutions", JFP 1991) whose ``_delay`` holds (original,
+    mapping) and which has no fields yet.  A delayed node is an instance
+    of its class's delayed twin, a subclass (``_Delayed``) in which the
+    first read of a field, ``==``, ``hash`` or ``repr`` builds the node
+    (``_build``) and turns it into an instance of the class itself.  So
+    printing, the walkers and ``match`` patterns see the node that the
+    eager walk makes, and built nodes pay nothing for the mechanism;
+    ``eval_exp`` reads ``_delay`` and builds nothing.  An expectation is
+    also a plan: a node tagged with ``e`` is worth ``e``.
+    """
+
+    _delay = None  # (original, mapping) while the node is delayed
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if not issubclass(cls, _Delayed):
+            cls._twin = type(cls.__name__, (_Delayed, cls), {})
+
+    def __call__(self, sigma, rec):
+        return rec(self, sigma)
+
+
+class _Delayed:
+    """Mixin of the delayed twin of an expectation class."""
+
+    def __getattribute__(self, name):
+        if name in type(self).__dataclass_fields__:
+            _build(self)
+        return object.__getattribute__(self, name)
+
+    # the dataclass methods would compare, hash and print the twin class,
+    # and pickle would look the twin up by the class's name
+    def __eq__(self, other):
+        _build(self)
+        return self == other
+
+    def __hash__(self):
+        _build(self)
+        return hash(self)
+
+    def __repr__(self):
+        _build(self)
+        return repr(self)
+
+    def __reduce_ex__(self, protocol):
+        _build(self)
+        return self.__reduce_ex__(protocol)
+
+
 @dataclass(frozen=True)
-class Arith:
+class Arith(_Exp):
     expr: AExpr
     intrinsic: Optional[object] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Guard:
+class Guard(_Exp):
     """[cond] * body: the Iverson-guarded expectation."""
 
     cond: BExpr
@@ -303,14 +355,14 @@ class Guard:
 
 
 @dataclass(frozen=True)
-class Plus:
+class Plus(_Exp):
     left: "Exp"
     right: "Exp"
     intrinsic: Optional[object] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Scale:
+class Scale(_Exp):
     """factor * body, where the factor is an arithmetic term."""
 
     factor: AExpr
@@ -319,14 +371,14 @@ class Scale:
 
 
 @dataclass(frozen=True)
-class Sup:
+class Sup(_Exp):
     var: Var
     body: "Exp"
     intrinsic: Optional[object] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Inf:
+class Inf(_Exp):
     var: Var
     body: "Exp"
     intrinsic: Optional[object] = field(default=None, compare=False, repr=False)
@@ -466,7 +518,8 @@ def split_prefix(node) -> tuple[Prefix, object]:
     """
     prefix: Prefix = []
     while isinstance(node, _BINDERS):
-        prefix.append((type(node), node.var))
+        var = node.var  # builds a delayed node before its class is read
+        prefix.append((type(node), var))
         node = node.body
     return prefix, node
 
@@ -645,25 +698,6 @@ def is_quantifier_free(node) -> bool:
 # Substitution
 # ---------------------------------------------------------------------------
 
-class SubstPlan:
-    """Value of ``node`` with each mapped variable replaced by its term:
-    ``node`` at ``sigma`` with every mapped variable bound, all at once, to
-    its term's value at ``sigma`` (the substitution lemma).  Reads only the
-    free variables of the substituted node."""
-
-    def __init__(self, node: Exp, mapping: dict[Var, AExpr]):
-        self.node = node
-        self.mapping = mapping
-
-    def __call__(self, sigma, rec):
-        from .semantics import eval_aexpr
-
-        bound = sigma
-        for x, a in self.mapping.items():
-            bound = bound.set(x, eval_aexpr(a, sigma))
-        return rec(self.node, bound)
-
-
 # A substitution context: (mapping, keys, keys' mask, results under it,
 # contexts derived from it, the walk's free-variable memo).  The helpers do
 # not close over each other, so a walk leaves no reference cycle behind.
@@ -686,12 +720,61 @@ def _derive(ctx: tuple, v: Var, v2: Var | None) -> tuple:
     return out
 
 
-def _subst_plan(g: Exp, ctx: tuple) -> SubstPlan | None:
+def _delayed(node: Exp, mapping: dict[Var, AExpr]) -> Exp:
+    """``node`` with each mapped variable replaced by its term, delayed."""
+    out = object.__new__(type(node)._twin)
+    object.__setattr__(out, "_delay", (node, mapping))
+    return out
+
+
+def _build(node: Exp) -> None:
+    """Set the fields of a delayed node to those of the eager walk of its
+    original, then drop the original and the mapping.
+
+    The delayed nodes below it are built first, each after those below
+    it, in a post-order pass on an explicit stack, so each walk meets only
+    built nodes, as eager substitution did, and nested delays cost no
+    recursion.  Two threads may both build a node: they set equal fields.
+    """
+    pending, seen, stack = [], set(), [(node, False)]
+    while stack:
+        n, below_done = stack.pop()
+        if below_done:
+            pending.append(n)
+        elif id(n) not in seen:
+            seen.add(id(n))
+            delay = n._delay
+            if delay is not None:
+                stack += ((n, True), (delay[0], False))
+            else:
+                stack += ((c, False) for c in _children(n) if isinstance(c, _Exp))
+    for n in pending:
+        delay = n._delay
+        if delay is None:  # built by another thread meanwhile
+            continue
+        out = _walk(delay[0], _context(delay[1], {}))
+        for name in type(out).__dataclass_fields__:
+            object.__setattr__(n, name, getattr(out, name))
+        object.__setattr__(n, "__class__", type(out))
+        try:
+            object.__delattr__(n, "_delay")
+        except AttributeError:  # another thread built it meanwhile
+            pass
+
+
+def _plan(g: Exp, ctx: tuple) -> Exp | None:
+    """The plan of ``g`` rebuilt under ``ctx``: ``g`` delayed under the
+    mapping in force, or, if ``g``'s plan is such a delay, its original
+    under the two mappings composed."""
     tag = g.intrinsic
-    if isinstance(tag, SubstPlan):
-        inner = {x: _walk(a, ctx) for x, a in tag.mapping.items()}
-        return SubstPlan(tag.node, {**ctx[0], **inner})
-    return None if tag is None else SubstPlan(g, ctx[0])
+    if tag is None:
+        return None
+    delay = getattr(tag, "_delay", None)
+    if delay is None:
+        return _delayed(g, ctx[0])
+    original, mapping = delay
+    inner = {x: _walk(a, ctx) for x, a in mapping.items()}
+    return _delayed(original, {**ctx[0], **inner})
 
 
 def _walk(g, ctx: tuple):
@@ -721,7 +804,7 @@ def _walk(g, ctx: tuple):
         elif qf:
             out = type(g)(*new)
         else:
-            out = type(g)(*new, intrinsic=_subst_plan(g, ctx))
+            out = type(g)(*new, intrinsic=_plan(g, ctx))
     else:
         raise TypeError(g)
     memo[id(g)] = out
@@ -739,7 +822,7 @@ def _under_binders(g: Exp, ctx: tuple) -> Exp:
     below = Counter(b.var for b in spine)  # binders under the current one
     heads = []
     for b in spine:
-        v, tag = b.var, _subst_plan(b, ctx)
+        v, tag = b.var, _plan(b, ctx)
         below[v] -= 1
         if v in ctx[1]:
             ctx = _derive(ctx, v, None)
@@ -763,25 +846,28 @@ def substitute(node, mapping: dict[Var, AExpr]):
     """Parallel, capture-avoiding substitution of each variable by its term,
     in a term, guard or expectation.
 
-    A bound variable that would capture a variable of an incoming term is
-    renamed by priming; the renaming extends the mapping instead of
+    Into a term or guard it walks at once.  Into an expectation it walks
+    nothing and returns a delayed node (see ``_Exp``), which the first
+    read of a field builds by the walk below.
+
+    The walk renames a bound variable that would capture a variable of an
+    incoming term by priming; the renaming extends the mapping instead of
     copying the binder's body, so the walk visits only nodes of its input.
     Subtrees without a free mapped variable are returned as-is: a term or
     guard whose variable mask misses the mapped variables' bits is
     skipped, and a node is rebuilt, from its children in ``_CHILDREN``,
-    only when a child changed.  A rebuilt tagged node gets one
-    ``SubstPlan`` of the original node under the mapping in force there,
-    renames included; a node with a ``SubstPlan`` composes the mappings, so
-    substitutions applied one after another keep one.  ``wp_loop_free``
-    makes one substitution per block of assignments, so composition serves
-    blocks that branches separate.
-
-    Results are memoized for the one walk, keyed on input nodes, which the
-    caller keeps alive for the call, so shared subterms are substituted
-    once.
+    only when a child changed.  A rebuilt tagged node gets as its plan the
+    original node delayed under the mapping in force there, renames
+    included; a node whose plan is such a delay composes the mappings, so
+    substitutions applied one after another keep one delay over the
+    original.  Results are memoized for the one walk, keyed on input
+    nodes, which the caller keeps alive for the call, so shared subterms
+    are substituted once.
     """
     if not mapping:
         return node
+    if isinstance(node, _Exp):
+        return _delayed(node, dict(mapping))
     return _walk(node, _context(dict(mapping), {}))
 
 
@@ -834,7 +920,8 @@ def prenex(node) -> tuple[Prefix, object]:
 
     def go(g, ren: dict, nested: bool, flip: bool):
         while isinstance(g, _BINDERS):  # a loop, as in ``_vars``: spines run long
-            quant, var = type(g), g.var
+            var = g.var  # builds a delayed node before its class is read
+            quant = type(g)
             new = var
             if var in free or var in bound or (
                     nested and quant in (Sup, Inf) and not var.reserved):

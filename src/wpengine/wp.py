@@ -148,11 +148,14 @@ def wp_loop_free(prog: Program, post: Exp) -> Exp:
     keeps the postexpectation.  Each maximal run of assignments
     ``x1 := e1; ...; xn := en`` (skips aside) is one parallel substitution
     whose mapping is built forward, ``m[xi] = ei[m]``: by the substitution
-    lemma it is the chain ``post[xn/en]...[x1/e1]``, and a tagged post is
-    rebuilt once per run.  Both kinds of branching form convex sums of the
-    branches' transforms, with the guard as the Iverson weight in the
-    conditional case.  A branch separates two runs; on a tagged post their
-    ``SubstPlan``s compose into one.
+    lemma it is the chain ``post[xn/en]...[x1/e1]``.  The substitution into
+    the post is delayed (``syntax.substitute``): it walks nothing, so the
+    cost follows the program and not the post, and evaluation reads the
+    post under each run's mapping; printing or walking the result builds
+    it, to the same node as substituting at once.  Both kinds of branching
+    form convex sums of the branches' transforms, with the guard as the
+    Iverson weight in the conditional case.  A branch separates two runs;
+    built, their plans on a tagged post compose into one.
     """
     stack, block = statements(prog), []  # block: the current run, last first
     while True:

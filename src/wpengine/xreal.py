@@ -74,9 +74,15 @@ class XReal:
         return self._fin
 
     def __add__(self, other: "XReal") -> "XReal":
-        if self._fin is None or other._fin is None:
+        a, b = self._fin, other._fin
+        if a is None or b is None:
             return XReal.INF
-        return XReal(self._fin + other._fin)
+        # a zero side gives the other side: most sums of guarded terms add 0
+        if not a:
+            return other
+        if not b:
+            return self
+        return XReal(a + b)
 
     def __mul__(self, other: "XReal") -> "XReal":
         a, b = self._fin, other._fin

@@ -346,3 +346,21 @@ def test_output_independent_of_hash_seed(coin_file):
                                   capture_output=True, check=True)
             outs.append(done.stdout)
         assert outs[0] == outs[1] and outs[0], argv
+
+
+def test_readme_series_commands_run_in_sh():
+    """The README's ``wpengine series`` lines, pasted into ``sh``, print the
+    values in their comments: the ``$`` of a body variable must reach the
+    engine, not the shell."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as handle:
+        lines = [line for line in handle if line.startswith("wpengine series ")]
+    assert len(lines) == 2
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PY": sys.executable}
+    for line in lines:
+        command, want = line.split("#")
+        done = subprocess.run(
+            ["sh", "-c", 'wpengine() { "$PY" -m wpengine.cli "$@"; }; ' + command],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == want.strip()

@@ -573,8 +573,11 @@ def test_substituted_term_gets_its_own_closure():
     sigma = state(x=1)
     assert eval_exp(f, sigma) == XReal.of(4)
     g = subst_exp(f, x, RatLit(F(5)))
-    # the rewritten nodes read 5 for x; the original's closures read x
+    # delayed, ``g`` reads the original with x bound to 5; ``ref_exp``
+    # builds it, and built, its rewritten nodes read 5 for x while the
+    # original's closures read x
     assert eval_exp(g, sigma) == XReal.of(10) == ref_exp(g, sigma)
+    assert eval_exp(g, sigma) == XReal.of(10)
     assert eval_exp(f, sigma) == XReal.of(4)
     for rebuilt, original in ((g.left.cond, f.left.cond),
                               (g.left.body.left.expr, f.left.body.left.expr)):

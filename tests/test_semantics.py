@@ -253,7 +253,7 @@ def test_plans_read_only_free_variables():
         (path, State(walk)),
         (pair, State(walk)),
     ]
-    # every plan is a function or a SubstPlan, and the nodes cover all kinds
+    # every plan is a function or a delayed node, and the nodes cover all kinds
     kinds = {getattr(node.intrinsic, "__name__", type(node.intrinsic).__name__)
              for node, _ in nodes}
     assert len(kinds) == 8

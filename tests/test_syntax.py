@@ -1,8 +1,12 @@
 """Parsing, printing, substitution, and variable analysis."""
 
+import copy
 import gc
 import itertools
+import operator
+import pickle
 import random
+import sys
 import weakref
 from dataclasses import fields, is_dataclass
 from fractions import Fraction as F
@@ -52,7 +56,6 @@ from wpengine.syntax import (
     Scale,
     Seq,
     Skip,
-    SubstPlan,
     Sup,
     Var,
     VarRef,
@@ -77,7 +80,7 @@ from wpengine.syntax import (
     substitute,
     true_,
 )
-from wpengine.xreal import ZERO
+from wpengine.xreal import XReal, ZERO
 
 
 def test_parse_skip():
@@ -520,10 +523,12 @@ def test_child_table_gives_each_node_its_fields():
 
 
 def test_substitution_rebuilds_nodes_from_their_children():
-    """A changed tagged node comes back as its own class, subclasses
-    included, with a ``SubstPlan`` of the original and its unchanged
-    children as the same objects; an untouched node comes back as itself,
-    and a formula is refused whether or not a mapped variable occurs."""
+    """A substituted expectation is one delay over the original, of its
+    class, subclasses included.  Built, a changed tagged node has the
+    original delayed under the mapping as its plan and its unchanged
+    children as the same objects; an untouched node builds to its own
+    children and plan, and a formula is refused whether or not a mapped
+    variable occurs."""
 
     class Tagged(Plus):
         pass
@@ -542,12 +547,17 @@ def test_substitution_rebuilds_nodes_from_their_children():
     ]
     for node in nodes:
         out = substitute(node, mapping)
-        assert type(out) is type(node)
-        assert isinstance(out.intrinsic, SubstPlan)
-        assert out.intrinsic.node is node and out.intrinsic.mapping == mapping
+        assert isinstance(out, type(node))
+        assert out._delay[0] is node and out._delay[1] == mapping
+        plan_of_out = out.intrinsic  # builds ``out``
+        assert out._delay is None and type(out) is type(node)
+        assert isinstance(plan_of_out, type(node))
+        assert plan_of_out._delay[0] is node and plan_of_out._delay[1] == mapping
         for old, new in zip(_children(node), _children(out), strict=True):
             assert (new is old) == (x not in free_vars(old))
-        assert substitute(node, {v: y}) is node
+        same = substitute(node, {v: y})
+        assert same == node and same.intrinsic is plan
+        assert all(map(operator.is_, _children(same), _children(node)))
     term = nodes[0].expr
     assert substitute(term, mapping).right is term.right
     for formula in (Atom(lt), FOAnd(Atom(lt), Nat(x)), Exists(v, Atom(lt))):
@@ -558,15 +568,16 @@ def test_substitution_rebuilds_nodes_from_their_children():
 
 def test_dropped_terms_are_freed():
     """No cache outlives the terms: the guards of a dropped pure term die,
-    also once a substituted copy, whose plan holds the original, is gone."""
+    also once a substituted copy, a delay over the original, is gone."""
     from wpengine.semantics import ORACLE
     from wpengine.series import make_sum
 
     pure = make_sum(parse_exp("[x < $s] * $s + 1/$s"), Var("n")).pure
     copy = subst_exp(pure, Var("n"), parse_aexpr("m + 1"))
-    assert copy.intrinsic.node is pure
+    assert copy._delay[0] is pure
     assert eval_exp(copy, state(m=1, x=1), calkin_wilf(0), mode=ORACLE) == \
         eval_exp(pure, state(n=2, x=1), calkin_wilf(0), mode=ORACLE)
+    assert copy.intrinsic._delay[0] is pure  # built, its plan is a delay too
     free_vars(pure)
     guards, seen, stack = [], set(), [pure]
     while stack:
@@ -668,6 +679,38 @@ def test_substitution_with_colliding_mask_bits():
     assert got.right.right is yref
 
 
+def test_built_delayed_node_drops_its_original_and_mapping():
+    """A delayed node keeps its original and its mapping's terms alive until
+    it is built; built, it holds neither, and it leaves nothing for the
+    cyclic collector."""
+    post = parse_exp("[x < 1] * x + y")
+    unused = parse_aexpr("w + 1")  # mapped, but z does not occur
+    mapping = {Var("x"): parse_aexpr("y + 2"), Var("z"): unused}
+    refs = [weakref.ref(post), weakref.ref(unused)]
+    gc.collect()
+    gc.disable()
+    try:
+        out = substitute(post, mapping)
+        del post, unused, mapping
+        assert all(ref() is not None for ref in refs)
+        assert print_exp(out) == "[y + 2 < 1] * (y + 2) + y"
+        assert out._delay is None
+        assert all(ref() is None for ref in refs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_delayed_node_pickles_and_copies_as_its_built_form():
+    f = parse_exp("sup v: [v < x] * v + x")
+    mapping = {Var("x"): VarRef(Var("v"))}
+    want = print_exp(substitute(f, mapping))
+    for copier in (lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy):
+        got = copier(substitute(f, mapping))
+        assert type(got) is Sup and got._delay is None
+        assert print_exp(got) == want == "sup v': [v' < v] * v' + v"
+
+
 def test_substitution_leaves_no_reference_cycles():
     """A substitution, and ``wp_loop_free`` made of them, free everything
     they made by reference counting: nothing is left for the collector."""
@@ -689,3 +732,16 @@ def test_substitution_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_chain_of_delays_needs_no_recursion():
+    """2000 substitutions one after another, each into the delayed result
+    of the last, evaluate and build at the default recursion limit."""
+    x, y = Var("x"), Var("y")
+    swap = {x: VarRef(y), y: VarRef(x)}
+    f = parse_exp("x + 2 * y")
+    for _ in range(2000):
+        f = substitute(f, swap)
+    assert sys.getrecursionlimit() == 1000
+    assert eval_exp(f, state(x=1, y=5)) == XReal.of(11)
+    assert print_exp(f) == "x + 2 * y"

@@ -12,7 +12,7 @@ from wpengine.errors import ContainsLoop, FuelExceeded
 from wpengine.goedel import elem_exp, encode_state, relem_exp
 from wpengine.loops import goedel_subst
 from wpengine.parser import parse_bexpr, parse_exp, parse_program
-from wpengine.semantics import ORACLE, State, calkin_wilf, eval_exp, state
+from wpengine.semantics import ORACLE, RESTRICTED, State, calkin_wilf, eval_exp, state
 from wpengine.series import dedekind_product, make_product, make_sum, odot
 from wpengine.syntax import (
     Add,
@@ -22,12 +22,14 @@ from wpengine.syntax import (
     RatLit,
     Seq,
     Skip,
-    SubstPlan,
     Sup,
     Var,
     VarRef,
+    _context,
+    _walk,
     balanced,
     contains_loop,
+    exp_tree_size,
     print_exp,
     print_program,
     vars_program,
@@ -146,10 +148,13 @@ def test_assignment_into_tagged_post_keeps_its_plan():
     start = time.perf_counter()
     assert eval_exp(pre, state(x=3), mode=ORACLE) == XReal.of(5)
     assert time.perf_counter() - start < 5
-    # a chain of assignments composes into one plan over the original post
+    # a chain of assignments is one block: one delay over the original
+    # post, and built, one plan over it
     step = Assign(x, Add(VarRef(x), RatLit(F(1))))
     pre = wp_loop_free(balanced(Seq, [step] * 500, Skip), total)
-    assert isinstance(pre.intrinsic, SubstPlan) and pre.intrinsic.node is total
+    assert pre._delay[0] is total
+    assert eval_exp(pre, state(), calkin_wilf(0), mode=ORACLE) == XReal.of(501)
+    assert pre.intrinsic._delay[0] is total
     assert eval_exp(pre, state(), calkin_wilf(0), mode=ORACLE) == XReal.of(501)
 
 
@@ -252,6 +257,79 @@ def test_block_substitution_matches_per_statement_reference():
         sys.setrecursionlimit(limit)
 
 
+def _eager_substitute(node, mapping):
+    """Substitution walked at once, into expectations too: the walk that
+    builds a delayed node, run where ``substitute`` delays it."""
+    return _walk(node, _context(dict(mapping), {})) if mapping else node
+
+
+def test_delayed_wp_evaluates_and_builds_as_the_eager_one(monkeypatch):
+    """``wp_loop_free``'s delays evaluate, unbuilt, to the eager result's
+    values, over an explicit domain and over the default one, and build to
+    the eager result: ``==``, the same text and the same tree size.
+
+    The programs and posts are the block-substitution fuzz's.  A delayed
+    root's default domain reads the constants of the built root, which
+    the substituted terms bring in, as the eager one does.
+    """
+    rng = random.Random(5)
+    x, y, z, w = Var("x"), Var("y"), Var("z"), Var("$w")
+    dom = calkin_wilf(2)
+    code = encode_state(state(x=2), VarSet.of("x")).num
+    tagged = _tagged_posts()
+    capture = Assign(x, VarRef(w))
+
+    def eager_wp(prog, post):
+        with monkeypatch.context() as patch:
+            patch.setattr("wpengine.wp.substitute", _eager_substitute)
+            return wp_loop_free(prog, post)
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4000))  # the Goedel post nests 1111 deep
+    try:
+        for i in range(60):
+            prog = rand_loop_free(rng, [x, y, z], 4)
+            if i % 3 == 0:
+                prog = Seq(capture, prog)
+            sigma = State({v: rng.randint(0, 3) for v in (x, y, w)} | {z: code})
+            posts = [(rand_exp(rng, [x, y, z], 3), dom)]
+            if i % 2:
+                posts.append((rng.choice(tagged), calkin_wilf(0)))
+            for post, searched in posts:
+                want = eager_wp(prog, post)
+                got = wp_loop_free(prog, post)
+                for mode in (RESTRICTED, ORACLE):
+                    assert eval_exp(got, sigma, searched, mode) == \
+                        eval_exp(want, sigma, searched, mode), (i, print_program(prog))
+                if searched is dom:  # a tagged post's default domain is too wide
+                    assert eval_exp(got, sigma) == eval_exp(want, sigma)
+                size = exp_tree_size(got)
+                assert got == want and size == exp_tree_size(want)
+                if size < 200_000:
+                    assert print_exp(got) == print_exp(want)
+    finally:
+        sys.setrecursionlimit(limit)
+    # x := 5/2 brings the witness 5/2 into the default domain
+    post = parse_exp("sup v: [v <= x] * v")
+    prog = parse_program("x := 5/2")
+    assert eval_exp(wp_loop_free(prog, post), state()) == \
+        eval_exp(eager_wp(prog, post), state()) == XReal.of(F(5, 2))
+
+
+def test_delayed_wp_of_branching_tagged_program_is_cheap():
+    """Each branch gives the post its own mapping, so n statements make up
+    to 3^n substituted posts; delayed, ``wp_loop_free`` builds none of
+    them (5.8 s eager at n = 6), and oracle-assisted evaluation reads the
+    original post under each mapping."""
+    stmt = "if (y < 1) { x := x + 1 } else { {x := x + 2} [1/2] {y := y + 1} }"
+    prog = parse_program("; ".join([stmt] * 6))
+    total = make_sum(parse_exp("1"), Var("x")).pure
+    start = time.perf_counter()
+    pre = wp_loop_free(prog, total)
+    assert eval_exp(pre, state(x=1), calkin_wilf(0), mode=ORACLE) == XReal.of(8)
+    assert time.perf_counter() - start < 1
+
+
 def test_deep_program_needs_no_recursion_per_statement():
     """1001 swaps through a temporary, 3003 statements nested to the right:
     the walk keeps its own stack, and the block is one substitution."""
@@ -266,16 +344,21 @@ def test_deep_program_needs_no_recursion_per_statement():
 
 def test_branch_separates_blocks_whose_plans_compose():
     """Around a conditional, the blocks before and after it each substitute
-    once, and every tagged leaf keeps one plan over the original post."""
+    once: one delay per block, the last block's over the original post.
+    Built, every tagged leaf keeps one plan over the original post."""
     total = make_sum(parse_exp("1"), Var("x")).pure
     prog = parse_program(
         "x := x + 1; if (y < 1) { skip } else { x := x + 2 }; x := x + 1")
     pre = wp_loop_free(prog, total)
-    for leaf in (pre.left.body, pre.right.body):
-        assert isinstance(leaf.intrinsic, SubstPlan)
-        assert leaf.intrinsic.node is total
-    assert eval_exp(pre, state(x=0, y=0), calkin_wilf(0), mode=ORACLE) == XReal.of(3)
-    assert eval_exp(pre, state(x=0, y=1), calkin_wilf(0), mode=ORACLE) == XReal.of(5)
+    branches = pre._delay[0]
+    last = branches.left.body
+    assert last._delay[0] is total
+    assert branches.right.body._delay[0] is last
+    for _ in range(2):  # delayed, then built
+        assert eval_exp(pre, state(x=0, y=0), calkin_wilf(0), mode=ORACLE) == XReal.of(3)
+        assert eval_exp(pre, state(x=0, y=1), calkin_wilf(0), mode=ORACLE) == XReal.of(5)
+        for leaf in (pre.left.body, pre.right.body):
+            assert leaf.intrinsic._delay[0] is total
 
 
 def test_kleene_geometric_values():
@@ -412,3 +495,17 @@ def test_equal_varsets_share_one_kernel():
     assert step_kernel(loop, first) is step_kernel(loop, second)
     assert type(first.variables) is tuple
     assert first.variables == (Var("c"), Var("x")) == first
+
+
+def test_delays_nested_under_branches_build_without_extra_recursion(monkeypatch):
+    """120 assignments, each followed by a choice between two skips: every
+    run's delay sits under the convex sum over the next one's.  Building
+    the result walks each run's substitution over built nodes only, as
+    substituting at once did, so it needs no deeper recursion."""
+    prog = parse_program("; ".join(["x := x + 1; {skip} [1/2] {skip}"] * 120))
+    post = parse_exp("x + y")
+    pre = wp_loop_free(prog, post)
+    assert sys.getrecursionlimit() == 1000
+    size = exp_tree_size(pre)
+    monkeypatch.setattr("wpengine.wp.substitute", _eager_substitute)
+    assert size == exp_tree_size(wp_loop_free(prog, post)) > 2 ** 120
