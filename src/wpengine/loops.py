@@ -31,7 +31,7 @@ cannot mention, and one encoding's come from one name supply (``goedel``).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 from .errors import ContainsLoop, EngineError, FreeVarsOutsideVarSet
 from .goedel import (
@@ -49,7 +49,7 @@ from .goedel import (
     stateseq_exp,
     within,
 )
-from .semantics import State, calkin_wilf, eval_exp
+from .semantics import QDomain, State, calkin_wilf, eval_exp
 from .series import PROD_VAR, SUM_VAR, make_product, make_sum, odot
 from .syntax import (
     Add,
@@ -195,17 +195,24 @@ class LoopEncoding:
     """A loop compiled to a single syntactic expectation plus its plan.
 
     ``pure`` is the closed-form term; ``path_term`` the per-path piece with
-    the length and sequence-code variables free, and ``pair_factor``, set
-    with it, the one-step factor its product aggregate ranges over;
-    ``body_template`` the one-step template over primed copies.  The two
-    big terms are built on first access; the plan only needs the template
-    and the final-state expectation.  Their helpers come from the name
-    supply the encoding was built in, so they share one construction.
+    the length variable ``length_var`` and the sequence-code variable
+    ``seq_var`` free, and ``pair_factor``, set with it, the one-step factor
+    its product aggregate ranges over; ``body_template`` the one-step
+    template over primed copies.  The two big terms are built on first
+    access; the plan only needs the template and the final-state
+    expectation.  Their helpers come from the name supply the encoding was
+    built in, so they share one construction.
+
+    The sequence code is the sum aggregation variable: ``pure`` sums the
+    path over all candidate codes, and the validity indicator keeps
+    exactly the encodings of the sequences starting at the current state.
     """
 
+    seq_var = SUM_VAR
+
     @construction
-    def __init__(self, loop: While, post: Exp, varset: VarSet,
-                 length_var: Var, seq_var: Var):
+    def __init__(self, loop: While, post: Exp, varset: VarSet):
+        self.length_var = logical_var("length")
         # the template refuses a nested loop first, and the variable set
         # is checked against the loop only once it is known to be loop-free
         self.body_template = body_wp_template(loop, varset)
@@ -214,15 +221,11 @@ class LoopEncoding:
         self.loop = loop
         self.post = post
         self.varset = varset
-        self.length_var = length_var
-        self.seq_var = seq_var
         self.variables = tuple(varset)
         self._factor_cache: dict[tuple[int, int], XReal] = {}
-        self._finals: dict[tuple[int, tuple], XReal] = {}
+        self._finals: dict[tuple[int, QDomain], XReal] = {}
         self._state_codes: dict[State, int] = {}
-        self._path_term: Exp | None = None
         self.pair_factor: Exp | None = None
-        self._pure: Exp | None = None
 
         self._primed = tuple(primed(v) for v in self.variables)
         self._final_exp = Guard(Not(loop.cond), post)
@@ -230,17 +233,13 @@ class LoopEncoding:
         self._num1, self._num2 = logical_var("num"), logical_var("num")
         self._names = NAME_SUPPLY.get()
 
-    @property
+    @cached_property
     def path_term(self) -> Exp:
-        if self._path_term is None:
-            self._path_term = within(self._names, self._build_path_term)
-        return self._path_term
+        return within(self._names, self._build_path_term)
 
-    @property
+    @cached_property
     def pure(self) -> Exp:
-        if self._pure is None:
-            self._pure = within(self._names, self._build_pure)
-        return self._pure
+        return within(self._names, self._build_pure)
 
     def _build_pure(self) -> Exp:
         v1, nums = self.length_var, logical_var("nums")
@@ -397,7 +396,7 @@ class LoopEncoding:
         sequences, and the cost follows the (step, state) pairs rather than
         the 2^k paths.  The one-step support comes from the loop's
         ``step_kernel`` through ``path_frontiers``.  The final factors are
-        kept on the encoding per (state code, domain values), because a
+        kept on the encoding per (state code, domain), because a
         quantified post's factor depends on the domain, so a k-sweep
         computes each once.  ``state_cap`` bounds the (step, state) entries.
         """
@@ -413,7 +412,7 @@ class LoopEncoding:
 
         def final(s: State) -> XReal:
             code = self.state_code(s)
-            key = (code, dom.values)
+            key = (code, dom)
             try:
                 return self._finals[key]
             except KeyError:
@@ -440,13 +439,6 @@ class LoopEncoding:
         return self.plan_truncations(sigma, k, dom, state_cap)[-1]
 
 
-@construction
 def encode_loop(loop: While, post: Exp, varset: VarSet) -> LoopEncoding:
-    """Compile a loop into its closed-form syntactic expectation.
-
-    The sequence-code variable is the sum aggregation variable: the sum
-    ranges over all candidate sequence codes, the validity indicator keeps
-    exactly the encodings of length-k sequences starting at the current
-    state, and the path expectation weighs each one.
-    """
-    return LoopEncoding(loop, post, varset, logical_var("length"), SUM_VAR)
+    """Compile a loop into its closed-form syntactic expectation."""
+    return LoopEncoding(loop, post, varset)

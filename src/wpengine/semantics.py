@@ -238,10 +238,9 @@ def _term(a: AExpr) -> Callable[[State], Fraction]:
     """The closure that evaluates the term ``a`` at a state.
 
     Compiled on first use and cached on the node as ``_fn``, a slot
-    outside its dataclass fields (``syntax._Cached``), the way
-    ``syntax._mask`` caches variable masks: a shared subterm is compiled
-    once, and the closure is freed with its node.  Rewrites build new
-    nodes, which compile afresh.
+    outside its dataclass fields (``syntax._Cached``): a shared subterm is
+    compiled once, and the closure is freed with its node.  Rewrites build
+    new nodes, which compile afresh.
 
     Every literal 0 compiles to ``_zero``, and an ``Add`` with a side that
     compiled to it is the other side's closure: ``a + 0`` is ``a`` exactly,

@@ -203,12 +203,13 @@ def dedekind_product(f: Exp, g: Exp) -> Exp:
         cut2 = fresh_var(avoid, base="$cut")
         d2 = type(d2)(d2.prefix, cut2,
                       substitute(d2.matrix, {d2.cut_var: VarRef(cut2)}))
-    shared = {v for _, v in d1.prefix} & {v for _, v in d2.prefix}
-    if shared:
-        mapping = {}
-        for v in shared:
-            v2 = fresh_var(avoid | set(mapping.values()), base=v.name)
-            mapping[v] = v2
+    # renamed in prefix order, so the new names do not depend on the hash seed
+    ours = {v for _, v in d1.prefix}
+    mapping = {}
+    for _, v in d2.prefix:
+        if v in ours and v not in mapping:
+            mapping[v] = fresh_var(avoid | set(mapping.values()), base=v.name)
+    if mapping:
         d2 = type(d2)(
             tuple((q, mapping.get(v, v)) for q, v in d2.prefix),
             cut2,

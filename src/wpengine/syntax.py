@@ -20,10 +20,9 @@ per call, keying their memos on the nodes of their own input, which stay
 alive for the whole walk; the memos die with the walk.  The only facts kept
 across calls are cached on the node itself, in slots (``_Cached``), so that
 they are freed with the node, and each takes memory linear in the term: the
-variable set of a term or guard, on the node it was asked for only; a
-64-bit mask of its variables, on every term and guard, which lets
-substitution skip the subterms that mention no mapped variable; and its
-compiled evaluator (see ``semantics``).
+variable set of a term or guard, on the node it was asked for only, which
+also lets substitution skip a subterm that mentions no mapped variable;
+and its compiled evaluator (see ``semantics``).
 
 Identifiers match ``\\$?[a-zA-Z_][a-zA-Z0-9_']*``; the ``$`` prefix marks the
 reserved namespace used for machine-generated helper variables, which the
@@ -33,7 +32,6 @@ program parser rejects.
 from __future__ import annotations
 
 import re
-import zlib
 from collections import Counter
 from operator import attrgetter, is_
 from dataclasses import dataclass, field, replace
@@ -95,13 +93,13 @@ def balanced(join, parts: list, empty):
 
 class _Cached:
     """Base of terms and guards: a slot for each fact cached on a node, its
-    variable set and variable mask here and its compiled evaluator in
-    ``semantics``.  As plain attributes they would give most nodes a
-    dictionary of their own (CPython 3.11 keeps one attribute added after
-    ``__init__`` inline, and a second one makes a dictionary), which costs
-    memory and one more object for the cyclic collector per node."""
+    variable set here and its compiled evaluator in ``semantics``.  As
+    plain attributes they would give most nodes a dictionary of their own
+    (CPython 3.11 keeps one attribute added after ``__init__`` inline, and
+    a second one makes a dictionary), which costs memory and one more
+    object for the cyclic collector per node."""
 
-    __slots__ = ("_vars", "_mask", "_fn", "__weakref__")
+    __slots__ = ("_vars", "_fn", "__weakref__")
 
 
 @dataclass(frozen=True, slots=True)
@@ -567,31 +565,6 @@ def _qf_vars(node) -> frozenset[Var]:
     return out
 
 
-def _bit(v: Var) -> int:
-    """The bit of ``v`` in variable masks: a fixed hash of its name, so
-    that it is the same in every process (``hash`` of a string is not)."""
-    return 1 << (zlib.crc32(v.name.encode()) & 63)
-
-
-def _mask(node) -> int:
-    """The union of the bits of the variables of a term or guard.
-
-    Cached on every node, like its compiled evaluator (``semantics``): a
-    small int per node instead of a set, so memory stays linear in the
-    term.  Two variables may share a bit, so masks that do not meet prove
-    two variable sets disjoint, and masks that meet prove nothing.
-    """
-    try:
-        return node._mask
-    except AttributeError:
-        pass
-    out = _bit(node.var) if isinstance(node, VarRef) else 0
-    for child in _children(node):
-        out |= _mask(child)
-    object.__setattr__(node, "_mask", out)
-    return out
-
-
 def _vars(node, free: bool, memo: dict) -> frozenset[Var]:
     """Free (or free and bound) variables of any term, guard, expectation
     or formula.
@@ -698,25 +671,22 @@ def is_quantifier_free(node) -> bool:
 # Substitution
 # ---------------------------------------------------------------------------
 
-# A substitution context: (mapping, keys, keys' mask, results under it,
-# contexts derived from it, the walk's free-variable memo).  The helpers do
-# not close over each other, so a walk leaves no reference cycle behind.
+# A substitution context: (mapping, keys, results under it, contexts
+# derived from it, the walk's free-variable memo).  The helpers do not close
+# over each other, so a walk leaves no reference cycle behind.
 
 def _context(m: dict[Var, AExpr], fv_memo: dict) -> tuple:
-    keymask = 0
-    for k in m:
-        keymask |= _bit(k)
-    return m, frozenset(m), keymask, {}, {}, fv_memo
+    return m, frozenset(m), {}, {}, fv_memo
 
 
 def _derive(ctx: tuple, v: Var, v2: Var | None) -> tuple:
     """The mapping without ``v``, then with ``v`` renamed to ``v2``."""
-    out = ctx[4].get((v, v2))
+    out = ctx[3].get((v, v2))
     if out is None:
         m = {k: a for k, a in ctx[0].items() if k != v}
         if v2 is not None:
             m[v] = VarRef(v2)
-        out = ctx[4][v, v2] = _context(m, ctx[5])
+        out = ctx[3][v, v2] = _context(m, ctx[4])
     return out
 
 
@@ -778,14 +748,11 @@ def _plan(g: Exp, ctx: tuple) -> Exp | None:
 
 
 def _walk(g, ctx: tuple):
-    m, keys, keymask, memo, _, _ = ctx
+    m, keys, memo, _, _ = ctx
     qf = isinstance(g, _QF_TYPES)
     if qf:
-        # a mask that misses the keys' mask proves that ``g`` mentions no
-        # mapped variable; a hit may be a false positive, which a variable
-        # set cached on ``g`` settles
-        if not _mask(g) & keymask:
-            return g
+        # a variable set already cached on ``g`` may prove that it mentions
+        # no mapped variable; none is computed here
         known = getattr(g, "_vars", None)
         if known is not None and known.isdisjoint(keys):
             return g
@@ -793,7 +760,7 @@ def _walk(g, ctx: tuple):
     if out is not None:
         return out
     if isinstance(g, VarRef):
-        out = m.get(g.var, g)  # masks can only give false positives
+        out = m.get(g.var, g)
     elif isinstance(g, (Sup, Inf)):
         out = _under_binders(g, ctx)
     elif isinstance(g, _SUBST_TYPES):
@@ -812,13 +779,13 @@ def _walk(g, ctx: tuple):
 
 
 def _under_binders(g: Exp, ctx: tuple) -> Exp:
-    if _vars(g, True, ctx[5]).isdisjoint(ctx[1]):
+    if _vars(g, True, ctx[4]).isdisjoint(ctx[1]):
         return g
     spine = []
     while isinstance(g, (Sup, Inf)):
         spine.append(g)
         g = g.body
-    matrix_fv = _vars(g, True, ctx[5])
+    matrix_fv = _vars(g, True, ctx[4])
     below = Counter(b.var for b in spine)  # binders under the current one
     heads = []
     for b in spine:
@@ -854,9 +821,10 @@ def substitute(node, mapping: dict[Var, AExpr]):
     incoming term by priming; the renaming extends the mapping instead of
     copying the binder's body, so the walk visits only nodes of its input.
     Subtrees without a free mapped variable are returned as-is: a term or
-    guard whose variable mask misses the mapped variables' bits is
-    skipped, and a node is rebuilt, from its children in ``_CHILDREN``,
-    only when a child changed.  A rebuilt tagged node gets as its plan the
+    guard whose cached variable set misses the mapped variables is
+    skipped, as is a binder spine whose free variables miss them, and a
+    node is rebuilt, from its children in ``_CHILDREN``, only when a child
+    changed.  A rebuilt tagged node gets as its plan the
     original node delayed under the mapping in force there, renames
     included; a node whose plan is such a delay composes the mappings, so
     substitutions applied one after another keep one delay over the

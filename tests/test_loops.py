@@ -43,8 +43,8 @@ import functools
 
 @functools.lru_cache(maxsize=1)
 def geo_path():
-    v1, v2 = Var("$length"), Var("$v")
-    return v1, v2, LoopEncoding(GEO, POST_X, VS, v1, v2).path_term
+    enc = LoopEncoding(GEO, POST_X, VS)
+    return enc.length_var, enc.seq_var, enc.path_term
 
 
 def oracle(f, sigma):
@@ -270,7 +270,7 @@ def test_pruned_enumeration_matches_unrestricted():
 
 def test_pure_term_built_on_demand():
     encoding = encode_loop(GEO, POST_X, VS)
-    assert encoding._pure is None
+    assert "pure" not in vars(encoding)
     pure = encoding.pure
     from wpengine.syntax import Sup, free_vars
 
@@ -280,8 +280,11 @@ def test_pure_term_built_on_demand():
     assert free_vars(pure) <= {Var("c"), Var("x")}
 
 
-def _in_fresh_process(code: str) -> str:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+def _in_fresh_process(code: str, hash_seed: int) -> str:
+    """The standard output of ``code`` run in a new interpreter whose string
+    hashes are seeded by ``hash_seed``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+           "PYTHONHASHSEED": str(hash_seed)}
     return subprocess.run([sys.executable, "-c", code], env=env, text=True,
                           capture_output=True, check=True).stdout
 
@@ -290,10 +293,11 @@ _GENERATED_PRELUDE = """
 import hashlib
 from wpengine.loops import encode_loop
 from wpengine.parser import parse_exp, parse_program
-from wpengine.series import make_sum, odot
+from wpengine.series import dedekind_product, make_sum, odot
 from wpengine.syntax import Var, _children, print_exp
 from wpengine.wp import VarSet
 GEO = parse_program("while (c = 1) { {c := 0} [1/2] {c := 1}; x := x + 1 }")
+CUTS = parse_exp("(sup v: [v < x] * v) + (sup v: [v < y] * v)")
 
 def shape(node):
     # the distinct nodes in a fixed order, each with its class and variable:
@@ -314,13 +318,16 @@ def shape(node):
     "print_exp(make_sum(parse_exp('1/$s'), Var('n')).pure)",
     "print_exp(odot(parse_exp('[x < 1] * 5'), parse_exp('sup v: [v < 2] * v')))",
     "shape(encode_loop(GEO, parse_exp('x'), VarSet.of('c', 'x')).path_term)",
-], ids=["make_sum", "odot", "path_term"])
+    "print_exp(dedekind_product(CUTS, CUTS))",
+], ids=["make_sum", "odot", "path_term", "dedekind_product"])
 def test_generated_terms_print_the_same_in_a_fresh_and_a_warm_process(expr):
     namespace = {}
     exec(_GENERATED_PRELUDE, namespace)
     first, second = eval(expr, namespace), eval(expr, namespace)
     assert first == second
-    assert first == _in_fresh_process(_GENERATED_PRELUDE + f"print({expr}, end='')")
+    code = _GENERATED_PRELUDE + f"print({expr}, end='')"
+    for hash_seed in (1, 2):
+        assert first == _in_fresh_process(code, hash_seed), hash_seed
 
 
 def test_sum_helpers_capture_no_free_variable_of_the_body():
@@ -329,7 +336,7 @@ def test_sum_helpers_capture_no_free_variable_of_the_body():
             "from wpengine.syntax import Var, free_vars\n"
             "pure = make_sum(parse_exp('[$s < 1] * $num1'), Var('n')).pure\n"
             "print(sorted(v.name for v in free_vars(pure)))")
-    assert _in_fresh_process(code) == "['$num1', 'n']\n"
+    assert _in_fresh_process(code, 1) == "['$num1', 'n']\n"
 
 
 def test_reserved_variables_are_refused_in_a_loop_variable_set():

@@ -2,7 +2,6 @@
 
 import copy
 import gc
-import itertools
 import operator
 import pickle
 import random
@@ -61,7 +60,6 @@ from wpengine.syntax import (
     VarRef,
     While,
     _CHILDREN,
-    _bit,
     _children,
     all_vars,
     avar,
@@ -656,23 +654,23 @@ def test_substitution_returns_untouched_subterms_themselves():
     assert substitute(t, {Var("x"): RatLit(F(2))}).right is t.right
 
 
-def test_substitution_with_colliding_mask_bits():
-    """A variable whose mask bit equals a mapped one's is left as it is."""
-    x, v = Var("x"), Var("v")
-    y = next(Var(n) for n in (f"y{i}" for i in itertools.count())
-             if _bit(Var(n)) == _bit(x))
+def test_substitution_rebuilds_only_the_paths_to_a_mapped_variable():
+    """An unmapped variable next to a mapped one, in the same guard, term or
+    binder body, is left as it is: the children that do not mention the
+    mapped variable come back as the same objects."""
+    x, y, v = Var("x"), Var("y"), Var("v")
     yref = VarRef(y)
     cond = Lt(yref, RatLit(F(1)))
     square = Arith(Mul(yref, yref))
     f = Sup(v, Guard(cond, Plus(Arith(Add(yref, VarRef(x))),
                                 Scale(VarRef(v), square))))
     got = subst_exp(f, x, VarRef(v))
-    assert print_exp(got) == f"sup v': [{y} < 1] * (({y} + v) + v' * ({y} * {y}))"
+    assert print_exp(got) == "sup v': [y < 1] * ((y + v) + v' * (y * y))"
     assert got.body.cond is cond
     assert got.body.body.left.expr.left is yref
     assert got.body.body.right.body is square
     assert nameless(got) == subst_nameless(nameless(f), "x", ("free", "v"))
-    # with no set cached on the guard, only the masks tell the variables apart
+    # with no variable set cached on the guard, the walk descends into it
     t = And(Lt(yref, RatLit(F(1))), Lt(VarRef(x), yref))
     got = substitute(t, {x: RatLit(F(2))})
     assert got.left is t.left
