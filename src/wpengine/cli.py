@@ -7,7 +7,9 @@ variables are 0), rationals print as ``p/q``, and infinities as ``inf``.
 
 Exit codes: 0 success, 1 property-suite failure, 2 parse or other engine
 error, or an input nested too deeply for the recursive walkers, 3 loop
-where a loop-free program was required, 4 exploration cap exceeded.
+where a loop-free program was required, or a program that is not a single
+while loop given to ``wp --kleene`` or ``encode-loop``, 4 exploration cap
+exceeded.
 """
 
 from __future__ import annotations

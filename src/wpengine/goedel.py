@@ -182,6 +182,11 @@ def beta_decode(pair: GoedelPair, i: int) -> int:
     return pair.a % (1 + (i + 1) * pair.b)
 
 
+def seq_element(num: int, i: int) -> int:
+    """Element ``i`` of the sequence coded by ``num``, a paired remainder pair."""
+    return beta_decode(GoedelPair(*cantor_unpair(num)), i)
+
+
 # ---------------------------------------------------------------------------
 # Canonical sequence codes
 # ---------------------------------------------------------------------------
@@ -196,10 +201,11 @@ class SeqCode:
     def element(self, i: int) -> int:
         if not 0 <= i < self.length:
             raise IndexError(f"index {i} out of range for length {self.length}")
-        return beta_decode(GoedelPair(*cantor_unpair(self.num)), i)
+        return seq_element(self.num, i)
 
     def elements(self) -> list[int]:
-        return [self.element(i) for i in range(self.length)]
+        pair = GoedelPair(*cantor_unpair(self.num))
+        return [beta_decode(pair, i) for i in range(self.length)]
 
 
 def encode_seq(seq: list[int]) -> SeqCode:
@@ -215,7 +221,7 @@ def elem_holds(num: int, i: int, m: int) -> bool:
     """Oracle for the element relation on plain naturals."""
     if num < 0 or i < 0 or m < 0:
         return False
-    return beta_decode(GoedelPair(*cantor_unpair(num)), i) == m
+    return seq_element(num, i) == m
 
 
 def seq_holds(num: int, length: int) -> bool:
@@ -292,7 +298,7 @@ def relem_holds(num: int, i: int, value: Fraction) -> bool:
     """Oracle for the rational element relation."""
     if num < 0 or i < 0 or value < 0:
         return False
-    q = nat_to_rat(beta_decode(GoedelPair(*cantor_unpair(num)), i))
+    q = nat_to_rat(seq_element(num, i))
     return q is not None and q == value
 
 

@@ -18,12 +18,14 @@ one-step transition values along it.  The pieces are
 * the path expectation combining the final-state factor with the product of
   one-step factors read off the encoded sequence.
 
-Every constructed term is emitted in full.  Evaluating the pure terms by
-restricted quantifier search is hopeless (the witnesses are astronomical
-sequence codes), so each carries a plan whose step-k truncation mirrors the
-construction equation by equation and agrees exactly with the k-fold
-fixed-point iterate and the explicit path sum.  Plans read an encoded state
-by binding its decoded values in the state.  Helper variables live in the
+The path term (with its one-step factor) and the pure term are built on
+first read, in one fixed order: the path term first.  Evaluating the pure
+terms by restricted quantifier search is hopeless (the witnesses are
+astronomical sequence codes), so each carries a plan whose step-k
+truncation mirrors the construction equation by equation and agrees
+exactly with the k-fold fixed-point iterate and the explicit path sum.
+The loop's plan runs over states; the term plans read an encoded state by
+binding its decoded values in the state.  Helper variables live in the
 reserved ``$`` namespace, which user programs and the loop's variable set
 cannot mention, and one encoding's come from one name supply (``goedel``).
 """
@@ -35,17 +37,14 @@ from functools import cached_property, reduce
 
 from .errors import ContainsLoop, EngineError, FreeVarsOutsideVarSet
 from .goedel import (
-    GoedelPair,
     NAME_SUPPLY,
-    beta_decode,
-    cantor_unpair,
     construction,
     decode_seq,
     decode_state,
     elem_exp,
-    encode_state,
     logical_var,
     relem_exp,
+    seq_element,
     stateseq_exp,
     within,
 )
@@ -196,12 +195,18 @@ class LoopEncoding:
 
     ``pure`` is the closed-form term; ``path_term`` the per-path piece with
     the length variable ``length_var`` and the sequence-code variable
-    ``seq_var`` free, and ``pair_factor``, set with it, the one-step factor
-    its product aggregate ranges over; ``body_template`` the one-step
-    template over primed copies.  The two big terms are built on first
-    access; the plan only needs the template and the final-state
-    expectation.  Their helpers come from the name supply the encoding was
-    built in, so they share one construction.
+    ``seq_var`` free, and ``pair_factor`` the one-step factor its product
+    aggregate ranges over; ``body_template`` the one-step template over
+    primed copies.  The terms are built on first read and in one order,
+    whichever is read first: ``path_term`` with ``pair_factor``, then
+    ``pure``.  Their helpers come from the name supply the encoding was
+    built in, so they share one construction and print the same however
+    they are read.
+
+    The plan needs only the template and the final-state expectation, and
+    works on states: ``plan_truncations`` keeps its one-step and final
+    values per state.  Codes are decoded only where the term holds them,
+    in ``path_plan`` (through ``path_value``) and ``pair_factor_plan``.
 
     The sequence code is the sum aggregation variable: ``pure`` sums the
     path over all candidate codes, and the validity indicator keeps
@@ -221,33 +226,40 @@ class LoopEncoding:
         self.loop = loop
         self.post = post
         self.varset = varset
-        self.variables = tuple(varset)
-        self._factor_cache: dict[tuple[int, int], XReal] = {}
-        self._finals: dict[tuple[int, QDomain], XReal] = {}
-        self._state_codes: dict[State, int] = {}
-        self.pair_factor: Exp | None = None
+        self._factor_cache: dict[tuple[State, State], XReal] = {}
+        self._finals: dict[tuple[State, QDomain], XReal] = {}
 
-        self._primed = tuple(primed(v) for v in self.variables)
+        self._primed = tuple(primed(v) for v in varset)
         self._final_exp = Guard(Not(loop.cond), post)
         self._num_final = logical_var("num")
         self._num1, self._num2 = logical_var("num"), logical_var("num")
         self._names = NAME_SUPPLY.get()
 
     @cached_property
-    def path_term(self) -> Exp:
+    def _path_terms(self) -> tuple[Exp, Exp]:
+        """``path_term`` and ``pair_factor``, built together."""
         return within(self._names, self._build_path_term)
+
+    @property
+    def path_term(self) -> Exp:
+        return self._path_terms[0]
+
+    @property
+    def pair_factor(self) -> Exp:
+        return self._path_terms[1]
 
     @cached_property
     def pure(self) -> Exp:
         return within(self._names, self._build_pure)
 
     def _build_pure(self) -> Exp:
+        path = self.path_term  # first, so its helpers keep their names
         v1, nums = self.length_var, logical_var("nums")
         body = odot(stateseq_exp(self.varset, VarRef(self.seq_var), VarRef(v1)),
-                    self.path_term)
+                    path)
         return Sup(v1, Sup(nums, make_sum(body, VarRef(nums)).pure))
 
-    def _build_path_term(self) -> Exp:
+    def _build_path_term(self) -> tuple[Exp, Exp]:
         v1, v2 = self.length_var, self.seq_var
 
         # last-state factor: sup num: sup v: [v+1 = v1] * [Elem(v2, v, num)]
@@ -268,7 +280,7 @@ class LoopEncoding:
 
         # one-step factor at aggregation index i: codes at i and i+1; the
         # template's primes read the second code, its variables the first
-        pair_factor = Sup(
+        pair_factor = with_intrinsic(Sup(
             self._num1,
             Sup(
                 self._num2,
@@ -280,19 +292,18 @@ class LoopEncoding:
                                  VarRef(self._num2)),
                     ),
                     _state_term(
-                        _state_term(self.body_template, self.variables,
+                        _state_term(self.body_template, self.varset,
                                     self._num2, self._primed),
-                        self.variables, self._num1, self.variables,
+                        self.varset, self._num1, self.varset,
                     ),
                 ),
             ),
-        )
-        self.pair_factor = with_intrinsic(pair_factor, self.pair_factor_plan)
+        ), self.pair_factor_plan)
 
         # Product(pair_factor, v1 - 2), with the index arithmetic expanded
         # through a fresh bound variable rather than monus
         bound = logical_var("v")
-        product = make_product(self.pair_factor, VarRef(bound)).pure
+        product = make_product(pair_factor, VarRef(bound)).pure
         products = Sup(
             bound,
             Guard(eq_(Add(VarRef(bound), RatLit(Fraction(2))), VarRef(v1)), product),
@@ -303,7 +314,7 @@ class LoopEncoding:
             Guard(le_(RatLit(Fraction(2)), VarRef(v1)),
                   odot(last_piece, products)),
         )
-        return with_intrinsic(path, self.path_plan)
+        return with_intrinsic(path, self.path_plan), pair_factor
 
     # -- plan machinery -----------------------------------------------------
 
@@ -324,65 +335,43 @@ class LoopEncoding:
         index = sigma[PROD_VAR]
         if not (is_natural(seq_code) and is_natural(index)):
             return ZERO
-        pair = GoedelPair(*cantor_unpair(seq_code.numerator))
-        code_from = beta_decode(pair, index.numerator)
-        code_to = beta_decode(pair, index.numerator + 1)
-        return self.step_factor(code_from, code_to, rec)
-
-    def state_code(self, sigma: State) -> int:
-        """The code of ``sigma``, which must already be restricted to the
-        variable set: every state of a ``path_frontiers`` frontier is."""
-        try:
-            return self._state_codes[sigma]
-        except KeyError:
-            pass
-        code = encode_state(sigma, self.varset).num
-        bounded(self._state_codes)[sigma] = code
-        return code
-
-    def final_factor(self, state_code: int, rec) -> XReal:
-        """([!guard] * post) evaluated at the decoded final state.
-
-        The decoded state binds every free variable of the expectation, so
-        the value depends on the code and, for a quantified post, on the
-        domain that ``rec`` searches.
-        """
-        decoded = decode_state(state_code, self.variables)
-        if decoded is None:
+        i = index.numerator
+        source, target = (decode_state(seq_element(seq_code.numerator, j), self.varset)
+                          for j in (i, i + 1))
+        if source is None or target is None:
             return ZERO
-        return rec(self._final_exp, decoded)
+        return self.step_factor(source, target, rec)
 
-    def step_factor(self, code_from: int, code_to: int, rec) -> XReal:
+    def step_factor(self, source: State, target: State, rec) -> XReal:
         """One-step value: the primed template with its variables bound to
         the source state's values and its primes to the target state's,
-        which bind every free variable of the template."""
-        key = (code_from, code_to)
+        which bind every free variable of the template.  Both states are
+        over the variable set, as decoded and frontier states are."""
+        key = (source, target)
         try:
             return self._factor_cache[key]
         except KeyError:
             pass
-        target = decode_state(code_to, self.variables)
-        source = decode_state(code_from, self.variables)
-        if target is None or source is None:
-            value = ZERO
-        else:
-            value = rec(self.body_template, _bind_decoded(
-                source, target, self.variables, self._primed))
+        value = rec(self.body_template,
+                    _bind_decoded(source, target, self.varset, self._primed))
         bounded(self._factor_cache)[key] = value
         return value
 
     def path_value(self, codes: list[int], rec) -> XReal:
         """([!guard] * post) at the last state, times the step factors.
 
-        A code that is not a state makes its factors 0.  Canonicality of
+        A code that is not a state makes the value 0.  Canonicality of
         the codes is the sequence-validity indicator's business, not the
         path's: the path reads elements only.
         """
-        value = self.final_factor(codes[-1], rec)
-        for i in range(len(codes) - 1):
+        states = [decode_state(code, self.varset) for code in codes]
+        if any(s is None for s in states):
+            return ZERO
+        value = rec(self._final_exp, states[-1])
+        for source, target in zip(states, states[1:]):
             if value == ZERO:
                 return ZERO
-            value = value * self.step_factor(codes[i], codes[i + 1], rec)
+            value = value * self.step_factor(source, target, rec)
         return value
 
     def plan_truncations(self, sigma: State, max_k: int, dom=None,
@@ -392,13 +381,14 @@ class LoopEncoding:
         Truncation k sums the path values of the supported length-k
         sequences.  ``path_frontiers`` sums the step-factor products of the
         length-k sequences by last state, so truncation k is
-        sum_s w(s) * final_factor(s): the final factor distributes over the
-        sequences, and the cost follows the (step, state) pairs rather than
-        the 2^k paths.  The one-step support comes from the loop's
-        ``step_kernel`` through ``path_frontiers``.  The final factors are
-        kept on the encoding per (state code, domain), because a
-        quantified post's factor depends on the domain, so a k-sweep
-        computes each once.  ``state_cap`` bounds the (step, state) entries.
+        sum_s w(s) * final(s), with final(s) the value of ([!guard] * post)
+        at s: the final factor distributes over the sequences, and the cost
+        follows the (step, state) pairs rather than the 2^k paths.  The
+        one-step support comes from the loop's ``step_kernel`` through
+        ``path_frontiers``.  The final factors are kept on the encoding per
+        (state, domain), because a quantified post's factor depends on the
+        domain, so a k-sweep computes each once.  ``state_cap`` bounds the
+        (step, state) entries.
         """
         if max_k <= 0:
             return [ZERO] * (max_k + 1)
@@ -408,16 +398,15 @@ class LoopEncoding:
         rec = lambda f, s: eval_exp(f, s, dom, mode="oracle_assisted")
 
         def factor(s: State, t: State) -> XReal:
-            return self.step_factor(self.state_code(s), self.state_code(t), rec)
+            return self.step_factor(s, t, rec)
 
         def final(s: State) -> XReal:
-            code = self.state_code(s)
-            key = (code, dom)
+            key = (s, dom)
             try:
                 return self._finals[key]
             except KeyError:
                 pass
-            value = self.final_factor(code, rec)
+            value = rec(self._final_exp, s)
             bounded(self._finals)[key] = value
             return value
 

@@ -8,6 +8,7 @@ cost is exponential in k; use them at small depths only.
 
 from fractions import Fraction
 
+from wpengine.goedel import encode_state
 from wpengine.semantics import eval_exp
 from wpengine.syntax import Guard, Ite, Not, Skip
 from wpengine.wp import char_assertion, forward_dist, wp_loop_free
@@ -56,12 +57,13 @@ def dfs_plan_eval(encoding, sigma, k, dom):
     successors = _successors(encoding.loop, encoding.varset)
     start = sigma.restrict(encoding.varset)
     total = ZERO
-    stack = [(start, [encoding.state_code(start)])]
+    code = lambda s: encode_state(s, encoding.varset).num  # as the term holds them
+    stack = [(start, [code(start)])]
     while stack:
         current, codes = stack.pop()
         if len(codes) == k:
             total = total + encoding.path_value(codes, rec)
             continue
         for target in successors(current):
-            stack.append((target, codes + [encoding.state_code(target)]))
+            stack.append((target, codes + [code(target)]))
     return total

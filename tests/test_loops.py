@@ -27,6 +27,7 @@ from wpengine.syntax import (
     RatLit,
     Var,
     While,
+    all_vars,
     print_exp,
     substitute,
 )
@@ -262,7 +263,7 @@ def test_pruned_enumeration_matches_unrestricted():
         full = ZERO
         for tail in itertools.product(grid, repeat=k - 1):
             seq = [sigma.restrict(vs)] + list(tail)
-            codes = [encoding.state_code(s) for s in seq]
+            codes = [encode_state(s, vs).num for s in seq]
             full = full + encoding.path_value(codes, rec)
         assert full == encoding.plan_eval(sigma, k)
         assert full == kleene_iterate(prog, post, sigma, k)
@@ -328,6 +329,22 @@ def test_generated_terms_print_the_same_in_a_fresh_and_a_warm_process(expr):
     code = _GENERATED_PRELUDE + f"print({expr}, end='')"
     for hash_seed in (1, 2):
         assert first == _in_fresh_process(code, hash_seed), hash_seed
+
+
+def test_terms_are_built_in_one_order_whichever_is_read_first():
+    """``pure`` builds ``path_term`` before it takes a helper name of its
+    own, so both terms get the same helpers in either read order."""
+    namespace = {}
+    exec(_GENERATED_PRELUDE, namespace)
+    shape = namespace["shape"]
+    args = parse_program("while (x < 1) { skip }"), parse_exp("x"), VarSet.of("x")
+    pure_first, path_first = encode_loop(*args), encode_loop(*args)
+    pure_first.pure, pure_first.path_term
+    path_first.path_term, path_first.pure
+    for term in ("pure", "path_term"):
+        a, b = getattr(pure_first, term), getattr(path_first, term)
+        assert {v.name for v in all_vars(a)} == {v.name for v in all_vars(b)}, term
+        assert shape(a) == shape(b), term
 
 
 def test_sum_helpers_capture_no_free_variable_of_the_body():

@@ -15,7 +15,7 @@ from wpengine.cli import main
 from wpengine.errors import FuelExceeded
 from wpengine.loops import encode_loop
 from wpengine.parser import parse_exp, parse_program
-from wpengine.semantics import ORACLE, QDomain, State, calkin_wilf, eval_exp, state
+from wpengine.semantics import QDomain, State, calkin_wilf, eval_exp, state
 from wpengine.syntax import Guard, Not, Var
 from wpengine.wp import (
     VarSet,
@@ -240,7 +240,7 @@ def test_memo_tables_stay_bounded(monkeypatch):
     encoding = encode_loop(loop, POST_X, WALK_VS)
     kernel = step_kernel(loop, WALK_VS)
     tables = (kernel.support, kernel.factors, encoding._factor_cache,
-              encoding._state_codes, encoding._finals)
+              encoding._finals)
     peaks = [0] * len(tables)
     for x in (20, 24, 30, F(61, 2), 39):
         s0 = state(x=x)
@@ -255,17 +255,15 @@ def test_memo_tables_stay_bounded(monkeypatch):
 
 def test_final_factor_is_kept_per_domain_values():
     """A quantified post's final factor depends on the domain, so
-    ``plan_truncations`` keeps it per (state code, domain values)."""
+    ``plan_truncations`` keeps it per (state, domain values)."""
     post = parse_exp("sup v: [v < x] * v")
     encoding = encode_loop(WALK, post, WALK_VS)
     final_exp = Guard(Not(WALK.cond), post)
     s = state(x=40)
-    code = encoding.state_code(s)
     doms = (calkin_wilf(0), calkin_wilf(3), QDomain([F(39)]),
             QDomain(calkin_wilf(3).values), calkin_wilf(0))
     for dom in doms:
-        rec = lambda f, t: eval_exp(f, t, dom, mode=ORACLE)
-        assert encoding.final_factor(code, rec) == eval_exp(final_exp, s, dom)
+        assert encoding.plan_truncations(s, 1, dom)[1] == eval_exp(final_exp, s, dom)
     # from x=39 both two-state sequences stop, at 40 and at 41
     for dom, want in ((calkin_wilf(3), 2), (QDomain([F(0), F(39)]), 39),
                       (calkin_wilf(0), 0), (calkin_wilf(3), 2)):

@@ -237,7 +237,7 @@ def test_plans_read_only_free_variables():
     # the one-step factor is not a node of the path term but the body of
     # its product aggregate, which the encoding keeps next to the path term
     pair = enc.pair_factor
-    codes = [enc.state_code(state(c=1)), enc.state_code(state(x=1))]
+    codes = [encode_state(s, vs).num for s in (state(c=1), state(x=1))]
     walk = {enc.length_var: 2, enc.seq_var: encode_seq(codes).num, PROD_VAR: 0}
     total = make_sum(parse_exp("[$s < y] * $s + z"), x).pure
     nodes = [
