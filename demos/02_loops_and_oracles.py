@@ -26,7 +26,7 @@ for k in range(9):
     print(f"{k:>3} {str(a):>12} {str(b):>12} {str(c):>12}")
 
 limit = kleene_iterate(geo, post, start, 40)
-print(f"\nk=40 value {limit} ~ {float(limit.finite):.8f} (the loop's value is 2)")
+print(f"\nk=40 value {limit} ~ {float(limit):.8f} (the loop's value is 2)")
 concise = parse_exp("x + [c = 1] * 2")
 print("the concise closed form x + [c = 1] * 2 gives", eval_exp(concise, start))
 

@@ -34,7 +34,7 @@ for k in range(9):
     print(f"  k={k}: {plan}")
 
 limit = encoding.plan_eval(start, 30)
-print(f"\nsupremum over k<=30: {limit} ~ {float(limit.finite):.7f}")
+print(f"\nsupremum over k<=30: {limit} ~ {float(limit):.7f}")
 print("the concise closed form x + [c = 1] * 2 evaluates to",
       eval_exp(parse_exp('x + [c = 1] * 2'), start))
 

@@ -61,7 +61,7 @@ from .syntax import (
     print_fo,
 )
 from .wp import VarSet, char_iterates, forward_dist, kleene_iterate, path_sum, wp_loop_free
-from .xreal import XReal, ZERO, format_rat
+from .xreal import ONE, ZERO
 
 
 @dataclass
@@ -310,19 +310,19 @@ def check_dnf(seed: int = 0) -> CheckReport:
             for r in cuts:
                 report.cases += 1
                 got = eval_exp(de, sigma.set(d.cut_var, r), dom)
-                if got not in (ZERO, XReal.of(1)):
+                if got not in (ZERO, ONE):
                     report.fail(case=i, reason="not {0,1}-valued",
                                 exp=print_exp(f), got=got)
                     continue
-                want = XReal.of(1) if XReal.of(r) < value else ZERO
+                want = ONE if r < value else ZERO
                 if got != want:
                     report.fail(case=i, exp=print_exp(f), state=sigma,
-                                cut=format_rat(r), value=value,
+                                cut=r, value=value,
                                 got=got, want=want)
             # recovery: the largest domain element strictly below the value
             report.cases += 1
-            below = [q for q in dom if XReal.of(q) < value]
-            want_rec = XReal.of(max(below)) if below else ZERO
+            below = [q for q in dom if q < value]
+            want_rec = max(below) if below else ZERO
             got_rec = eval_exp(recovered, sigma, dom)
             if got_rec != want_rec:
                 report.fail(case=i, reason="recovery", exp=print_exp(f),
@@ -400,7 +400,7 @@ def check_series(seed: int = 0) -> CheckReport:
         expected += Fraction(1, n)
         report.cases += 1
         got = structured(harmonic.pure, state(x=n))
-        if got != XReal.of(expected):
+        if got != expected:
             report.fail(kind="harmonic", n=n, got=got, want=expected)
 
     factorial = make_product(parse_exp("[$p = 0] * 1 + [1 <= $p] * $p"), Var("n"))
@@ -409,7 +409,7 @@ def check_series(seed: int = 0) -> CheckReport:
     for n in range(7):
         report.cases += 1
         got = structured(factorial.pure, state(n=n))
-        if got != XReal.of(math.factorial(max(n, 1))):
+        if got != math.factorial(max(n, 1)):
             report.fail(kind="factorial", n=n, got=got)
 
     variables = [Var("x"), Var("y")]
@@ -492,11 +492,11 @@ def check_fo(seed: int = 0) -> CheckReport:
         dom = calkin_wilf(4, {rand_rat(rng)})
         report.cases += 1
         value = eval_exp(emb, sigma, dom)
-        if value not in (ZERO, XReal.of(1)):
+        if value not in (ZERO, ONE):
             report.fail(case=i, reason="not {0,1}", formula=print_fo(p), got=value)
             continue
         want = eval_fo(p, sigma, dom)
-        if (value == XReal.of(1)) != want:
+        if (value == ONE) != want:
             report.fail(case=i, reason="embedding disagrees", formula=print_fo(p),
                         got=value, want=want)
     # naturalness guarding: quantifier-free and bounded-quantifier instances

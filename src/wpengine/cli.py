@@ -6,10 +6,10 @@ reproducible batch runs.  States are written ``var=p/q,var=p/q`` (unnamed
 variables are 0), rationals print as ``p/q``, and infinities as ``inf``.
 
 Exit codes: 0 success, 1 property-suite failure, 2 parse or other engine
-error, or an input nested too deeply for the recursive walkers, 3 loop
-where a loop-free program was required, or a program that is not a single
-while loop given to ``wp --kleene`` or ``encode-loop``, 4 exploration cap
-exceeded.
+error, an unreadable program file, or an input nested too deeply for the
+recursive walkers, 3 loop where a loop-free program was required, or a
+program that is not a single while loop given to ``wp --kleene`` or
+``encode-loop``, 4 exploration cap exceeded.
 """
 
 from __future__ import annotations
@@ -66,8 +66,15 @@ def _option(*flags, **kwargs) -> argparse.ArgumentParser:
 
 
 def _read_program(path: str):
-    with open(path, encoding="utf-8") as handle:
-        return parse_program(handle.read())
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise EngineError(f"cannot read program file {path}: "
+                          f"{exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise EngineError(f"program file {path} is not UTF-8: {exc.reason}") from exc
+    return parse_program(text)
 
 
 def _emit(args, payload: dict, text: str):

@@ -48,7 +48,7 @@ from .goedel import (
     stateseq_exp,
     within,
 )
-from .semantics import QDomain, State, calkin_wilf, eval_exp
+from .semantics import QDomain, State, eval_exp
 from .series import PROD_VAR, SUM_VAR, make_product, make_sum, odot
 from .syntax import (
     Add,
@@ -85,7 +85,7 @@ from .wp import (
     path_frontiers,
     wp_loop_free,
 )
-from .xreal import ONE, XReal, ZERO, is_natural
+from .xreal import XReal, ZERO, is_natural
 
 
 def primed(var: Var) -> Var:
@@ -385,16 +385,15 @@ class LoopEncoding:
         at s: the final factor distributes over the sequences, and the cost
         follows the (step, state) pairs rather than the 2^k paths.  The
         one-step support comes from the loop's ``step_kernel`` through
-        ``path_frontiers``.  The final factors are kept on the encoding per
-        (state, domain), because a quantified post's factor depends on the
-        domain, so a k-sweep computes each once.  ``state_cap`` bounds the
-        (step, state) entries.
+        ``path_frontiers``.  Quantifiers range over ``dom``, by default
+        ``eval_exp``'s own domain at each state, as in ``path_sum``.  The
+        final factors are kept on the encoding per (state, domain), because
+        a quantified post's factor depends on the domain, so a k-sweep
+        computes each once.  ``state_cap`` bounds the (step, state) entries.
         """
         if max_k <= 0:
             return [ZERO] * (max_k + 1)
         start = sigma.restrict(self.varset)
-        if dom is None:
-            dom = calkin_wilf(0)
         rec = lambda f, s: eval_exp(f, s, dom, mode="oracle_assisted")
 
         def factor(s: State, t: State) -> XReal:
@@ -410,14 +409,10 @@ class LoopEncoding:
             bounded(self._finals)[key] = value
             return value
 
-        frontiers = path_frontiers(self.loop, self.varset, start, factor, ONE,
-                                   max_k - 1, state_cap)
         values = [ZERO]
-        for frontier in frontiers:
-            total = ZERO
-            for s, weight in frontier.items():
-                total = total + weight * final(s)
-            values.append(total)
+        for frontier in path_frontiers(self.loop, self.varset, start, factor,
+                                       max_k - 1, state_cap):
+            values.append(sum((w * final(s) for s, w in frontier.items()), ZERO))
         return values
 
     def plan_eval(self, sigma: State, k: int, dom=None,

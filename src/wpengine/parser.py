@@ -426,7 +426,7 @@ def reciprocal_exp(value: Fraction, var: Var) -> Exp:
         denom = sigma[var]
         if denom == 0:
             return XReal.INF if value == 0 else ZERO
-        return XReal.of(value / denom)
+        return value / denom
 
     return s.with_intrinsic(s.Sup(w, body), reciprocal_plan)
 

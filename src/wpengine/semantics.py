@@ -7,7 +7,9 @@ Calkin-Wilf prefix enriched with the constants in sight); this restriction
 is neither a sound lower nor upper bound for mixed quantifier prefixes and
 is documented as the desk-scale approximation it is.  Quantifier-free
 expectations evaluate exactly, independent of the domain, and without
-building one.
+building one.  Values are plain Fractions, and ``XReal.INF`` where an inf
+searches an empty domain or a plan gives it (a reciprocal's at 0/0); a
+sum with a zero side is its other side, without a Fraction addition.
 
 ``eval_exp`` has two modes: ``restricted`` ignores intrinsic tags, while
 ``oracle_assisted`` lets a tagged subtree delegate to its plan, a function
@@ -80,8 +82,6 @@ Mode = Literal["restricted", "oracle_assisted"]
 RESTRICTED: Mode = "restricted"
 ORACLE: Mode = "oracle_assisted"
 
-_ZERO = Fraction(0)
-
 
 class State:
     """Immutable finite map from variables to non-negative rationals.
@@ -121,7 +121,7 @@ class State:
         raise AttributeError("State is immutable")
 
     def __getitem__(self, var: Var) -> Fraction:
-        return self._bindings.get(var.name, _ZERO)
+        return self._bindings.get(var.name, ZERO)
 
     def set(self, var: Var, value) -> "State":
         return self._bind(var, rat(value))
@@ -231,7 +231,7 @@ def default_domain(f: Exp, sigma: State, k: int = DEFAULT_DEPTH) -> QDomain:
 
 def _zero(s: State) -> Fraction:
     """The closure of every literal 0, by which ``_term`` folds additions."""
-    return _ZERO
+    return ZERO
 
 
 def _term(a: AExpr) -> Callable[[State], Fraction]:
@@ -261,7 +261,7 @@ def _term(a: AExpr) -> Callable[[State], Fraction]:
             name = v.name
 
             def fn(s):
-                return s._bindings.get(name, _ZERO)
+                return s._bindings.get(name, ZERO)
         case Add(l, r):
             lf, rf = _term(l), _term(r)
             if lf is _zero:
@@ -283,7 +283,7 @@ def _term(a: AExpr) -> Callable[[State], Fraction]:
                 x, y = lf(s), rf(s)
                 if x.numerator * y.denominator > y.numerator * x.denominator:
                     return x - y
-                return _ZERO
+                return ZERO
         case _:
             raise TypeError(a)
     object.__setattr__(a, "_fn", fn)
@@ -341,19 +341,19 @@ def _less(l: AExpr, r: AExpr,
 
             def fn(s):
                 b = s._bindings
-                x, y = b.get(lname, _ZERO), b.get(rname, _ZERO)
+                x, y = b.get(lname, ZERO), b.get(rname, ZERO)
                 return cmp(x.numerator * y.denominator, y.numerator * x.denominator)
         case VarRef(v), RatLit(q):
             name, n, d = v.name, q.numerator, q.denominator
 
             def fn(s):
-                x = s._bindings.get(name, _ZERO)
+                x = s._bindings.get(name, ZERO)
                 return cmp(x.numerator * d, n * x.denominator)
         case RatLit(q), VarRef(v):
             name, n, d = v.name, q.numerator, q.denominator
 
             def fn(s):
-                y = s._bindings.get(name, _ZERO)
+                y = s._bindings.get(name, ZERO)
                 return cmp(n * y.denominator, y.numerator * d)
         case _, RatLit(q):
             lf, n, d = _term(l), q.numerator, q.denominator
@@ -606,8 +606,8 @@ def eval_exp(f: Exp, sigma: State, dom: QDomain | None = None,
 
     oracle = mode == ORACLE
 
-    # compiled terms give validated non-negative Fractions, so their values
-    # wrap into XReal as they are
+    # compiled terms give validated non-negative Fractions, which are
+    # values as they are
     def rec(g: Exp, sig: State) -> XReal:
         while (delay := g._delay) is not None:
             g, mapping = delay
@@ -619,18 +619,21 @@ def eval_exp(f: Exp, sigma: State, dom: QDomain | None = None,
             return g.intrinsic(sig, rec)
         match g:
             case Arith(a):
-                return XReal(_term(a)(sig))
+                return _term(a)(sig)
             case Guard(cond, body):
                 if _guard(cond)(sig):
                     return rec(body, sig)
                 return ZERO
             case Plus(l, r):
-                return rec(l, sig) + rec(r, sig)
+                # a zero side gives the other side: most sums of guarded
+                # terms add 0, and a Fraction sum reduces by a gcd
+                left, right = rec(l, sig), rec(r, sig)
+                return left + right if left and right else left or right
             case Scale(a, body):
                 factor = _term(a)(sig)
                 if not factor:
                     return ZERO
-                return XReal(factor) * rec(body, sig)
+                return factor * rec(body, sig)
             case Sup(v, body):
                 best = ZERO
                 for q in domain():

@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .errors import ProbabilityOutOfRange
-from .xreal import format_rat, rat
+from .xreal import rat
 
 _IDENT_RE = re.compile(r"\$?[a-zA-Z_][a-zA-Z0-9_']*\Z")
 
@@ -236,7 +236,7 @@ class PChoice:
     def __post_init__(self):
         p = rat(self.prob)
         if not 0 <= p <= 1:
-            raise ProbabilityOutOfRange(f"probability {format_rat(p)} not in [0, 1]")
+            raise ProbabilityOutOfRange(f"probability {p} not in [0, 1]")
         object.__setattr__(self, "prob", p)
 
 
@@ -946,7 +946,7 @@ def _print(node, prec: int = 0) -> str:
     """
     match node:
         case RatLit(q):
-            return format_rat(q)
+            return str(q)
         case VarRef(v):
             return v.name
         case Nat(v):
@@ -986,7 +986,7 @@ def print_program(prog: Program, indent: str = "") -> str:
             inner = indent + "  "
             return (
                 f"{indent}{{\n{print_program(a, inner)}\n{indent}}} "
-                f"[{format_rat(p)}] {{\n{print_program(b, inner)}\n{indent}}}"
+                f"[{p}] {{\n{print_program(b, inner)}\n{indent}}}"
             )
         case Ite(cond, a, b):
             inner = indent + "  "

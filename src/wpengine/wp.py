@@ -56,7 +56,7 @@ from .syntax import (
     true_,
     vars_program,
 )
-from .xreal import XReal, ZERO, format_rat
+from .xreal import ONE, XReal, ZERO
 
 DEFAULT_STATE_CAP = 100_000
 
@@ -113,10 +113,8 @@ class Dist:
 
     def expectation(self, f: Exp) -> XReal:
         """Expected value of a quantifier-free postexpectation."""
-        total = ZERO
-        for sigma, weight in self.weights.items():
-            total = total + XReal.of(weight) * eval_exp(f, sigma)
-        return total
+        return sum((weight * eval_exp(f, sigma)
+                    for sigma, weight in self.weights.items()), ZERO)
 
     def items(self):
         return self.weights.items()
@@ -129,11 +127,11 @@ class Dist:
         for sigma in sorted(self.weights, key=lambda s: tuple(s[v] for v in varset)):
             entries.append(
                 {
-                    "state": {v.name: format_rat(sigma[v]) for v in varset},
-                    "weight": format_rat(self.weights[sigma]),
+                    "state": {v.name: str(sigma[v]) for v in varset},
+                    "weight": str(self.weights[sigma]),
                 }
             )
-        return {"entries": entries, "mass": format_rat(self.mass)}
+        return {"entries": entries, "mass": str(self.mass)}
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +317,7 @@ def _sem_wp(todo, cont, sigma: State, fuel: int, state_cap: int) -> XReal:
                 total = ZERO
                 for branch, weight in ((left, p), (right, 1 - p)):
                     if weight:
-                        total = total + XReal.of(weight) * _sem_wp(
+                        total = total + weight * _sem_wp(
                             (branch, todo), cont, sigma, fuel, state_cap)
                 return total
             case While():
@@ -425,7 +423,7 @@ class StepKernel:
         except KeyError:
             pass
         into = wp_loop_free(self.c_iter, char_assertion(t, self.varset))
-        out = eval_exp(into, s).finite
+        out = eval_exp(into, s)
         bounded(self.factors)[key] = out
         return out
 
@@ -450,14 +448,14 @@ def step_kernel(loop: While, varset: VarSet) -> StepKernel:
     return kernel
 
 
-def path_frontiers(loop: While, varset: VarSet, start: State, factor, unit,
+def path_frontiers(loop: While, varset: VarSet, start: State, factor,
                    steps: int, cap: int = DEFAULT_STATE_CAP) -> list[dict]:
     """Weights of the supported state sequences, summed by last state.
 
     Entry n maps each state t to the total weight of the supported state
     sequences of length n + 1 from ``start`` (restricted to ``varset``) that
-    end in t, for n = 0, ..., ``steps``; a sequence's weight is ``unit``
-    times ``factor(s, t)`` for each of its transitions s -> t.  Weight is
+    end in t, for n = 0, ..., ``steps``; a sequence's weight is the product
+    of ``factor(s, t)`` over its transitions s -> t.  Weight is
     pushed only along the one-step support of the guarded iteration, taken
     from the loop's ``step_kernel``: the omitted transitions would
     contribute zero factors.  This is one forward pass over (step, state),
@@ -466,7 +464,7 @@ def path_frontiers(loop: While, varset: VarSet, start: State, factor, unit,
     entries have been made; the kernel's own tables do not count.
     """
     successors = step_kernel(loop, varset).successors
-    frontiers = [{start: unit}]
+    frontiers = [{start: ONE}]
     entries = 1
     for n in range(1, steps + 1):
         frontier: dict = {}
@@ -505,9 +503,7 @@ def path_sum(loop: While, post: Exp, sigma: State, varset: VarSet, k: int,
         return ZERO
     factor = step_kernel(loop, varset).factor
     last = path_frontiers(loop, varset, sigma.restrict(varset), factor,
-                          Fraction(1), k - 1, path_cap)[-1]
+                          k - 1, path_cap)[-1]
     final_guard = Guard(Not(loop.cond), post)
-    total = ZERO
-    for s, weight in last.items():
-        total = total + XReal.of(weight) * eval_exp(final_guard, s)
-    return total
+    return sum((weight * eval_exp(final_guard, s) for s, weight in last.items()),
+               ZERO)

@@ -1,16 +1,24 @@
 """Exact non-negative rationals and their extension with infinity.
 
-Plain values are ``fractions.Fraction`` instances (always in lowest terms
-with positive denominator); this module adds validation and printing
-helpers plus ``XReal``, the completion of the non-negative rationals with a
-top element ``inf``.  ``XReal`` arithmetic follows the complete-lattice
-conventions: addition with ``inf`` yields ``inf``, ``inf`` times a positive
-value is ``inf``, and ``0 * inf == 0``.
+Values are plain ``fractions.Fraction`` instances (always in lowest terms
+with positive denominator), validated by ``rat``.  The one value that is
+not a Fraction is ``XReal.INF``, the top element that completes the
+non-negative rationals; it follows the complete-lattice conventions:
+adding it to anything gives it, it times a positive value is itself, and
+``0 * inf == 0``.  It is not registered as a ``numbers`` type, so
+Fraction's and int's operators return ``NotImplemented`` for it and a mixed
+operation reaches its reflected methods in either order.  ``XReal`` is the
+public spelling of the values and names their type in annotations: a
+Fraction or ``XReal.INF``.  ``XReal.of`` validates a rational and returns
+it; the class has no instances.  ``str`` prints a value as ``p``, ``p/q``
+(lowest terms) or ``inf``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import total_ordering
 from typing import Union
 
 RatLike = Union[int, Fraction]
@@ -31,103 +39,59 @@ def rat(value: RatLike) -> Fraction:
     return q
 
 
-def format_rat(q: Fraction) -> str:
-    """Render a rational as ``p`` or ``p/q`` (lowest terms)."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def is_natural(q: Fraction) -> bool:
     return q.denominator == 1 and q.numerator >= 0
 
 
-class XReal:
-    """A non-negative rational or infinity, with 0·inf = 0.
+def _operand(other) -> bool:
+    return other is INF or isinstance(other, (Fraction, int))
 
-    Instances are immutable; ``XReal.INF`` is the unique infinite value and
-    finite values wrap a Fraction.
-    """
 
-    __slots__ = ("_fin",)
+@total_ordering
+class _Infinity:
+    """The class of ``XReal.INF``, immutable and made once.
 
-    INF: "XReal"
+    It equals only itself (the default identity equality), and
+    ``total_ordering`` derives the other comparisons from ``__lt__``."""
 
-    def __init__(self, finite: Fraction | None):
-        object.__setattr__(self, "_fin", finite)
+    __slots__ = ()
 
-    def __setattr__(self, *_):
-        raise AttributeError("XReal is immutable")
+    def __add__(self, other):
+        return self if _operand(other) else NotImplemented
 
-    @staticmethod
-    def of(value: RatLike) -> "XReal":
-        return XReal(rat(value))
+    __radd__ = __add__
 
-    @property
-    def is_finite(self) -> bool:
-        return self._fin is not None
-
-    @property
-    def finite(self) -> Fraction:
-        if self._fin is None:
-            raise ValueError("infinite value has no finite part")
-        return self._fin
-
-    def __add__(self, other: "XReal") -> "XReal":
-        a, b = self._fin, other._fin
-        if a is None or b is None:
-            return XReal.INF
-        # a zero side gives the other side: most sums of guarded terms add 0
-        if not a:
-            return other
-        if not b:
-            return self
-        return XReal(a + b)
-
-    def __mul__(self, other: "XReal") -> "XReal":
-        a, b = self._fin, other._fin
-        if a is not None and b is not None:
-            return XReal(a * b)
-        # at least one side infinite: 0 annihilates, anything else gives inf
-        if a == 0 or b == 0:
-            return XReal(Fraction(0))
-        return XReal.INF
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, XReal):
+    def __mul__(self, other):
+        if not _operand(other):
             return NotImplemented
-        return self._fin == other._fin
+        # 0 annihilates, anything else gives inf
+        return ZERO if other == 0 else self
+
+    __rmul__ = __mul__
+
+    def __lt__(self, other):
+        return False if _operand(other) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._fin)
+        return hash(math.inf)
 
-    def __lt__(self, other: "XReal") -> bool:
-        if self._fin is None:
-            return False
-        if other._fin is None:
-            return True
-        return self._fin < other._fin
-
-    def __le__(self, other: "XReal") -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: "XReal") -> bool:
-        return other < self
-
-    def __ge__(self, other: "XReal") -> bool:
-        return other <= self
+    def __reduce__(self) -> str:
+        return "INF"  # copies and pickles give the one instance back
 
     def __repr__(self) -> str:
-        return f"XReal({self})"
+        return "XReal.INF"
 
     def __str__(self) -> str:
-        if self._fin is None:
-            return "inf"
-        return format_rat(self._fin)
+        return "inf"
 
 
-XReal.INF = XReal(None)
+INF = _Infinity()
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
-ZERO = XReal(Fraction(0))
-ONE = XReal(Fraction(1))
 
+class XReal:
+    """The values: a validated Fraction or ``XReal.INF``."""
+
+    INF = INF
+    of = staticmethod(rat)

@@ -40,11 +40,12 @@ def dfs_path_sum(loop, post, sigma, varset, k):
     while stack:
         current, length, weight = stack.pop()
         if length == k:
-            total = total + XReal.of(weight) * eval_exp(final_guard, current)
+            total = total + weight * eval_exp(final_guard, current)
             continue
         for target in successors(current):
             step = eval_exp(wp_loop_free(c_iter, char_assertion(target, varset)),
-                            current).finite
+                            current)
+            assert step is not XReal.INF
             stack.append((target, length + 1, weight * step))
     return total
 

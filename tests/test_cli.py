@@ -189,6 +189,23 @@ def test_engine_errors_exit_2(capsys, exp, message):
     assert err.strip() == f"error: {message}"
 
 
+@pytest.mark.parametrize("argv", [
+    ("wp", "-f", "x", "-p"),
+    ("forward", "-p"),
+    ("encode-loop", "--post", "x", "--program"),
+])
+def test_unreadable_program_file_exits_2(capsys, tmp_path, argv):
+    latin = tmp_path / "latin.pgcl"
+    latin.write_bytes(b"x := 1 \xff")
+    for path, reason in ((tmp_path / "missing.pgcl", "cannot read program file"),
+                         (tmp_path, "cannot read program file"),
+                         (latin, "is not UTF-8")):
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(path) in err and reason in err
+        assert err.count("\n") == 1
+
+
 def test_encode_loop_refuses_a_reserved_variable(capsys, geo_file):
     code, out, err = run(capsys, "encode-loop", "--program", geo_file, "--post", "$y")
     assert (code, out) == (2, "")

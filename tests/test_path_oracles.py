@@ -268,3 +268,25 @@ def test_final_factor_is_kept_per_domain_values():
     for dom, want in ((calkin_wilf(3), 2), (QDomain([F(0), F(39)]), 39),
                       (calkin_wilf(0), 0), (calkin_wilf(3), 2)):
         assert encoding.plan_eval(state(x=39), 2, dom) == XReal.of(want)
+
+
+def test_plan_reads_a_quantified_post_over_the_default_domain():
+    """Without a domain, the plan evaluates each final factor over
+    ``eval_exp``'s default domain at that state, as ``path_sum`` does."""
+    geo = parse_program("while (c = 1) { {c := 0} [1/2] {c := 1}; x := x + 1 }")
+    cases = [(geo, VarSet.of("c", "x"), state(c=1, x=0)),
+             (WALK, WALK_VS, state(x=37))]
+    posts = ("sup v: [v < x] * v", "inf w: [w < x] * x + [x < w + 1] * w",
+             "x + (sup v: [v < x] * 1/2)")
+    for loop, varset, s0 in cases:
+        for text in posts:
+            post = parse_exp(text)
+            encoding = encode_loop(loop, post, varset)
+            want = [path_sum(loop, post, s0, varset, k) for k in range(5)]
+            assert encoding.plan_truncations(s0, 4) == want
+            assert [encoding.plan_eval(s0, k) for k in range(5)] == want
+    post = parse_exp(posts[0])
+    want = [ZERO, ZERO, F(2, 5), F(67, 80), F(281, 240)]
+    assert [kleene_iterate(geo, post, state(c=1, x=0), k) for k in range(5)] == want
+    assert encode_loop(geo, post, VarSet.of("c", "x")).plan_truncations(
+        state(c=1, x=0), 4) == want

@@ -1,5 +1,7 @@
 """Exact evaluation, quantifier domains, and the extended-real laws."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -352,6 +354,48 @@ def test_zero_times_infinity():
     assert XReal.INF + ZERO == XReal.INF
     assert XReal.of(3) < XReal.INF
     assert not XReal.INF < XReal.INF
+
+
+def test_infinity_operator_table_in_both_operand_orders():
+    """Fraction's and int's operators return NotImplemented for infinity,
+    so every mixed operation below runs one of its reflected methods."""
+    inf = XReal.INF
+    for q in (F(0), F(1, 2), F(7), 0, 3):
+        assert q + inf is inf and inf + q is inf
+        assert q < inf and q <= inf and not q > inf and not q >= inf
+        assert inf > q and inf >= q and not inf < q and not inf <= q
+        assert q != inf and inf != q and not q == inf and not inf == q
+    for zero in (F(0), 0):
+        for product in (zero * inf, inf * zero):
+            assert product == 0 and type(product) is F
+    for q in (F(1, 2), F(7), 3):
+        assert q * inf is inf and inf * q is inf
+    assert inf + inf is inf and inf * inf is inf
+    assert inf == inf and inf <= inf and inf >= inf
+    assert not inf < inf and not inf > inf
+    assert hash(inf) == hash(XReal.INF) and len({inf, XReal.INF, F(1)}) == 2
+    assert sum([F(1, 2), inf]) is inf and sum([inf, F(1, 2)], ZERO) is inf
+    assert max([F(1, 2), inf, F(3)]) is inf and max([inf, F(3)]) is inf
+    assert min([inf, F(3)]) == F(3) and min([F(3), inf]) == F(3)
+    for unsupported in (0.5, "x", None):
+        with pytest.raises(TypeError):
+            inf + unsupported
+        with pytest.raises(TypeError):
+            unsupported * inf
+        with pytest.raises(TypeError):
+            inf < unsupported
+    with pytest.raises(TypeError):
+        inf - 1
+
+
+def test_values_are_fractions_and_infinity_is_one_object():
+    assert type(eval_exp(parse_exp("x"), state(x=1))) is F
+    assert type(eval_exp(parse_exp("[x < 1] * 5 + 3"), state())) is F
+    assert XReal.of(2) == 2 and type(XReal.of(2)) is F
+    assert eval_exp(parse_exp("0/x"), state(), mode=ORACLE) is XReal.INF
+    assert eval_exp(parse_exp("inf v: v"), state(), QDomain([])) is XReal.INF
+    assert copy.deepcopy(XReal.INF) is XReal.INF
+    assert pickle.loads(pickle.dumps(XReal.INF)) is XReal.INF
 
 
 def test_xreal_serialization():
