@@ -48,7 +48,7 @@ from .goedel import (
     stateseq_exp,
     within,
 )
-from .semantics import QDomain, State, eval_exp
+from .semantics import State, eval_exp
 from .series import PROD_VAR, SUM_VAR, make_product, make_sum, odot
 from .syntax import (
     Add,
@@ -79,8 +79,8 @@ from .syntax import (
 )
 from .wp import (
     DEFAULT_STATE_CAP,
+    Memo,
     VarSet,
-    bounded,
     char_assertion,  # re-exported: the indicator lives in wp
     path_frontiers,
     wp_loop_free,
@@ -204,9 +204,10 @@ class LoopEncoding:
     they are read.
 
     The plan needs only the template and the final-state expectation, and
-    works on states: ``plan_truncations`` keeps its one-step and final
-    values per state.  Codes are decoded only where the term holds them,
-    in ``path_plan`` (through ``path_value``) and ``pair_factor_plan``.
+    works on states: its one-step and final values are the ``Memo``s
+    ``_factor_cache[s, t]`` and ``_finals[s]``.  Codes are decoded only
+    where the term holds them, in ``path_plan`` (through ``path_value``)
+    and ``pair_factor_plan``.
 
     The sequence code is the sum aggregation variable: ``pure`` sums the
     path over all candidate codes, and the validity indicator keeps
@@ -226,11 +227,20 @@ class LoopEncoding:
         self.loop = loop
         self.post = post
         self.varset = varset
-        self._factor_cache: dict[tuple[State, State], XReal] = {}
-        self._finals: dict[tuple[State, QDomain], XReal] = {}
-
         self._primed = tuple(primed(v) for v in varset)
         self._final_exp = Guard(Not(loop.cond), post)
+
+        # the compute functions close over the values they read, not over
+        # self, so reference counting alone frees the encoding.  The
+        # template transforms an untagged, quantifier-free indicator, so its
+        # value is the same in both modes and over any domain; its variables
+        # take the source state's values and its primes the target's.
+        template, slots, final_exp = (self.body_template, self._primed,
+                                      self._final_exp)
+        self._factor_cache = Memo(lambda pair: eval_exp(
+            template, _bind_decoded(pair[0], pair[1], varset, slots)))
+        self._finals = Memo(
+            lambda s: eval_exp(final_exp, s, mode="oracle_assisted"))
         self._num_final = logical_var("num")
         self._num1, self._num2 = logical_var("num"), logical_var("num")
         self._names = NAME_SUPPLY.get()
@@ -340,22 +350,7 @@ class LoopEncoding:
                           for j in (i, i + 1))
         if source is None or target is None:
             return ZERO
-        return self.step_factor(source, target, rec)
-
-    def step_factor(self, source: State, target: State, rec) -> XReal:
-        """One-step value: the primed template with its variables bound to
-        the source state's values and its primes to the target state's,
-        which bind every free variable of the template.  Both states are
-        over the variable set, as decoded and frontier states are."""
-        key = (source, target)
-        try:
-            return self._factor_cache[key]
-        except KeyError:
-            pass
-        value = rec(self.body_template,
-                    _bind_decoded(source, target, self.varset, self._primed))
-        bounded(self._factor_cache)[key] = value
-        return value
+        return self._factor_cache[source, target]
 
     def path_value(self, codes: list[int], rec) -> XReal:
         """([!guard] * post) at the last state, times the step factors.
@@ -371,10 +366,10 @@ class LoopEncoding:
         for source, target in zip(states, states[1:]):
             if value == ZERO:
                 return ZERO
-            value = value * self.step_factor(source, target, rec)
+            value = value * self._factor_cache[source, target]
         return value
 
-    def plan_truncations(self, sigma: State, max_k: int, dom=None,
+    def plan_truncations(self, sigma: State, max_k: int, *,
                          state_cap: int = DEFAULT_STATE_CAP) -> list[XReal]:
         """Truncation values for k = 0, ..., ``max_k`` from one forward pass.
 
@@ -385,42 +380,27 @@ class LoopEncoding:
         at s: the final factor distributes over the sequences, and the cost
         follows the (step, state) pairs rather than the 2^k paths.  The
         one-step support comes from the loop's ``step_kernel`` through
-        ``path_frontiers``.  Quantifiers range over ``dom``, by default
-        ``eval_exp``'s own domain at each state, as in ``path_sum``.  The
-        final factors are kept on the encoding per (state, domain), because
-        a quantified post's factor depends on the domain, so a k-sweep
-        computes each once.  ``state_cap`` bounds the (step, state) entries.
+        ``path_frontiers``, and the one-step factors from ``_factor_cache``.
+        Quantifiers range over ``eval_exp``'s default domain at each state,
+        as in ``path_sum`` and ``kleene_iterate``, so ``_finals`` keeps each
+        final factor per state and a k-sweep computes it once.
+        ``state_cap`` bounds the (step, state) entries.
         """
         if max_k <= 0:
             return [ZERO] * (max_k + 1)
-        start = sigma.restrict(self.varset)
-        rec = lambda f, s: eval_exp(f, s, dom, mode="oracle_assisted")
+        finals = self._finals
+        frontiers = path_frontiers(self.loop, self.varset,
+                                   sigma.restrict(self.varset),
+                                   self._factor_cache, max_k - 1, state_cap)
+        return [ZERO] + [sum((w * finals[s] for s, w in frontier.items()), ZERO)
+                         for frontier in frontiers]
 
-        def factor(s: State, t: State) -> XReal:
-            return self.step_factor(s, t, rec)
-
-        def final(s: State) -> XReal:
-            key = (s, dom)
-            try:
-                return self._finals[key]
-            except KeyError:
-                pass
-            value = rec(self._final_exp, s)
-            bounded(self._finals)[key] = value
-            return value
-
-        values = [ZERO]
-        for frontier in path_frontiers(self.loop, self.varset, start, factor,
-                                       max_k - 1, state_cap):
-            values.append(sum((w * final(s) for s, w in frontier.items()), ZERO))
-        return values
-
-    def plan_eval(self, sigma: State, k: int, dom=None,
+    def plan_eval(self, sigma: State, k: int, *,
                   state_cap: int = DEFAULT_STATE_CAP) -> XReal:
         """Truncation-k value: the sum over supported length-k sequences."""
         if k <= 0:
             return ZERO
-        return self.plan_truncations(sigma, k, dom, state_cap)[-1]
+        return self.plan_truncations(sigma, k, state_cap=state_cap)[-1]
 
 
 def encode_loop(loop: While, post: Exp, varset: VarSet) -> LoopEncoding:

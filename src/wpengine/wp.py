@@ -360,10 +360,13 @@ def kleene_iterate(loop: While, post: Exp, sigma: State, k: int,
                    state_cap: int = DEFAULT_STATE_CAP) -> XReal:
     """Value at ``sigma`` of the k-th fixed-point iterate from zero.
 
-    Monotone and nondecreasing in k; ``post`` must be quantifier-free so
-    evaluation is exact.
+    Monotone and nondecreasing in k.  Each exit state reads
+    [!guard] * post, as ``path_sum`` and the compiled loop's plan do, so a
+    quantified post is searched over the same default domain, which holds
+    the guard's constants too.
     """
-    cont = lambda tau: eval_exp(post, tau)
+    final_guard = Guard(Not(loop.cond), post)
+    cont = lambda tau: eval_exp(final_guard, tau)
     return _kleene_value(loop, cont, sigma, k, state_cap)
 
 
@@ -377,55 +380,45 @@ def char_assertion(sigma: State, varset: VarSet) -> Exp:
     return Guard(conj, Arith(RatLit(Fraction(1))))
 
 
-def bounded(table: dict) -> dict:
-    """``table``, emptied first if one more entry would pass
+class Memo(dict):
+    """A memo table that fills a missing entry with ``compute(key)`` and
+    empties itself first if one more entry would pass
     ``DEFAULT_STATE_CAP``: the bound on every memo table that outlives a
     call."""
-    if len(table) >= DEFAULT_STATE_CAP:
-        table.clear()
-    return table
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self.compute(key)
+        if len(self) >= DEFAULT_STATE_CAP:
+            self.clear()
+        self[key] = value
+        return value
 
 
 class StepKernel:
     """One-step facts of a loop's guarded iteration over a variable set.
 
-    The one-step support of a state (the targets of ``forward_dist(c_iter,
-    s, varset, 1)``) and ``path_sum``'s one-step factor of a transition
-    s -> t (``wp_loop_free(c_iter, char_assertion(t))`` evaluated at s)
+    ``support[s]`` is the one-step support of a state (the targets of
+    ``forward_dist(c_iter, s, varset, 1)``), and ``factors[s, t]`` is
+    ``path_sum``'s one-step factor of a transition s -> t
+    (``wp_loop_free(c_iter, char_assertion(t))`` evaluated at s).  Both
     depend on the loop, the variable set and the states alone, so a k-sweep
     computes each of them once.  ``step_kernel`` keeps one kernel per
     variable set on the loop node itself, so it is freed with the loop.
-    Each table empties itself once it would grow past ``DEFAULT_STATE_CAP``
-    entries, so memory stays bounded in a long-running process.
+    Both tables are ``Memo``s, so memory stays bounded in a long-running
+    process.
     """
 
     def __init__(self, loop: While, varset: VarSet):
-        self.c_iter = Ite(loop.cond, loop.body, Skip())
-        self.varset = varset
-        self.support: dict[State, tuple[State, ...]] = {}
-        self.factors: dict[tuple[State, State], Fraction] = {}
-
-    def successors(self, s: State) -> tuple[State, ...]:
-        """Targets of one guarded iteration from the restricted state s."""
-        try:
-            return self.support[s]
-        except KeyError:
-            pass
-        out = tuple(forward_dist(self.c_iter, s, self.varset, 1).weights)
-        bounded(self.support)[s] = out
-        return out
-
-    def factor(self, s: State, t: State) -> Fraction:
-        """One-step value of s -> t, read off the syntactic transformer."""
-        key = (s, t)
-        try:
-            return self.factors[key]
-        except KeyError:
-            pass
-        into = wp_loop_free(self.c_iter, char_assertion(t, self.varset))
-        out = eval_exp(into, s)
-        bounded(self.factors)[key] = out
-        return out
+        c_iter = Ite(loop.cond, loop.body, Skip())
+        self.support = Memo(
+            lambda s: tuple(forward_dist(c_iter, s, varset, 1).weights))
+        self.factors = Memo(lambda pair: eval_exp(
+            wp_loop_free(c_iter, char_assertion(pair[1], varset)), pair[0]))
 
 
 def step_kernel(loop: While, varset: VarSet) -> StepKernel:
@@ -448,29 +441,30 @@ def step_kernel(loop: While, varset: VarSet) -> StepKernel:
     return kernel
 
 
-def path_frontiers(loop: While, varset: VarSet, start: State, factor,
+def path_frontiers(loop: While, varset: VarSet, start: State, factors,
                    steps: int, cap: int = DEFAULT_STATE_CAP) -> list[dict]:
     """Weights of the supported state sequences, summed by last state.
 
     Entry n maps each state t to the total weight of the supported state
     sequences of length n + 1 from ``start`` (restricted to ``varset``) that
     end in t, for n = 0, ..., ``steps``; a sequence's weight is the product
-    of ``factor(s, t)`` over its transitions s -> t.  Weight is
-    pushed only along the one-step support of the guarded iteration, taken
-    from the loop's ``step_kernel``: the omitted transitions would
+    of ``factors[s, t]`` over its transitions s -> t, read from a mapping
+    such as a ``Memo``.  Weight is pushed only along the one-step support
+    of the guarded iteration, ``support[s]`` of the loop's
+    ``step_kernel``: the omitted transitions would
     contribute zero factors.  This is one forward pass over (step, state),
     so the cost follows the distinct (step, state) pairs, not the number of
     sequences.  Raises ``FuelExceeded`` once more than ``cap`` (step, state)
     entries have been made; the kernel's own tables do not count.
     """
-    successors = step_kernel(loop, varset).successors
+    support = step_kernel(loop, varset).support
     frontiers = [{start: ONE}]
     entries = 1
     for n in range(1, steps + 1):
         frontier: dict = {}
         for s, w in frontiers[-1].items():
-            for t in successors(s):
-                pushed = w * factor(s, t)
+            for t in support[s]:
+                pushed = w * factors[s, t]
                 frontier[t] = frontier[t] + pushed if t in frontier else pushed
         entries += len(frontier)
         if entries > cap:
@@ -483,7 +477,7 @@ def path_frontiers(loop: While, varset: VarSet, start: State, factor,
 
 
 def path_sum(loop: While, post: Exp, sigma: State, varset: VarSet, k: int,
-             path_cap: int = DEFAULT_STATE_CAP) -> XReal:
+             state_cap: int = DEFAULT_STATE_CAP) -> XReal:
     """Truncated sum over length-k state sequences from ``sigma``.
 
     Each sequence contributes the final value of [!guard] * post weighted by
@@ -494,16 +488,16 @@ def path_sum(loop: While, post: Exp, sigma: State, varset: VarSet, k: int,
     ``path_frontiers`` as sum_s w(s) * ([!guard] * post)(s) over the
     sequence weights w summed by last state, which distributes the final
     factor over the sequences, so its cost follows the (step, state) pairs
-    rather than the 2^k paths.  ``path_cap`` bounds the (step, state)
+    rather than the 2^k paths.  ``state_cap`` bounds the (step, state)
     entries.
     """
     if not varset.issuperset(vars_program(loop) | free_vars(post)):
         raise ValueError("variable set must cover the loop and postexpectation")
     if k <= 0:
         return ZERO
-    factor = step_kernel(loop, varset).factor
-    last = path_frontiers(loop, varset, sigma.restrict(varset), factor,
-                          k - 1, path_cap)[-1]
+    factors = step_kernel(loop, varset).factors
+    last = path_frontiers(loop, varset, sigma.restrict(varset), factors,
+                          k - 1, state_cap)[-1]
     final_guard = Guard(Not(loop.cond), post)
     return sum((weight * eval_exp(final_guard, s) for s, weight in last.items()),
                ZERO)

@@ -15,8 +15,8 @@ from wpengine.cli import main
 from wpengine.errors import FuelExceeded
 from wpengine.loops import encode_loop
 from wpengine.parser import parse_exp, parse_program
-from wpengine.semantics import QDomain, State, calkin_wilf, eval_exp, state
-from wpengine.syntax import Guard, Not, Var
+from wpengine.semantics import State, calkin_wilf, eval_exp, state
+from wpengine.syntax import Var
 from wpengine.wp import (
     VarSet,
     char_iterates,
@@ -89,12 +89,12 @@ def test_caps_count_step_state_entries():
                r"above the cap of 10$")
     s0 = state(x=20)
     with pytest.raises(FuelExceeded, match=message):
-        path_sum(WALK, POST_X, s0, WALK_VS, 20, path_cap=10)
+        path_sum(WALK, POST_X, s0, WALK_VS, 20, state_cap=10)
     encoding = encode_loop(WALK, POST_X, WALK_VS)
     with pytest.raises(FuelExceeded, match=message):
         encoding.plan_eval(s0, 20, state_cap=10)
     # k = 4 needs the frontiers of steps 0 to 3: 10 entries
-    assert path_sum(WALK, POST_X, s0, WALK_VS, 4, path_cap=10) == \
+    assert path_sum(WALK, POST_X, s0, WALK_VS, 4, state_cap=10) == \
         encoding.plan_eval(s0, 4, state_cap=10)
 
 
@@ -196,6 +196,22 @@ def test_kernel_is_freed_with_its_loop():
     assert kernel() is None
 
 
+def test_encoding_is_freed_without_the_collector():
+    """The encoding's memo tables close over the values they read, not over
+    the encoding, so reference counting alone frees it."""
+    gc.collect()
+    gc.disable()
+    try:
+        encoding = encode_loop(WALK, parse_exp("sup v: [v < x] * v"), WALK_VS)
+        assert encoding.plan_eval(state(x=30), 6) == F(5, 32)
+        assert encoding._factor_cache and encoding._finals
+        freed = weakref.ref(encoding)
+        del encoding
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 def test_independent_oracles_do_not_read_the_kernel():
     s0 = state(x=20)
     loop = parse_program(WALK_TEXT)
@@ -207,10 +223,13 @@ def test_independent_oracles_do_not_read_the_kernel():
     # a kernel that fails on every read leaves their values as they were
     kernel = step_kernel(loop, WALK_VS)
 
-    def poisoned(*_):
-        raise AssertionError("an independent oracle read the kernel")
+    class Poisoned(dict):
+        def __getitem__(self, *_):
+            raise AssertionError("an independent oracle read the kernel")
 
-    kernel.successors = kernel.factor = poisoned
+        __contains__ = get = __iter__ = __len__ = __getitem__
+
+    kernel.support = kernel.factors = Poisoned()
     fresh = parse_program(WALK_TEXT)
     for k in range(6):
         assert kleene_iterate(loop, POST_X, s0, k) == \
@@ -253,21 +272,28 @@ def test_memo_tables_stay_bounded(monkeypatch):
     assert peaks == [cap] * len(tables)
 
 
-def test_final_factor_is_kept_per_domain_values():
-    """A quantified post's final factor depends on the domain, so
-    ``plan_truncations`` keeps it per (state, domain values)."""
-    post = parse_exp("sup v: [v < x] * v")
-    encoding = encode_loop(WALK, post, WALK_VS)
-    final_exp = Guard(Not(WALK.cond), post)
-    s = state(x=40)
-    doms = (calkin_wilf(0), calkin_wilf(3), QDomain([F(39)]),
-            QDomain(calkin_wilf(3).values), calkin_wilf(0))
-    for dom in doms:
-        assert encoding.plan_truncations(s, 1, dom)[1] == eval_exp(final_exp, s, dom)
-    # from x=39 both two-state sequences stop, at 40 and at 41
-    for dom, want in ((calkin_wilf(3), 2), (QDomain([F(0), F(39)]), 39),
-                      (calkin_wilf(0), 0), (calkin_wilf(3), 2)):
-        assert encoding.plan_eval(state(x=39), 2, dom) == XReal.of(want)
+def test_final_factors_are_kept_per_state():
+    """``plan_truncations`` keeps one final factor per distinct state of the
+    frontiers, keyed on the state alone."""
+    encoding = encode_loop(WALK, POST_X, WALK_VS)
+    s0 = state(x=30)
+    encoding.plan_truncations(s0, 6)
+    frontiers = wp.path_frontiers(WALK, WALK_VS, s0, encoding._factor_cache, 5)
+    seen = {s for frontier in frontiers for s in frontier}
+    assert isinstance(encoding._finals, wp.Memo)
+    assert set(encoding._finals) == seen
+    assert all(type(key) is State for key in encoding._finals)
+
+
+def test_plan_takes_the_state_cap_by_keyword_only():
+    """A stale positional domain raises, where it would be read as the cap."""
+    encoding = encode_loop(WALK, POST_X, WALK_VS)
+    s0 = state(x=30)
+    with pytest.raises(TypeError):
+        encoding.plan_truncations(s0, 1, calkin_wilf(3))
+    with pytest.raises(TypeError):
+        encoding.plan_eval(s0, 1, 10)
+    assert encoding.plan_eval(s0, 1, state_cap=10) == ZERO
 
 
 def test_plan_reads_a_quantified_post_over_the_default_domain():
@@ -290,3 +316,23 @@ def test_plan_reads_a_quantified_post_over_the_default_domain():
     assert [kleene_iterate(geo, post, state(c=1, x=0), k) for k in range(5)] == want
     assert encode_loop(geo, post, VarSet.of("c", "x")).plan_truncations(
         state(c=1, x=0), 4) == want
+
+
+def test_kleene_reads_a_quantified_post_with_the_exit_guard(capsys, tmp_path):
+    """The fixed-point iterate reads [!guard] * post at each exit state, as
+    the path sum and the plan do, so all three search a quantified post
+    over the same default domain, which holds the guard's constants."""
+    text = "sup v: [v < x] * v"
+    post, s0 = parse_exp(text), state(x=37)
+    want = [path_sum(WALK, post, s0, WALK_VS, k) for k in range(5)]
+    assert want[3:] == [F(25, 2), F(145, 8)]
+    assert [kleene_iterate(WALK, post, s0, k) for k in range(5)] == want
+    walk = tmp_path / "walk.pgcl"
+    walk.write_text(WALK_TEXT)
+    assert main(["encode-loop", "--program", str(walk), "--post", text,
+                 "--eval-at", "x=37", "--depth-k", "4"]) == 0
+    listing = capsys.readouterr().out.splitlines()
+    for k in (3, 4):
+        assert main(["wp", "--kleene", str(k), "-p", str(walk), "-f", text,
+                     "--at", "x=37"]) == 0
+        assert f"k={k}: {capsys.readouterr().out.strip()}" == listing[k]
