@@ -224,16 +224,28 @@ def _check_cap(frontier: dict, state_cap: int):
         )
 
 
+def _add_weight(dist: dict[State, Fraction], s: State, w: Fraction) -> None:
+    """Add ``w`` to the weight of ``s`` in ``dist``; a first weight is
+    stored as it is."""
+    old = dist.get(s)
+    dist[s] = w if old is None else old + w
+
+
 def _forward(prog: Program, frontier: dict[State, Fraction], varset: VarSet,
              fuel: int, state_cap: int) -> dict[State, Fraction]:
     match prog:
         case Skip():
             return dict(frontier)
         case Assign(var, expr):
+            # the frontier is restricted already, and a compiled term gives
+            # a valid value
+            kept = var in varset
             out: dict[State, Fraction] = {}
             for sigma, w in frontier.items():
-                tau = sigma.set(var, eval_aexpr(expr, sigma)).restrict(varset)
-                out[tau] = out.get(tau, Fraction(0)) + w
+                tau = sigma._bind(var, eval_aexpr(expr, sigma))
+                if not kept:
+                    tau = tau.restrict(varset)
+                _add_weight(out, tau, w)
             _check_cap(out, state_cap)
             return out
         case Seq():
@@ -250,7 +262,7 @@ def _forward(prog: Program, frontier: dict[State, Fraction], varset: VarSet,
             for branch, weight in branches:
                 scaled = {s: w * weight for s, w in frontier.items()}
                 for s, w in _forward(branch, scaled, varset, fuel, state_cap).items():
-                    out[s] = out.get(s, Fraction(0)) + w
+                    _add_weight(out, s, w)
             _check_cap(out, state_cap)
             return out
         case Ite(cond, then, orelse):
@@ -259,7 +271,7 @@ def _forward(prog: Program, frontier: dict[State, Fraction], varset: VarSet,
             out = _forward(then, true_part, varset, fuel, state_cap) if true_part else {}
             if false_part:
                 for s, w in _forward(orelse, false_part, varset, fuel, state_cap).items():
-                    out[s] = out.get(s, Fraction(0)) + w
+                    _add_weight(out, s, w)
             _check_cap(out, state_cap)
             return out
         case While(cond, body):
@@ -273,7 +285,7 @@ def _forward(prog: Program, frontier: dict[State, Fraction], varset: VarSet,
                     if eval_bexpr(cond, s):
                         still[s] = w
                     else:
-                        done[s] = done.get(s, Fraction(0)) + w
+                        _add_weight(done, s, w)
                 alive = still
 
             split()
@@ -308,7 +320,7 @@ def _sem_wp(todo, cont, sigma: State, fuel: int, state_cap: int) -> XReal:
             case Skip():
                 pass
             case Assign(var, expr):
-                sigma = sigma.set(var, eval_aexpr(expr, sigma))
+                sigma = sigma._bind(var, eval_aexpr(expr, sigma))
             case Seq(first, second):
                 todo = (first, (second, todo))
             case Ite(cond, then, orelse):

@@ -348,8 +348,12 @@ def test_fo_to_exp_is_indicator():
         p = fo_prenex(rand_fo(rng, [Var("x")], 3))
         emb = fo_to_exp(p)
         sigma = state(x=F(rng.randint(0, 5), rng.randint(1, 3)))
-        value = eval_exp(emb, sigma, calkin_wilf(4))
+        dom = calkin_wilf(4)
+        value = eval_exp(emb, sigma, dom)
         assert value in (ZERO, XReal.of(1))
+        # the quantitative search stops where eval_fo's any/all do, and
+        # reads the same truth value
+        assert (value == 1) == eval_fo(p, sigma, dom)
 
 
 def test_fo_prenex_flips_through_negation():
