@@ -10,11 +10,8 @@ expectations evaluate exactly, independent of the domain, and without
 building one.  Values are plain Fractions, and ``XReal.INF`` where an inf
 searches an empty domain or a plan gives it (a reciprocal's at 0/0); a
 sum with a zero side is its other side, without a Fraction addition.
-A quantifier search stops once its value is settled: an ``inf`` when it
-reaches 0, and a ``sup`` when it reaches its body's *ceiling*, a constant
-upper bound read from the syntax (``_ceiling``) the first time a ``sup``
-over that body is searched in the call.  The domain and its order are
-the same, so the values are too.
+An ``inf`` search stops once it reaches 0, the least value, so the
+domain values after that one are not evaluated; the value is the same.
 
 ``eval_exp`` has two modes: ``restricted`` ignores intrinsic tags, while
 ``oracle_assisted`` lets a tagged subtree delegate to its plan, a function
@@ -79,7 +76,6 @@ from .syntax import (
     Var,
     VarRef,
     constants,
-    free_vars,
 )
 from .xreal import XReal, ZERO, is_natural, rat
 
@@ -583,85 +579,6 @@ def eval_bexpr(phi: BExpr, sigma: State) -> bool:
     return _guard(phi)(sigma)
 
 
-def _ceiling(g: Exp, oracle: bool, known: dict[int, XReal],
-             sigma: State) -> XReal:
-    """An upper bound, read from the syntax, on the value of ``g`` at every
-    state in one call of ``eval_exp``.
-
-    A term that reads no variable is worth its value, a guard, ``sup`` or
-    ``inf`` its body's ceiling, a sum the sum of its sides', and a scaling
-    by a term that reads no variable that term's value times the body's
-    ceiling (0 * inf = 0).  Any other node, and in oracle mode a tagged
-    node, whose plan its structure does not bound, is worth ``XReal.INF``.
-    A delayed node is worth its original's ceiling, read without building
-    it, since a substitution changes no variable-free term.  An ``inf`` may
-    pass its body's ceiling on because the call searches one domain, which
-    is not empty where a ``sup`` reads a ceiling.
-
-    ``known`` keeps the call's ceilings by the ids of nodes alive through
-    its expectation, so each node is visited at most once per call.  The
-    explicit stack holds exactly the path from ``g`` down, through no zero
-    factor, so every node on it is worth ``XReal.INF`` once one is, and
-    the walk stops there.
-    ``sigma`` is any state: a variable-free term does not read it.
-    """
-    g = _original(g)
-    value = known.get(id(g))
-    if value is not None:
-        return value
-    stack = [g]
-    while True:
-        n = stack[-1]
-        if oracle and n.intrinsic is not None:
-            value = XReal.INF
-        else:
-            match n:
-                case Arith(a):
-                    value = XReal.INF if free_vars(a) else _term(a)(sigma)
-                case Guard(_, b) | Sup(_, b) | Inf(_, b):
-                    b = _original(b)
-                    value = known.get(id(b))
-                    if value is None:
-                        stack.append(b)
-                        continue
-                case Plus(l, r):
-                    l, r = _original(l), _original(r)
-                    left, right = known.get(id(l)), known.get(id(r))
-                    if left is None or right is None:
-                        stack.append(l if left is None else r)
-                        continue
-                    value = left + right
-                case Scale(a, b):
-                    if free_vars(a):
-                        value = XReal.INF
-                    elif not (factor := _term(a)(sigma)):
-                        value = ZERO
-                    else:
-                        b = _original(b)
-                        value = known.get(id(b))
-                        if value is None:
-                            stack.append(b)
-                            continue
-                        value = factor * value
-                case _:
-                    raise TypeError(n)
-        if value is XReal.INF:
-            for node in stack:
-                known[id(node)] = value
-            return value
-        known[id(n)] = value
-        stack.pop()
-        if not stack:
-            return value
-
-
-def _original(g: Exp) -> Exp:
-    """``g``, or the original of ``g`` while it is delayed."""
-    while (delay := g._delay) is not None:
-        g = delay[0]
-    return g
-
-
 def eval_exp(f: Exp, sigma: State, dom: QDomain | None = None,
              mode: Mode = RESTRICTED) -> XReal:
     """Evaluate an expectation to an extended non-negative rational.
@@ -672,11 +589,9 @@ def eval_exp(f: Exp, sigma: State, dom: QDomain | None = None,
     over the empty domain is infinity.  Iverson guards contribute a factor
     of 0 or 1, and 0 * inf = 0 throughout.
 
-    A search stops at the first domain value that settles it: an inf at a
-    body value of 0, a sup at its body's ceiling (``_ceiling``), which is
-    computed only when a sup is searched.  The body is not evaluated at the
-    values after that one, so an error it would raise there, such as a
-    plan's ``FuelExceeded``, is not raised.
+    An inf stops at the first domain value where its body is 0.  The body
+    is not evaluated at the values after that one, so an error it would
+    raise there, such as a plan's ``FuelExceeded``, is not raised.
 
     Oracle-assisted, a tagged node is worth ``plan(sigma, rec)`` for its
     plan: a function of the node's free variables in ``sigma``, which
@@ -694,14 +609,6 @@ def eval_exp(f: Exp, sigma: State, dom: QDomain | None = None,
         if dom is None:
             dom = default_domain(f, sigma)
         return dom
-
-    ceilings = None  # id of a node alive through f -> its ceiling
-
-    def ceiling(g: Exp) -> XReal:
-        nonlocal ceilings
-        if ceilings is None:
-            ceilings = {}
-        return _ceiling(g, oracle, ceilings, sigma)
 
     oracle = mode == ORACLE
 
@@ -734,14 +641,11 @@ def eval_exp(f: Exp, sigma: State, dom: QDomain | None = None,
                     return ZERO
                 return factor * rec(body, sig)
             case Sup(v, body):
-                top = ceiling(body)
                 best = ZERO
                 for q in domain():
                     candidate = rec(body, sig._bind(v, q))
                     if best < candidate:
                         best = candidate
-                        if best == top:
-                            break
                 return best
             case Inf(v, body):
                 best = XReal.INF

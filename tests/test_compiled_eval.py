@@ -167,7 +167,7 @@ class TermMaker:
         rng = self.rng
         if depth <= 0 or rng.random() < 0.25:
             return Arith(self.term(2))
-        match rng.randint(0, 8):
+        match rng.randint(0, 7):
             case 0:
                 return Guard(self.guard(2), self.exp(depth - 1))
             case 1:
@@ -179,14 +179,10 @@ class TermMaker:
                 return Scale(Monus(self.term(1), self.term(1)),
                              Inf(Var("w"), Arith(VarRef(Var("w")))))
             case 4:
-                # {0,1}-valued, so a sup over it may stop at its ceiling 1
-                # and an inf at 0
+                # {0,1}-valued, so an inf over it may stop at 0
                 return Guard(self.guard(2), Arith(RatLit(F(1))))
             case 5:
-                # a literal factor scales the body's ceiling
-                return Scale(RatLit(rng.choice(self.literals)), self.exp(depth - 1))
-            case 6:
-                # inf over the empty domain, above its body's ceiling of 1
+                # stops at 0, or reads infinity over the empty domain
                 return Inf(Var("w"), Guard(self.guard(2), Arith(RatLit(F(1)))))
             case _:
                 quant = rng.choice([Sup, Inf])
@@ -546,7 +542,7 @@ def test_chains_without_shared_atoms_keep_the_plain_loop():
 
 
 # ---------------------------------------------------------------------------
-# Quantifier searches that stop once settled
+# Inf searches that stop at 0
 # ---------------------------------------------------------------------------
 
 def test_inf_stops_at_zero():
@@ -562,62 +558,18 @@ def test_inf_stops_at_zero():
     assert len(calls) == 1
 
 
-def test_sup_stops_at_its_body_ceiling():
-    """``[v < 2] * 1`` reads 1, its ceiling, at v=0, so the search reads its
-    atom once; a literal factor scales the ceiling."""
-    v = Var("v")
-    atom = Lt(VarRef(v), RatLit(F(2)))
-    calls = []
-    _counting(atom, calls)
-    dom = QDomain([F(0), F(1), F(2), F(3)])
-    f = Sup(v, Guard(atom, Arith(RatLit(F(1)))))
-    assert eval_exp(f, state(), dom) == XReal.of(1) == ref_exp(f, state(), dom)
-    assert len(calls) == 1
-    calls.clear()
-    f = Sup(v, Scale(RatLit(F(3, 2)), Guard(atom, Arith(RatLit(F(1))))))
-    assert eval_exp(f, state(), dom) == XReal.of(F(3, 2)) == ref_exp(f, state(), dom)
-    assert len(calls) == 1
-
-
-def test_sup_ceiling_bounds_every_value():
-    """A sum's ceiling is the sum of its sides', and a term that reads a
-    variable, the bound one included, has none: each search here would
-    stop short at a smaller bound."""
-    dom = QDomain([F(0), F(1), F(2), F(3)])
-    for text, at, want in [("sup v: [v < 2] * 1 + [0 < v] * 1", state(), 2),
-                           ("sup v: v", state(v=1), 3)]:
-        f = parse_exp(text)
-        assert eval_exp(f, at, dom) == XReal.of(want) == ref_exp(f, at, dom)
-
-
-def test_sup_over_a_plan_searches_past_its_structure_ceiling():
-    """Oracle-assisted, a tagged body is worth its plan, which its structure
-    ``[v < 2] * 1`` does not bound: the search goes past 1 to 5."""
-    v = Var("v")
-    worth = {F(0): F(1), F(1): F(5)}
+def test_inf_calls_no_plan_past_zero():
+    """Oracle-assisted, an inf that reaches 0 calls its body's plan at no
+    later domain value, so a plan that would raise there does not."""
+    w = Var("w")
 
     def plan(sigma, rec):
-        return worth.get(sigma[v], ZERO)
+        if sigma[w]:
+            raise AssertionError("plan called past 0")
+        return ZERO
 
-    body = with_intrinsic(Guard(Lt(VarRef(v), RatLit(F(2))), Arith(RatLit(F(1)))), plan)
-    f = Sup(v, body)
-    dom = QDomain([F(0), F(1), F(2), F(3)])
-    assert eval_exp(f, state(), dom, mode=ORACLE) == XReal.of(5) == \
-        ref_exp(f, state(), dom, mode=ORACLE)
-    assert eval_exp(f, state(), dom) == XReal.of(1) == ref_exp(f, state(), dom)
-
-
-def test_sup_over_a_delayed_body_reads_its_original_ceiling():
-    """The ceiling of a delayed body is its original's, read without
-    building the body."""
-    v, x = Var("v"), Var("x")
-    original = Scale(RatLit(F(2)), Guard(Lt(VarRef(v), VarRef(x)), Arith(RatLit(F(1)))))
-    dom = QDomain([F(0), F(1), F(2), F(3)])
-    for at in (0, 2, 3):
-        f = Sup(v, subst_exp(original, x, RatLit(F(at))))
-        got = eval_exp(f, state(), dom)
-        assert f.body._delay is not None
-        assert got == ref_exp(f, state(), dom) == XReal.of(2 if at else 0)
+    f = Inf(w, with_intrinsic(Arith(VarRef(w)), plan))
+    assert eval_exp(f, state(), QDomain([F(0), F(1)]), mode=ORACLE) == ZERO
 
 
 # ---------------------------------------------------------------------------

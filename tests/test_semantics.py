@@ -180,30 +180,6 @@ def test_quantifier_free_eval_builds_no_domain(monkeypatch):
         assert eval_exp(f, state(x=3), mode=ORACLE) == XReal.of(want)
 
 
-def test_quantifier_free_and_inf_only_eval_compute_no_ceiling(monkeypatch):
-    """Only a sup's search reads a ceiling: the loop oracles' posts,
-    ``wp_loop_free`` results and an expectation whose only quantifiers are
-    infs compute none."""
-    from wpengine.series import make_sum
-    from wpengine.wp import wp_loop_free
-
-    def refuse(*_):
-        raise AssertionError("ceiling computed without a sup")
-
-    monkeypatch.setattr(semantics, "_ceiling", refuse)
-    geo = parse_program("while (c = 1) { {c := 0} [1/2] {c := 1}; x := x + 1 }")
-    s0, vs = state(c=1, x=0), VarSet.of("c", "x")
-    for post in (parse_exp("x"), parse_exp("inf v: [x < v] * v + inf w: [w < 1] * 1")):
-        assert kleene_iterate(geo, post, s0, 6) == path_sum(geo, post, s0, vs, 6)
-        assert eval_exp(char_iterates(geo, post, 6), s0) == \
-            forward_dist(geo, s0, vs, 5).expectation(post)
-    total = make_sum(parse_exp("1"), parse_aexpr("x")).pure
-    prog = parse_program("x := x + 1; {y := x} [1/3] {x := 2 * x}")
-    for post, mode, want in [(parse_exp("x + 2 * y"), RESTRICTED, F(14, 3)),
-                             (total, ORACLE, F(13, 3))]:
-        assert eval_exp(wp_loop_free(prog, post), state(x=1), mode=mode) == want
-
-
 class _StateProbe:
     """Intrinsic plan that records the state it is given and evaluates its
     body through the evaluator."""
