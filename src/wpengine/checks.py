@@ -437,7 +437,17 @@ def check_series(seed: int = 0) -> CheckReport:
 
 
 def check_loop(seed: int = 0) -> CheckReport:
-    """Four-way agreement at every truncation depth."""
+    """Agreement of the loop oracles at every truncation depth.
+
+    The fixed-point iterate, the path sum, the compiled loop's plan and the
+    syntactic unrolling agree at every k, and for k >= 1 so does the
+    expectation of the post under ``forward_dist`` at fuel k - 1 (the posts
+    are quantifier-free).  Each loop is swept k = 0, 1, ... from one start
+    under the default cap, so the path sum, the plan and ``forward_dist``
+    continue their last forward pass at each k: the start matches, the
+    kept pass is no deeper than asked and the cap is the one it was built
+    under (a pass past ``DEFAULT_STATE_CAP`` entries would not be kept).
+    """
     rng = random.Random(seed)
     report = CheckReport("loop")
     for i in range(LOOP_COUNT):
@@ -451,11 +461,14 @@ def check_loop(seed: int = 0) -> CheckReport:
             paths = path_sum(loop, post, sigma, varset, k)
             plan = encoding.plan_eval(sigma, k)
             unrolled = eval_exp(char_iterates(loop, post, k), sigma)
+            fwd = (forward_dist(loop, sigma, varset, k - 1).expectation(post)
+                   if k >= 1 else None)
             phi_values.append(kleene)
-            if not (kleene == paths == plan == unrolled):
+            if not (kleene == paths == plan == unrolled
+                    and (k == 0 or fwd == kleene)):
                 report.fail(case=i, k=k, program=print_program(loop),
                             post=print_exp(post), state=sigma, kleene=kleene,
-                            paths=paths, plan=plan, unrolled=unrolled)
+                            paths=paths, plan=plan, unrolled=unrolled, fwd=fwd)
         if any(a > b for a, b in zip(phi_values, phi_values[1:])):
             report.fail(case=i, reason="not monotone",
                         values=[str(v) for v in phi_values])

@@ -205,7 +205,9 @@ class LoopEncoding:
 
     The plan needs only the template and the final-state expectation, and
     works on states: its one-step and final values are the ``Memo``s
-    ``_factor_cache[s, t]`` and ``_finals[s]``.  Codes are decoded only
+    ``_factor_cache[s, t]`` and ``_finals[s]``, and ``_factor_cache.last``
+    keeps its last forward pass, so a k-sweep from one start makes each
+    step once (``wp.path_frontiers``).  Codes are decoded only
     where the term holds them, in ``path_plan`` (through ``path_value``)
     and ``pair_factor_plan``.
 
@@ -388,19 +390,32 @@ class LoopEncoding:
         """
         if max_k <= 0:
             return [ZERO] * (max_k + 1)
-        finals = self._finals
-        frontiers = path_frontiers(self.loop, self.varset,
-                                   sigma.restrict(self.varset),
-                                   self._factor_cache, max_k - 1, state_cap)
-        return [ZERO] + [sum((w * finals[s] for s, w in frontier.items()), ZERO)
-                         for frontier in frontiers]
+        return [ZERO] + [self._truncation(frontier) for frontier in
+                         self._frontiers(sigma, max_k - 1, state_cap)]
 
     def plan_eval(self, sigma: State, k: int, *,
                   state_cap: int = DEFAULT_STATE_CAP) -> XReal:
-        """Truncation-k value: the sum over supported length-k sequences."""
+        """Truncation-k value: the sum over supported length-k sequences.
+
+        Only frontier k - 1 is summed.  ``_factor_cache`` keeps the plan's
+        last forward pass, so a k-sweep from one start continues it and
+        makes each step once; a call from another start, at a smaller k or
+        under a smaller ``state_cap`` than the pass was last built under
+        starts over, so every value and cap error is that of a cold pass.
+        A pass of more than ``DEFAULT_STATE_CAP`` entries is not kept
+        (``path_frontiers``).
+        """
         if k <= 0:
             return ZERO
-        return self.plan_truncations(sigma, k, state_cap=state_cap)[-1]
+        return self._truncation(self._frontiers(sigma, k - 1, state_cap)[-1])
+
+    def _frontiers(self, sigma: State, steps: int, state_cap: int) -> list[dict]:
+        return path_frontiers(self.loop, self.varset, sigma.restrict(self.varset),
+                              self._factor_cache, steps, state_cap)
+
+    def _truncation(self, frontier: dict) -> XReal:
+        finals = self._finals
+        return sum((w * finals[s] for s, w in frontier.items()), ZERO)
 
 
 def encode_loop(loop: While, post: Exp, varset: VarSet) -> LoopEncoding:

@@ -20,6 +20,18 @@ never read the kernel, so they stay independent of it.
 ``forward_dist`` is the forward (distribution-transformer) semantics used to
 validate the backward transformer via the duality between the two views.
 All arithmetic is exact.
+
+A k-sweep also shares the forward passes themselves.  The path sum, the
+compiled loop's plan and ``forward_dist`` of a loop each keep their last
+pass: its start, the depth it reached, what the next step needs, and the
+state cap it was last built under.  ``_resume_pass`` holds the one rule: a
+call continues the kept pass when its start matches, the pass is no
+deeper than the call asks for and the call's cap is at least the pass's;
+otherwise it starts over, and the new pass replaces the kept one.  Past
+the kept depth, entries are counted as a cold pass counts them, so a warm
+call returns the same value, weights and ``FuelExceeded`` message as a
+cold one.  A pass that holds more than ``DEFAULT_STATE_CAP`` entries is
+not kept.
 """
 
 from __future__ import annotations
@@ -202,6 +214,38 @@ def char_iterates(loop: While, post: Exp, k: int) -> Exp:
 # Forward semantics
 # ---------------------------------------------------------------------------
 
+def _resume_pass(owner, attr: str, key, depth: int, cap: int, first, step,
+                 size):
+    """Run a forward pass from ``key`` to ``depth``, continuing the last one.
+
+    ``owner.<attr>`` keeps the last pass as (key, depth, cap, carry): the
+    carry is what the next step needs, and the cap is the one the pass was
+    last built under.  The kept pass is continued when its key matches, it
+    is no deeper than ``depth`` and ``cap`` is at least its cap, so none of
+    its steps would trip the call's cap; otherwise the pass starts over.
+    ``first(carry)`` makes the working carry: a copy of a kept carry, which
+    is never written, or the start's carry when given None.  ``step(n,
+    carry)`` makes step n and returns the new carry, or None when no later
+    step changes it.  The new pass replaces the kept one unless it holds
+    more than ``DEFAULT_STATE_CAP`` entries, counted by ``size(carry)``.
+    A pass that raises is not kept, and a negative depth is depth 0.
+    """
+    depth = max(depth, 0)
+    kept = getattr(owner, attr, None)
+    if kept is not None and kept[0] == key and kept[1] <= depth and kept[2] <= cap:
+        n, carry = kept[1], first(kept[3])
+    else:
+        n, carry = 0, first(None)
+    for n in range(n + 1, depth + 1):
+        stepped = step(n, carry)
+        if stepped is None:
+            break
+        carry = stepped
+    if size(carry) <= DEFAULT_STATE_CAP:
+        object.__setattr__(owner, attr, (key, depth, cap, carry))
+    return carry
+
+
 def forward_dist(prog: Program, sigma: State, varset: VarSet, fuel: int,
                  state_cap: int = DEFAULT_STATE_CAP) -> Dist:
     """Exact subdistribution over final states reachable within ``fuel``.
@@ -211,10 +255,37 @@ def forward_dist(prog: Program, sigma: State, varset: VarSet, fuel: int,
     weights grow monotonically with fuel.  For a loop with a loop-free
     body, the expectation under fuel k equals the Kleene iterate k + 1,
     which also allows k executions of the body before the final guard test.
+
+    For such a loop the ``While`` node keeps the last pass: the start and
+    the variable set, the iterations made, and the mass still running and
+    done after them.  A call from the same start and variable set at no
+    less fuel, under a cap no smaller than the pass's, runs only the
+    iterations past it (``_resume_pass``); any other call starts over and
+    its pass replaces the kept one, so the weights and the cap error are
+    those of a cold pass.  A pass holding more than ``DEFAULT_STATE_CAP``
+    states is not kept.  A body with a loop of its own always runs cold,
+    since its inner loops also read ``fuel``.
     """
-    result = _forward(prog, {sigma.restrict(varset): Fraction(1)}, varset,
-                      fuel, state_cap)
-    return Dist(result)
+    start = sigma.restrict(varset)
+    if isinstance(prog, While) and not contains_loop(prog.body):
+        def first(kept):
+            if kept is None:
+                done: dict[State, Fraction] = {}
+                return _exits(prog.cond, {start: Fraction(1)}, done), done
+            alive, done = kept
+            return alive, dict(done)  # the kept pass is never written
+
+        def iterate(n, carry):
+            alive, done = carry
+            if not alive:
+                return None  # no mass left to run: every later depth is this one
+            return _iterate(prog, alive, done, varset, fuel, state_cap), done
+
+        _, done = _resume_pass(prog, "_forward_pass", (start, varset),
+                               fuel, state_cap, first, iterate,
+                               lambda carry: len(carry[0]) + len(carry[1]))
+        return Dist(done)
+    return Dist(_forward(prog, {start: Fraction(1)}, varset, fuel, state_cap))
 
 
 def _check_cap(frontier: dict, state_cap: int):
@@ -274,29 +345,37 @@ def _forward(prog: Program, frontier: dict[State, Fraction], varset: VarSet,
                     _add_weight(out, s, w)
             _check_cap(out, state_cap)
             return out
-        case While(cond, body):
+        case While(cond):
             done: dict[State, Fraction] = {}
-            alive = dict(frontier)
-
-            def split():
-                nonlocal alive
-                still = {}
-                for s, w in alive.items():
-                    if eval_bexpr(cond, s):
-                        still[s] = w
-                    else:
-                        _add_weight(done, s, w)
-                alive = still
-
-            split()
+            alive = _exits(cond, frontier, done)
             for _ in range(fuel):
                 if not alive:
                     break
-                alive = _forward(body, alive, varset, fuel, state_cap)
-                _check_cap(alive, state_cap)
-                split()
+                alive = _iterate(prog, alive, done, varset, fuel, state_cap)
             return done
     raise TypeError(prog)
+
+
+def _exits(cond, alive: dict[State, Fraction], done: dict[State, Fraction]):
+    """Move the mass of the states that fail ``cond`` into ``done``; return
+    the rest."""
+    still = {}
+    for s, w in alive.items():
+        if eval_bexpr(cond, s):
+            still[s] = w
+        else:
+            _add_weight(done, s, w)
+    return still
+
+
+def _iterate(loop: While, alive: dict[State, Fraction],
+             done: dict[State, Fraction], varset: VarSet, fuel: int,
+             state_cap: int) -> dict[State, Fraction]:
+    """One guarded iteration of the mass still running: the body, then the
+    exits into ``done``.  ``alive`` is not written."""
+    alive = _forward(loop.body, alive, varset, fuel, state_cap)
+    _check_cap(alive, state_cap)
+    return _exits(loop.cond, alive, done)
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +475,16 @@ class Memo(dict):
     """A memo table that fills a missing entry with ``compute(key)`` and
     empties itself first if one more entry would pass
     ``DEFAULT_STATE_CAP``: the bound on every memo table that outlives a
-    call."""
+    call.  A table of step factors also keeps in ``last`` the last pass
+    ``path_frontiers`` made with it, so the pass lives and dies with the
+    table's owner; emptying the table keeps the pass, whose weights do not
+    depend on the entries kept."""
 
-    __slots__ = ("compute",)
+    __slots__ = ("compute", "last")
 
     def __init__(self, compute):
         self.compute = compute
+        self.last = None
 
     def __missing__(self, key):
         value = self.compute(key)
@@ -422,7 +505,7 @@ class StepKernel:
     computes each of them once.  ``step_kernel`` keeps one kernel per
     variable set on the loop node itself, so it is freed with the loop.
     Both tables are ``Memo``s, so memory stays bounded in a long-running
-    process.
+    process, and ``factors.last`` keeps ``path_sum``'s last forward pass.
     """
 
     def __init__(self, loop: While, varset: VarSet):
@@ -453,26 +536,41 @@ def step_kernel(loop: While, varset: VarSet) -> StepKernel:
     return kernel
 
 
-def path_frontiers(loop: While, varset: VarSet, start: State, factors,
+def path_frontiers(loop: While, varset: VarSet, start: State, factors: Memo,
                    steps: int, cap: int = DEFAULT_STATE_CAP) -> list[dict]:
     """Weights of the supported state sequences, summed by last state.
 
     Entry n maps each state t to the total weight of the supported state
     sequences of length n + 1 from ``start`` (restricted to ``varset``) that
     end in t, for n = 0, ..., ``steps``; a sequence's weight is the product
-    of ``factors[s, t]`` over its transitions s -> t, read from a mapping
-    such as a ``Memo``.  Weight is pushed only along the one-step support
+    of ``factors[s, t]`` over its transitions s -> t, read from a ``Memo``.
+    Weight is pushed only along the one-step support
     of the guarded iteration, ``support[s]`` of the loop's
     ``step_kernel``: the omitted transitions would
     contribute zero factors.  This is one forward pass over (step, state),
     so the cost follows the distinct (step, state) pairs, not the number of
     sequences.  Raises ``FuelExceeded`` once more than ``cap`` (step, state)
     entries have been made; the kernel's own tables do not count.
+
+    ``factors.last`` keeps the last pass: its frontiers and its cumulative
+    entry count.  A call from the same start, at no fewer steps and under a
+    cap no smaller than the pass's, makes only the steps past it, counting
+    entries as a cold pass does (``_resume_pass``), so a k-sweep makes each
+    step once; any other call starts over and its pass replaces the kept
+    one.  A pass of more than ``DEFAULT_STATE_CAP`` entries is not kept.
+    The list and its frontiers are shared with the kept pass: read them,
+    do not write them.
     """
     support = step_kernel(loop, varset).support
-    frontiers = [{start: ONE}]
-    entries = 1
-    for n in range(1, steps + 1):
+
+    def first(kept):
+        if kept is None:
+            return [{start: ONE}], 1
+        frontiers, entries = kept
+        return list(frontiers), entries  # the kept pass is never written
+
+    def push(n, carry):
+        frontiers, entries = carry
         frontier: dict = {}
         for s, w in frontiers[-1].items():
             for t in support[s]:
@@ -485,7 +583,10 @@ def path_frontiers(loop: While, varset: VarSet, start: State, factors,
                 f"step {n}, above the cap of {cap}"
             )
         frontiers.append(frontier)
-    return frontiers
+        return frontiers, entries
+
+    return _resume_pass(factors, "last", start, steps, cap, first, push,
+                        lambda carry: carry[1])[0]
 
 
 def path_sum(loop: While, post: Exp, sigma: State, varset: VarSet, k: int,
@@ -501,7 +602,13 @@ def path_sum(loop: While, post: Exp, sigma: State, varset: VarSet, k: int,
     sequence weights w summed by last state, which distributes the final
     factor over the sequences, so its cost follows the (step, state) pairs
     rather than the 2^k paths.  ``state_cap`` bounds the (step, state)
-    entries.
+    entries.  The kernel's factor table keeps the last pass, and a call
+    continues it when it starts from the same state, the pass is no deeper
+    than k - 1 steps and ``state_cap`` is at least the cap the pass was
+    last built under; otherwise it starts over.  So a k-sweep from one
+    start makes each step once, with the value and the cap error of a cold
+    pass.  A pass of more than ``DEFAULT_STATE_CAP`` entries is not kept
+    (``path_frontiers``).
     """
     if not varset.issuperset(vars_program(loop) | free_vars(post)):
         raise ValueError("variable set must cover the loop and postexpectation")

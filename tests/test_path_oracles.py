@@ -16,7 +16,7 @@ from wpengine.errors import FuelExceeded
 from wpengine.loops import encode_loop
 from wpengine.parser import parse_exp, parse_program
 from wpengine.semantics import State, calkin_wilf, eval_exp, state
-from wpengine.syntax import Var
+from wpengine.syntax import Var, print_program
 from wpengine.wp import (
     VarSet,
     char_iterates,
@@ -182,11 +182,33 @@ def test_warm_kernel_equals_fresh_loop():
             assert encode_loop(fresh, post, varset).plan_eval(second, k) == want
 
 
+def _sweep(loop, encoding, starts, depth):
+    """path_sum, plan_eval and forward_dist at k = 0, ..., ``depth`` from
+    each start in turn: the plan agrees with the path sum on the encoding's
+    post, and the forward expectation of x with the path sum of x."""
+    post, varset = encoding.post, encoding.varset
+    for s0 in starts:
+        for k in range(depth + 1):
+            assert encoding.plan_eval(s0, k) == path_sum(loop, post, s0, varset, k)
+            if k:
+                assert forward_dist(loop, s0, varset, k - 1).expectation(POST_X) \
+                    == path_sum(loop, POST_X, s0, varset, k)
+
+
+def _kept_passes(loop, encoding):
+    """The last pass of each owner: the kernel's, the encoding's and the
+    loop's forward pass, as (key, depth)."""
+    kept = (step_kernel(loop, encoding.varset).factors.last,
+            encoding._factor_cache.last, loop._forward_pass)
+    return [pass_[:2] for pass_ in kept]
+
+
 def test_kernel_is_freed_with_its_loop():
     loop = parse_program(WALK_TEXT)
     encoding = encode_loop(loop, POST_X, WALK_VS)
-    assert path_sum(loop, POST_X, state(x=20), WALK_VS, 6) == \
-        encoding.plan_eval(state(x=20), 6)
+    _sweep(loop, encoding, [state(x=30), state(x=20)], 6)
+    assert _kept_passes(loop, encoding) == [(state(x=20), 5)] * 2 + \
+        [((state(x=20), WALK_VS), 5)]
     kernel = weakref.ref(step_kernel(loop, WALK_VS))
     assert kernel().support and kernel().factors
     freed = weakref.ref(loop)
@@ -198,18 +220,142 @@ def test_kernel_is_freed_with_its_loop():
 
 def test_encoding_is_freed_without_the_collector():
     """The encoding's memo tables close over the values they read, not over
-    the encoding, so reference counting alone frees it."""
+    the encoding, and a kept pass holds states and weights only, so
+    reference counting alone frees the encoding and the loop."""
     gc.collect()
     gc.disable()
     try:
-        encoding = encode_loop(WALK, parse_exp("sup v: [v < x] * v"), WALK_VS)
+        loop = parse_program(WALK_TEXT)
+        encoding = encode_loop(loop, parse_exp("sup v: [v < x] * v"), WALK_VS)
         assert encoding.plan_eval(state(x=30), 6) == F(5, 32)
         assert encoding._factor_cache and encoding._finals
-        freed = weakref.ref(encoding)
-        del encoding
-        assert freed() is None
+        _sweep(loop, encoding, [state(x=20), state(x=F(61, 2))], 7)
+        assert _kept_passes(loop, encoding) == [(state(x=F(61, 2)), 6)] * 2 + \
+            [((state(x=F(61, 2)), WALK_VS), 6)]
+        freed = weakref.ref(encoding), weakref.ref(loop)
+        del encoding, loop
+        assert [ref() for ref in freed] == [None, None]
     finally:
         gc.enable()
+
+
+def _outcome(call):
+    """The value of ``call()``, or the message of its ``FuelExceeded``."""
+    try:
+        value = call()
+    except FuelExceeded as error:
+        return "FuelExceeded", str(error)
+    return value.weights if isinstance(value, wp.Dist) else value
+
+
+def _warm_and_cold(text, post, varset, schedule):
+    """Each (start, k, cap) of ``schedule`` on one loop and encoding that
+    keep their passes, against a freshly parsed loop and a fresh encoding:
+    values, weights and cap errors are equal."""
+    loop = parse_program(text)
+    encoding = encode_loop(loop, post, varset)
+    errors = 0
+    for s0, k, cap in schedule:
+        fresh = parse_program(text)
+        fresh_encoding = encode_loop(fresh, post, varset)
+        calls = [
+            lambda lp, enc: path_sum(lp, post, s0, varset, k, state_cap=cap),
+            lambda lp, enc: enc.plan_eval(s0, k, state_cap=cap),
+            lambda lp, enc: enc.plan_truncations(s0, k, state_cap=cap),
+            lambda lp, enc: forward_dist(lp, s0, varset, k, state_cap=cap),
+        ]
+        for call in calls:
+            warm = _outcome(lambda: call(loop, encoding))
+            assert warm == _outcome(lambda: call(fresh, fresh_encoding)), \
+                (s0, k, cap, call)
+            errors += isinstance(warm, tuple)
+    return errors
+
+
+def test_a_warm_call_equals_a_cold_one():
+    """Sweeps up and down, two starts interleaved, and a cap lowered and
+    raised again partway through a sweep: every call of ``path_sum``,
+    ``plan_eval``, ``plan_truncations`` and ``forward_dist`` gives what it
+    gives on a fresh loop and encoding.  The last segment of the schedule
+    trips the cap on a continued pass, then asks the kept pass again, and
+    asks under a small cap a pass last continued under a large one."""
+    big = wp.DEFAULT_STATE_CAP
+    geo = "while (c = 1) { {c := 0} [1/2] {c := 1}; x := x + 1 }"
+    cases = [(WALK_TEXT, parse_exp("[x < 42] * x + 1/2"), WALK_VS,
+              state(x=20), state(x=F(61, 2), y=3)),
+             (geo, POST_X, VarSet.of("c", "x"), state(c=1, x=0),
+              state(c=1, x=F(7, 5))),
+             ("while (0 < x) { {x := x - 1} [1/2] {x := x + 1} }", POST_X,
+              WALK_VS, state(x=1), state(x=2))]
+    rng = random.Random(27)
+    for _ in range(3):
+        loop, post, varset = rand_loop(rng)
+        cases.append((print_program(loop), post, varset,
+                      state(c=1, x=0), state(c=1, x=1)))
+    errors = 0
+    for text, post, varset, first, second in cases:
+        up, down = range(10), range(9, -2, -1)
+        caps = (big, big, big, 12, 12, 4, 4, 2, big, big)
+        schedule = ([(first, k, big) for k in up]
+                    + [(first, k, big) for k in down]
+                    + [(s0, k, big) for k in up for s0 in (first, second)]
+                    + [(second, k, cap) for k, cap in zip(up, caps)]
+                    + [(second, k, cap) for k, cap in zip(down, reversed(caps))]
+                    + [(first, k, cap) for k, cap in (
+                        (2, 3), (9, 3), (2, 3), (2, 6), (9, 6), (2, 6),
+                        (3, 10), (6, big), (7, 10))])
+        errors += _warm_and_cold(text, post, varset, schedule)
+    assert errors > 20  # the lowered caps trip, warm and cold alike
+
+
+def test_forward_pass_of_a_loop_with_a_nested_loop_runs_cold():
+    """Fuel bounds the inner loop too, so the outer loop's pass at one fuel
+    is not a prefix of its pass at more: a continuation would read 0 and 0."""
+    text = ("while (c < 2) { c := c + 1; while (x < 5) { x := x + 1 }; "
+            "x := 0 }")
+    loop, varset = parse_program(text), VarSet.of("c", "x")
+    masses = [forward_dist(loop, state(), varset, fuel).mass for fuel in (2, 6)]
+    assert masses == [0, 1]
+    assert masses == [forward_dist(parse_program(text), state(), varset, fuel).mass
+                      for fuel in (2, 6)]
+    for fuel in (2, 6, 3, 7, 1):
+        assert forward_dist(loop, state(x=1), varset, fuel).weights == \
+            forward_dist(parse_program(text), state(x=1), varset, fuel).weights
+
+
+def test_a_sweep_makes_each_step_once(monkeypatch):
+    """From one start, a sweep k = 1, ..., 12 makes 11 frontier steps for
+    the path sum and 11 for the plan, not 66 each, and ``forward_dist``
+    over fuel 0, ..., 11 runs the body 11 times, not 66."""
+    geo = parse_program("while (c = 1) { {c := 0} [1/2] {c := 1}; x := x + 1 }")
+    varset, s0 = VarSet.of("c", "x"), state(c=1, x=0)
+    encoding = encode_loop(geo, POST_X, varset)
+    steps, bodies = {}, []
+    resume, forward = wp._resume_pass, wp._forward
+
+    def counting_resume(owner, attr, key, depth, cap, first, step, size):
+        def counted(n, carry):
+            steps[id(owner)] = steps.get(id(owner), 0) + 1
+            return step(n, carry)
+        return resume(owner, attr, key, depth, cap, first, counted, size)
+
+    def counting_forward(prog, *args):
+        bodies.append(prog is geo.body)
+        return forward(prog, *args)
+
+    monkeypatch.setattr(wp, "_resume_pass", counting_resume)
+    monkeypatch.setattr(wp, "_forward", counting_forward)
+    wants = [kleene_iterate(geo, POST_X, s0, k) for k in range(13)]
+    for k in range(1, 13):
+        assert path_sum(geo, POST_X, s0, varset, k) == wants[k]
+        assert encoding.plan_eval(s0, k) == wants[k]
+    bodies.clear()  # the kernel's one-step support runs the body too
+    for k in range(1, 13):
+        assert forward_dist(geo, s0, varset, k - 1).expectation(POST_X) == wants[k]
+    kernel = step_kernel(geo, varset)
+    assert steps == {id(kernel.factors): 11, id(encoding._factor_cache): 11,
+                     id(geo): 11}
+    assert sum(bodies) == 11
 
 
 def test_independent_oracles_do_not_read_the_kernel():
