@@ -444,9 +444,7 @@ def check_loop(seed: int = 0) -> CheckReport:
     expectation of the post under ``forward_dist`` at fuel k - 1 (the posts
     are quantifier-free).  Each loop is swept k = 0, 1, ... from one start
     under the default cap, so the path sum, the plan and ``forward_dist``
-    continue their last forward pass at each k: the start matches, the
-    kept pass is no deeper than asked and the cap is the one it was built
-    under (a pass past ``DEFAULT_STATE_CAP`` entries would not be kept).
+    continue their last forward pass at each k (``wp._resume_pass``).
     """
     rng = random.Random(seed)
     report = CheckReport("loop")

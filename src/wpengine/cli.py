@@ -177,10 +177,9 @@ def cmd_encode_loop(args) -> int:
     varset = VarSet.for_program(program, post)
     encoding = encode_loop(program, post, varset)
     sigma = parse_state(args.eval_at or "")
-    truncations = encoding.plan_truncations(sigma, args.k,
-                                            state_cap=args.state_cap)
-    values = [{"k": k, "value": str(value)}
-              for k, value in enumerate(truncations)]
+    # one pass: each call continues the one before it
+    values = [{"k": k, "value": str(encoding.plan_eval(
+        sigma, k, state_cap=args.state_cap))} for k in range(args.k + 1)]
     payload: dict = {"values": values}
     lines = [f"k={entry['k']}: {entry['value']}" for entry in values]
     if args.emit_pure:

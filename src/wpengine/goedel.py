@@ -198,11 +198,6 @@ class SeqCode:
     num: int
     length: int
 
-    def element(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(f"index {i} out of range for length {self.length}")
-        return seq_element(self.num, i)
-
     def elements(self) -> list[int]:
         pair = GoedelPair(*cantor_unpair(self.num))
         return [beta_decode(pair, i) for i in range(self.length)]
@@ -235,18 +230,17 @@ def seq_holds(num: int, length: int) -> bool:
     return encode_seq(decode_seq(num, length)).num == num
 
 
-def seq_minimal_bruteforce(seq: list[int], bound: int | None = None) -> int | None:
+def seq_minimal_bruteforce(seq: list[int]) -> int:
     """Least code agreeing with ``seq`` on its first elements, by search.
 
-    Searches 0..bound (default: the canonical code, which is always a valid
-    witness).  Exponentially expensive; only sensible for tiny sequences.
+    Searches upwards from 0 and stops at the canonical code at the latest,
+    since it is always a witness.  Exponentially expensive; only sensible
+    for tiny sequences.
     """
-    if bound is None:
-        bound = encode_seq(seq).num
-    for num in range(bound + 1):
-        if decode_seq(num, len(seq)) == seq:
-            return num
-    return None
+    num = 0
+    while decode_seq(num, len(seq)) != seq:
+        num += 1
+    return num
 
 
 # ---------------------------------------------------------------------------

@@ -81,8 +81,7 @@ from .wp import (
     DEFAULT_STATE_CAP,
     Memo,
     VarSet,
-    char_assertion,  # re-exported: the indicator lives in wp
-    path_frontiers,
+    path_frontier,
     wp_loop_free,
 )
 from .xreal import XReal, ZERO, is_natural
@@ -206,8 +205,9 @@ class LoopEncoding:
     The plan needs only the template and the final-state expectation, and
     works on states: its one-step and final values are the ``Memo``s
     ``_factor_cache[s, t]`` and ``_finals[s]``, and ``_factor_cache.last``
-    keeps its last forward pass, so a k-sweep from one start makes each
-    step once (``wp.path_frontiers``).  Codes are decoded only
+    keeps its last forward pass, which ``plan_eval`` continues by
+    ``wp._resume_pass``'s rule, so a k-sweep from one start makes each step
+    once.  Codes are decoded only
     where the term holds them, in ``path_plan`` (through ``path_value``)
     and ``pair_factor_plan``.
 
@@ -371,49 +371,27 @@ class LoopEncoding:
             value = value * self._factor_cache[source, target]
         return value
 
-    def plan_truncations(self, sigma: State, max_k: int, *,
-                         state_cap: int = DEFAULT_STATE_CAP) -> list[XReal]:
-        """Truncation values for k = 0, ..., ``max_k`` from one forward pass.
+    def plan_eval(self, sigma: State, k: int, *,
+                  state_cap: int = DEFAULT_STATE_CAP) -> XReal:
+        """Truncation-k value: the sum over supported length-k sequences.
 
-        Truncation k sums the path values of the supported length-k
-        sequences.  ``path_frontiers`` sums the step-factor products of the
-        length-k sequences by last state, so truncation k is
-        sum_s w(s) * final(s), with final(s) the value of ([!guard] * post)
-        at s: the final factor distributes over the sequences, and the cost
-        follows the (step, state) pairs rather than the 2^k paths.  The
-        one-step support comes from the loop's ``step_kernel`` through
-        ``path_frontiers``, and the one-step factors from ``_factor_cache``.
+        ``path_frontier`` sums the step-factor products of the length-k
+        sequences by last state, so truncation k is sum_s w(s) * final(s),
+        with final(s) the value of ([!guard] * post) at s: the final factor
+        distributes over the sequences, and the cost follows the (step,
+        state) pairs rather than the 2^k paths.  The one-step support comes
+        from the loop's ``step_kernel``, and the one-step factors from
+        ``_factor_cache``, which keeps the plan's last forward pass.
         Quantifiers range over ``eval_exp``'s default domain at each state,
         as in ``path_sum`` and ``kleene_iterate``, so ``_finals`` keeps each
         final factor per state and a k-sweep computes it once.
         ``state_cap`` bounds the (step, state) entries.
         """
-        if max_k <= 0:
-            return [ZERO] * (max_k + 1)
-        return [ZERO] + [self._truncation(frontier) for frontier in
-                         self._frontiers(sigma, max_k - 1, state_cap)]
-
-    def plan_eval(self, sigma: State, k: int, *,
-                  state_cap: int = DEFAULT_STATE_CAP) -> XReal:
-        """Truncation-k value: the sum over supported length-k sequences.
-
-        Only frontier k - 1 is summed.  ``_factor_cache`` keeps the plan's
-        last forward pass, so a k-sweep from one start continues it and
-        makes each step once; a call from another start, at a smaller k or
-        under a smaller ``state_cap`` than the pass was last built under
-        starts over, so every value and cap error is that of a cold pass.
-        A pass of more than ``DEFAULT_STATE_CAP`` entries is not kept
-        (``path_frontiers``).
-        """
         if k <= 0:
             return ZERO
-        return self._truncation(self._frontiers(sigma, k - 1, state_cap)[-1])
-
-    def _frontiers(self, sigma: State, steps: int, state_cap: int) -> list[dict]:
-        return path_frontiers(self.loop, self.varset, sigma.restrict(self.varset),
-                              self._factor_cache, steps, state_cap)
-
-    def _truncation(self, frontier: dict) -> XReal:
+        frontier = path_frontier(self.loop, self.varset,
+                                 sigma.restrict(self.varset),
+                                 self._factor_cache, k - 1, state_cap)
         finals = self._finals
         return sum((w * finals[s] for s, w in frontier.items()), ZERO)
 

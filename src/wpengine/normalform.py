@@ -133,7 +133,7 @@ def to_snf(f: Exp) -> SNF:
     return SNF(pre.prefix, tuple(flatten(pre.matrix)))
 
 
-def to_dnf(f: Exp, summand_cap: int = DEFAULT_SUMMAND_CAP) -> DNF:
+def to_dnf(f: Exp) -> DNF:
     """Build the cut form of ``f`` over a fresh cut variable.
 
     The matrix is the conjunction, over all 2^n ways of asserting or
@@ -152,8 +152,9 @@ def to_dnf(f: Exp, summand_cap: int = DEFAULT_SUMMAND_CAP) -> DNF:
     """
     snf = to_snf(f)
     n = len(snf.summands)
-    if n > summand_cap:
-        raise SummandBlowup(f"{n} summands exceed the 2^n cap of {summand_cap}")
+    if n > DEFAULT_SUMMAND_CAP:
+        raise SummandBlowup(
+            f"{n} summands exceed the 2^n cap of {DEFAULT_SUMMAND_CAP}")
     avoid = set(all_vars(f)) | {v for _, v in snf.prefix}
     cut = fresh_var(avoid, base="$cut")
     zero = RatLit(Fraction(0))

@@ -285,6 +285,7 @@ def contains_loop(prog: Program) -> bool:
 # Expectations
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class _Exp:
     """Base of expectations.  A node is *built*, with its fields set, or
     *delayed*: an explicit substitution (Abadi, Cardelli, Curien and Lévy,
@@ -299,6 +300,8 @@ class _Exp:
     also a plan: a node tagged with ``e`` is worth ``e``.
     """
 
+    intrinsic: Optional[object] = field(default=None, compare=False,
+                                        repr=False, kw_only=True)
     _delay = None  # (original, mapping) while the node is delayed
 
     def __init_subclass__(cls, **kwargs):
@@ -340,7 +343,6 @@ class _Delayed:
 @dataclass(frozen=True)
 class Arith(_Exp):
     expr: AExpr
-    intrinsic: Optional[object] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -349,14 +351,12 @@ class Guard(_Exp):
 
     cond: BExpr
     body: "Exp"
-    intrinsic: Optional[object] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Plus(_Exp):
     left: "Exp"
     right: "Exp"
-    intrinsic: Optional[object] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -365,21 +365,18 @@ class Scale(_Exp):
 
     factor: AExpr
     body: "Exp"
-    intrinsic: Optional[object] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Sup(_Exp):
     var: Var
     body: "Exp"
-    intrinsic: Optional[object] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Inf(_Exp):
     var: Var
     body: "Exp"
-    intrinsic: Optional[object] = field(default=None, compare=False, repr=False)
 
 
 Exp = Union[Arith, Guard, Plus, Scale, Sup, Inf]

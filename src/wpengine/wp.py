@@ -23,15 +23,8 @@ All arithmetic is exact.
 
 A k-sweep also shares the forward passes themselves.  The path sum, the
 compiled loop's plan and ``forward_dist`` of a loop each keep their last
-pass: its start, the depth it reached, what the next step needs, and the
-state cap it was last built under.  ``_resume_pass`` holds the one rule: a
-call continues the kept pass when its start matches, the pass is no
-deeper than the call asks for and the call's cap is at least the pass's;
-otherwise it starts over, and the new pass replaces the kept one.  Past
-the kept depth, entries are counted as a cold pass counts them, so a warm
-call returns the same value, weights and ``FuelExceeded`` message as a
-cold one.  A pass that holds more than ``DEFAULT_STATE_CAP`` entries is
-not kept.
+pass, keyed on its start and state cap, and continue it by the one rule
+stated in ``_resume_pass``.
 """
 
 from __future__ import annotations
@@ -214,26 +207,27 @@ def char_iterates(loop: While, post: Exp, k: int) -> Exp:
 # Forward semantics
 # ---------------------------------------------------------------------------
 
-def _resume_pass(owner, attr: str, key, depth: int, cap: int, first, step,
-                 size):
+def _resume_pass(owner, attr: str, key, depth: int, first, step, size):
     """Run a forward pass from ``key`` to ``depth``, continuing the last one.
 
-    ``owner.<attr>`` keeps the last pass as (key, depth, cap, carry): the
-    carry is what the next step needs, and the cap is the one the pass was
-    last built under.  The kept pass is continued when its key matches, it
-    is no deeper than ``depth`` and ``cap`` is at least its cap, so none of
-    its steps would trip the call's cap; otherwise the pass starts over.
-    ``first(carry)`` makes the working carry: a copy of a kept carry, which
-    is never written, or the start's carry when given None.  ``step(n,
-    carry)`` makes step n and returns the new carry, or None when no later
-    step changes it.  The new pass replaces the kept one unless it holds
-    more than ``DEFAULT_STATE_CAP`` entries, counted by ``size(carry)``.
-    A pass that raises is not kept, and a negative depth is depth 0.
+    This is the one resume rule of the loop oracles.  ``owner.<attr>``
+    keeps the last pass as (key, depth, carry): the key holds the pass's
+    start and its state cap, and the carry is what the next step needs.  A
+    call continues the kept pass when the key matches, cap included, and
+    the pass is no deeper than ``depth``; otherwise it starts over, and the
+    new pass replaces the kept one.  Every kept step passed that same cap,
+    and later steps count entries as a cold pass does, so a warm call
+    returns the value, weights and ``FuelExceeded`` message of a cold one.
+    ``first(carry)`` makes the working carry from a kept carry, which is
+    never written, or from None at the start.  ``step(n, carry)`` makes
+    step n and returns the new carry, or None when no later step changes
+    it.  A pass whose ``size(carry)`` is above ``DEFAULT_STATE_CAP`` is not
+    kept, nor is one that raises; a negative depth is depth 0.
     """
     depth = max(depth, 0)
     kept = getattr(owner, attr, None)
-    if kept is not None and kept[0] == key and kept[1] <= depth and kept[2] <= cap:
-        n, carry = kept[1], first(kept[3])
+    if kept is not None and kept[0] == key and kept[1] <= depth:
+        n, carry = kept[1], first(kept[2])
     else:
         n, carry = 0, first(None)
     for n in range(n + 1, depth + 1):
@@ -242,7 +236,7 @@ def _resume_pass(owner, attr: str, key, depth: int, cap: int, first, step,
             break
         carry = stepped
     if size(carry) <= DEFAULT_STATE_CAP:
-        object.__setattr__(owner, attr, (key, depth, cap, carry))
+        object.__setattr__(owner, attr, (key, depth, carry))
     return carry
 
 
@@ -256,15 +250,12 @@ def forward_dist(prog: Program, sigma: State, varset: VarSet, fuel: int,
     body, the expectation under fuel k equals the Kleene iterate k + 1,
     which also allows k executions of the body before the final guard test.
 
-    For such a loop the ``While`` node keeps the last pass: the start and
-    the variable set, the iterations made, and the mass still running and
-    done after them.  A call from the same start and variable set at no
-    less fuel, under a cap no smaller than the pass's, runs only the
-    iterations past it (``_resume_pass``); any other call starts over and
-    its pass replaces the kept one, so the weights and the cap error are
-    those of a cold pass.  A pass holding more than ``DEFAULT_STATE_CAP``
-    states is not kept.  A body with a loop of its own always runs cold,
-    since its inner loops also read ``fuel``.
+    For such a loop the ``While`` node keeps the last pass, keyed on the
+    start, the variable set and ``state_cap``: the iterations made, and the
+    mass still running and done after them.  A call continues it by
+    ``_resume_pass``'s rule, so a fuel sweep runs each iteration once.  A
+    body with a loop of its own always runs cold, since its inner loops
+    also read ``fuel``.
     """
     start = sigma.restrict(varset)
     if isinstance(prog, While) and not contains_loop(prog.body):
@@ -281,8 +272,8 @@ def forward_dist(prog: Program, sigma: State, varset: VarSet, fuel: int,
                 return None  # no mass left to run: every later depth is this one
             return _iterate(prog, alive, done, varset, fuel, state_cap), done
 
-        _, done = _resume_pass(prog, "_forward_pass", (start, varset),
-                               fuel, state_cap, first, iterate,
+        _, done = _resume_pass(prog, "_forward_pass", (start, varset, state_cap),
+                               fuel, first, iterate,
                                lambda carry: len(carry[0]) + len(carry[1]))
         return Dist(done)
     return Dist(_forward(prog, {start: Fraction(1)}, varset, fuel, state_cap))
@@ -476,7 +467,7 @@ class Memo(dict):
     empties itself first if one more entry would pass
     ``DEFAULT_STATE_CAP``: the bound on every memo table that outlives a
     call.  A table of step factors also keeps in ``last`` the last pass
-    ``path_frontiers`` made with it, so the pass lives and dies with the
+    ``path_frontier`` made with it, so the pass lives and dies with the
     table's owner; emptying the table keeps the pass, whose weights do not
     depend on the entries kept."""
 
@@ -536,43 +527,36 @@ def step_kernel(loop: While, varset: VarSet) -> StepKernel:
     return kernel
 
 
-def path_frontiers(loop: While, varset: VarSet, start: State, factors: Memo,
-                   steps: int, cap: int = DEFAULT_STATE_CAP) -> list[dict]:
+def path_frontier(loop: While, varset: VarSet, start: State, factors: Memo,
+                  steps: int, cap: int = DEFAULT_STATE_CAP) -> dict:
     """Weights of the supported state sequences, summed by last state.
 
-    Entry n maps each state t to the total weight of the supported state
-    sequences of length n + 1 from ``start`` (restricted to ``varset``) that
-    end in t, for n = 0, ..., ``steps``; a sequence's weight is the product
-    of ``factors[s, t]`` over its transitions s -> t, read from a ``Memo``.
-    Weight is pushed only along the one-step support
-    of the guarded iteration, ``support[s]`` of the loop's
-    ``step_kernel``: the omitted transitions would
-    contribute zero factors.  This is one forward pass over (step, state),
-    so the cost follows the distinct (step, state) pairs, not the number of
-    sequences.  Raises ``FuelExceeded`` once more than ``cap`` (step, state)
-    entries have been made; the kernel's own tables do not count.
+    Maps each state t to the total weight of the supported state sequences
+    of length ``steps`` + 1 from ``start`` (restricted to ``varset``) that
+    end in t; a sequence's weight is the product of ``factors[s, t]`` over
+    its transitions s -> t, read from a ``Memo``.  Weight is pushed only
+    along the one-step support of the guarded iteration, ``support[s]`` of
+    the loop's ``step_kernel``: the omitted transitions would contribute
+    zero factors.  This is one forward pass over (step, state), so the cost
+    follows the distinct (step, state) pairs, not the number of sequences.
+    Raises ``FuelExceeded`` once more than ``cap`` (step, state) entries
+    have been made; the kernel's own tables do not count.
 
-    ``factors.last`` keeps the last pass: its frontiers and its cumulative
-    entry count.  A call from the same start, at no fewer steps and under a
-    cap no smaller than the pass's, makes only the steps past it, counting
-    entries as a cold pass does (``_resume_pass``), so a k-sweep makes each
-    step once; any other call starts over and its pass replaces the kept
-    one.  A pass of more than ``DEFAULT_STATE_CAP`` entries is not kept.
-    The list and its frontiers are shared with the kept pass: read them,
-    do not write them.
+    ``factors.last`` keeps the last pass, keyed on (start, cap), as its
+    last frontier and its cumulative entry count, and a call continues it
+    by ``_resume_pass``'s rule.  A pass of more than ``DEFAULT_STATE_CAP``
+    entries is not kept.  The frontier is shared with the kept pass: read
+    it, do not write it.
     """
     support = step_kernel(loop, varset).support
 
     def first(kept):
-        if kept is None:
-            return [{start: ONE}], 1
-        frontiers, entries = kept
-        return list(frontiers), entries  # the kept pass is never written
+        return ({start: ONE}, 1) if kept is None else kept  # never written
 
     def push(n, carry):
-        frontiers, entries = carry
+        last, entries = carry
         frontier: dict = {}
-        for s, w in frontiers[-1].items():
+        for s, w in last.items():
             for t in support[s]:
                 pushed = w * factors[s, t]
                 frontier[t] = frontier[t] + pushed if t in frontier else pushed
@@ -582,10 +566,9 @@ def path_frontiers(loop: While, varset: VarSet, start: State, factors: Memo,
                 f"path oracle reached {entries} (step, state) entries at "
                 f"step {n}, above the cap of {cap}"
             )
-        frontiers.append(frontier)
-        return frontiers, entries
+        return frontier, entries
 
-    return _resume_pass(factors, "last", start, steps, cap, first, push,
+    return _resume_pass(factors, "last", (start, cap), steps, first, push,
                         lambda carry: carry[1])[0]
 
 
@@ -597,26 +580,22 @@ def path_sum(loop: While, post: Exp, sigma: State, varset: VarSet, k: int,
     the product of one-step values of the guarded iteration, where a step's
     value is read off the syntactic transformer applied to the target
     state's indicator; the loop's ``step_kernel`` keeps each step's value,
-    so a k-sweep computes it once.  The sum is computed by
-    ``path_frontiers`` as sum_s w(s) * ([!guard] * post)(s) over the
+    so a k-sweep computes it once.  The sum is computed from
+    ``path_frontier`` as sum_s w(s) * ([!guard] * post)(s) over the
     sequence weights w summed by last state, which distributes the final
     factor over the sequences, so its cost follows the (step, state) pairs
     rather than the 2^k paths.  ``state_cap`` bounds the (step, state)
-    entries.  The kernel's factor table keeps the last pass, and a call
-    continues it when it starts from the same state, the pass is no deeper
-    than k - 1 steps and ``state_cap`` is at least the cap the pass was
-    last built under; otherwise it starts over.  So a k-sweep from one
-    start makes each step once, with the value and the cap error of a cold
-    pass.  A pass of more than ``DEFAULT_STATE_CAP`` entries is not kept
-    (``path_frontiers``).
+    entries.  The kernel's factor table keeps the last pass, which a call
+    continues by ``_resume_pass``'s rule, so a k-sweep from one start makes
+    each step once.
     """
     if not varset.issuperset(vars_program(loop) | free_vars(post)):
         raise ValueError("variable set must cover the loop and postexpectation")
     if k <= 0:
         return ZERO
     factors = step_kernel(loop, varset).factors
-    last = path_frontiers(loop, varset, sigma.restrict(varset), factors,
-                          k - 1, state_cap)[-1]
+    last = path_frontier(loop, varset, sigma.restrict(varset), factors,
+                         k - 1, state_cap)
     final_guard = Guard(Not(loop.cond), post)
     return sum((weight * eval_exp(final_guard, s) for s, weight in last.items()),
                ZERO)

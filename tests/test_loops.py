@@ -14,7 +14,6 @@ from wpengine.goedel import encode_state, encode_state_seq
 from wpengine.loops import (
     LoopEncoding,
     body_wp_template,
-    char_assertion,
     encode_loop,
     goedel_apply,
     goedel_subst,
@@ -31,7 +30,13 @@ from wpengine.syntax import (
     print_exp,
     substitute,
 )
-from wpengine.wp import VarSet, kleene_iterate, path_sum, wp_loop_free
+from wpengine.wp import (
+    VarSet,
+    char_assertion,
+    kleene_iterate,
+    path_sum,
+    wp_loop_free,
+)
 from wpengine.xreal import XReal, ZERO
 
 GEO = parse_program("while (c = 1) { {c := 0} [1/2] {c := 1}; x := x + 1 }")
@@ -149,7 +154,7 @@ def test_body_template_geometric():
 def test_body_template_matches_wp_of_indicator():
     """Instantiating the primes equals the one-step transformer directly."""
     rng = random.Random(37)
-    from wpengine.loops import char_assertion
+    from wpengine.wp import char_assertion
     from wpengine.syntax import Ite, Skip
 
     g = body_wp_template(GEO, VS)

@@ -223,9 +223,11 @@ def test_dnf_enumerates_all_sign_patterns():
 
 
 def test_dnf_summand_cap():
-    f = parse_exp("[x < 1] * 1 + [x < 2] * 1 + [x < 3] * 1")
-    with pytest.raises(SummandBlowup):
-        to_dnf(f, summand_cap=2)
+    """17 summands trip the cap of 16 before any sign pattern is built."""
+    f = parse_exp(" + ".join(f"[x < {i}] * 1" for i in range(1, 18)))
+    with pytest.raises(SummandBlowup,
+                       match=r"^17 summands exceed the 2\^n cap of 16$"):
+        to_dnf(f)
 
 
 def test_recover_constant():

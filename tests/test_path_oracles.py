@@ -35,15 +35,12 @@ WALK_VS = VarSet.of("x")
 
 def _agree(loop, post, sigma, varset, depth):
     encoding = encode_loop(loop, post, varset)
-    truncations = encoding.plan_truncations(sigma, depth)
-    assert len(truncations) == depth + 1
     for k in range(depth + 1):
         want = kleene_iterate(loop, post, sigma, k)
         assert dfs_path_sum(loop, post, sigma, varset, k) == want
         assert dfs_plan_eval(encoding, sigma, k, calkin_wilf(0)) == want
         assert path_sum(loop, post, sigma, varset, k) == want
         assert encoding.plan_eval(sigma, k) == want
-        assert truncations[k] == want
 
 
 def test_dp_oracles_match_dfs_references_on_random_loops():
@@ -111,13 +108,28 @@ def test_encode_loop_passes_state_cap(capsys, tmp_path):
     assert lines[-1] == f"k=20: {kleene_iterate(WALK, POST_X, state(x=20), 20)}"
 
 
+def test_encode_loop_cap_error_is_the_plan_eval_message(capsys, tmp_path):
+    """The listing sweeps ``plan_eval``, so its cap error is the one a
+    single ``plan_eval`` call at the same depth raises."""
+    walk = tmp_path / "walk.pgcl"
+    walk.write_text(WALK_TEXT)
+    assert main(["encode-loop", "--program", str(walk), "--post", "x",
+                 "--eval-at", "x=20", "--depth-k", "20",
+                 "--state-cap", "10"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("cap exceeded: path oracle reached 15 (step, state) "
+                            "entries at step 4, above the cap of 10\n")
+    with pytest.raises(FuelExceeded) as error:
+        encode_loop(WALK, POST_X, WALK_VS).plan_eval(state(x=20), 20, state_cap=10)
+    assert captured.err == f"cap exceeded: {error.value}\n"
+
+
 def test_truncation_zero_is_zero():
     # from x=40 the loop is already done, so truncation 1 is already x = 40
     encoding = encode_loop(WALK, POST_X, WALK_VS)
     s0 = state(x=40)
     assert encoding.plan_eval(s0, 1) == XReal.of(F(40))
-    assert encoding.plan_truncations(s0, 0) == [ZERO]
-    assert encoding.plan_truncations(s0, -1) == []
     assert encoding.plan_eval(s0, 0) == ZERO
     assert path_sum(WALK, POST_X, s0, WALK_VS, 0) == ZERO
     geo = parse_program("while (c = 1) { {c := 0} [1/2] {c := 1}; x := x + 1 }")
@@ -146,7 +158,8 @@ def test_truncations_never_decrease():
     for _ in range(40):
         loop, post, varset = rand_loop(rng)
         s0 = State({Var("c"): F(1), Var("x"): F(rng.randint(0, 2))})
-        values = encode_loop(loop, post, varset).plan_truncations(s0, 10)
+        encoding = encode_loop(loop, post, varset)
+        values = [encoding.plan_eval(s0, k) for k in range(11)]
         assert all(a <= b for a, b in zip(values, values[1:])), values
 
 
@@ -197,7 +210,8 @@ def _sweep(loop, encoding, starts, depth):
 
 def _kept_passes(loop, encoding):
     """The last pass of each owner: the kernel's, the encoding's and the
-    loop's forward pass, as (key, depth)."""
+    loop's forward pass, as (key, depth); the key is (start, cap) for the
+    first two and (start, variable set, cap) for the third."""
     kept = (step_kernel(loop, encoding.varset).factors.last,
             encoding._factor_cache.last, loop._forward_pass)
     return [pass_[:2] for pass_ in kept]
@@ -207,8 +221,9 @@ def test_kernel_is_freed_with_its_loop():
     loop = parse_program(WALK_TEXT)
     encoding = encode_loop(loop, POST_X, WALK_VS)
     _sweep(loop, encoding, [state(x=30), state(x=20)], 6)
-    assert _kept_passes(loop, encoding) == [(state(x=20), 5)] * 2 + \
-        [((state(x=20), WALK_VS), 5)]
+    cap = wp.DEFAULT_STATE_CAP
+    assert _kept_passes(loop, encoding) == [((state(x=20), cap), 5)] * 2 + \
+        [((state(x=20), WALK_VS, cap), 5)]
     kernel = weakref.ref(step_kernel(loop, WALK_VS))
     assert kernel().support and kernel().factors
     freed = weakref.ref(loop)
@@ -216,6 +231,25 @@ def test_kernel_is_freed_with_its_loop():
     gc.collect()
     assert freed() is None
     assert kernel() is None
+
+
+def test_a_kept_pass_holds_its_last_frontier_only():
+    """After a sweep, the kept carry of the path sum and of the plan is one
+    frontier ``dict`` and the entry count: the frontier a fresh pass ends
+    in, after the frontiers of 1, 2, ..., 8 states from x=20."""
+    loop = parse_program(WALK_TEXT)
+    encoding = encode_loop(loop, POST_X, WALK_VS)
+    s0 = state(x=20)
+    _sweep(loop, encoding, [s0], 8)
+    fresh = parse_program(WALK_TEXT)
+    want = wp.path_frontier(fresh, WALK_VS, s0, step_kernel(fresh, WALK_VS).factors, 7)
+    assert len(want) == 8
+    for kept in (step_kernel(loop, WALK_VS).factors.last,
+                 encoding._factor_cache.last):
+        key, depth, (frontier, entries) = kept
+        assert (key, depth) == ((s0, wp.DEFAULT_STATE_CAP), 7)
+        assert type(frontier) is dict and frontier == want
+        assert entries == sum(range(1, 9))
 
 
 def test_encoding_is_freed_without_the_collector():
@@ -230,8 +264,9 @@ def test_encoding_is_freed_without_the_collector():
         assert encoding.plan_eval(state(x=30), 6) == F(5, 32)
         assert encoding._factor_cache and encoding._finals
         _sweep(loop, encoding, [state(x=20), state(x=F(61, 2))], 7)
-        assert _kept_passes(loop, encoding) == [(state(x=F(61, 2)), 6)] * 2 + \
-            [((state(x=F(61, 2)), WALK_VS), 6)]
+        s0, cap = state(x=F(61, 2)), wp.DEFAULT_STATE_CAP
+        assert _kept_passes(loop, encoding) == [((s0, cap), 6)] * 2 + \
+            [((s0, WALK_VS, cap), 6)]
         freed = weakref.ref(encoding), weakref.ref(loop)
         del encoding, loop
         assert [ref() for ref in freed] == [None, None]
@@ -261,7 +296,8 @@ def _warm_and_cold(text, post, varset, schedule):
         calls = [
             lambda lp, enc: path_sum(lp, post, s0, varset, k, state_cap=cap),
             lambda lp, enc: enc.plan_eval(s0, k, state_cap=cap),
-            lambda lp, enc: enc.plan_truncations(s0, k, state_cap=cap),
+            lambda lp, enc: [enc.plan_eval(s0, j, state_cap=cap)
+                             for j in range(k + 1)],  # the encode-loop listing
             lambda lp, enc: forward_dist(lp, s0, varset, k, state_cap=cap),
         ]
         for call in calls:
@@ -275,8 +311,9 @@ def _warm_and_cold(text, post, varset, schedule):
 def test_a_warm_call_equals_a_cold_one():
     """Sweeps up and down, two starts interleaved, and a cap lowered and
     raised again partway through a sweep: every call of ``path_sum``,
-    ``plan_eval``, ``plan_truncations`` and ``forward_dist`` gives what it
-    gives on a fresh loop and encoding.  The last segment of the schedule
+    ``plan_eval``, the ``encode-loop`` listing of ``plan_eval`` at
+    k = 0, ..., K and ``forward_dist`` gives what it gives on a fresh loop
+    and encoding.  The last segment of the schedule
     trips the cap on a continued pass, then asks the kept pass again, and
     asks under a small cap a pass last continued under a large one."""
     big = wp.DEFAULT_STATE_CAP
@@ -333,11 +370,11 @@ def test_a_sweep_makes_each_step_once(monkeypatch):
     steps, bodies = {}, []
     resume, forward = wp._resume_pass, wp._forward
 
-    def counting_resume(owner, attr, key, depth, cap, first, step, size):
+    def counting_resume(owner, attr, key, depth, first, step, size):
         def counted(n, carry):
             steps[id(owner)] = steps.get(id(owner), 0) + 1
             return step(n, carry)
-        return resume(owner, attr, key, depth, cap, first, counted, size)
+        return resume(owner, attr, key, depth, first, counted, size)
 
     def counting_forward(prog, *args):
         bodies.append(prog is geo.body)
@@ -419,13 +456,14 @@ def test_memo_tables_stay_bounded(monkeypatch):
 
 
 def test_final_factors_are_kept_per_state():
-    """``plan_truncations`` keeps one final factor per distinct state of the
+    """A ``plan_eval`` sweep keeps one final factor per distinct state of the
     frontiers, keyed on the state alone."""
     encoding = encode_loop(WALK, POST_X, WALK_VS)
     s0 = state(x=30)
-    encoding.plan_truncations(s0, 6)
-    frontiers = wp.path_frontiers(WALK, WALK_VS, s0, encoding._factor_cache, 5)
-    seen = {s for frontier in frontiers for s in frontier}
+    for k in range(7):
+        encoding.plan_eval(s0, k)
+    seen = {s for n in range(6) for s in
+            wp.path_frontier(WALK, WALK_VS, s0, encoding._factor_cache, n)}
     assert isinstance(encoding._finals, wp.Memo)
     assert set(encoding._finals) == seen
     assert all(type(key) is State for key in encoding._finals)
@@ -435,8 +473,6 @@ def test_plan_takes_the_state_cap_by_keyword_only():
     """A stale positional domain raises, where it would be read as the cap."""
     encoding = encode_loop(WALK, POST_X, WALK_VS)
     s0 = state(x=30)
-    with pytest.raises(TypeError):
-        encoding.plan_truncations(s0, 1, calkin_wilf(3))
     with pytest.raises(TypeError):
         encoding.plan_eval(s0, 1, 10)
     assert encoding.plan_eval(s0, 1, state_cap=10) == ZERO
@@ -455,13 +491,12 @@ def test_plan_reads_a_quantified_post_over_the_default_domain():
             post = parse_exp(text)
             encoding = encode_loop(loop, post, varset)
             want = [path_sum(loop, post, s0, varset, k) for k in range(5)]
-            assert encoding.plan_truncations(s0, 4) == want
             assert [encoding.plan_eval(s0, k) for k in range(5)] == want
     post = parse_exp(posts[0])
     want = [ZERO, ZERO, F(2, 5), F(67, 80), F(281, 240)]
     assert [kleene_iterate(geo, post, state(c=1, x=0), k) for k in range(5)] == want
-    assert encode_loop(geo, post, VarSet.of("c", "x")).plan_truncations(
-        state(c=1, x=0), 4) == want
+    encoding = encode_loop(geo, post, VarSet.of("c", "x"))
+    assert [encoding.plan_eval(state(c=1, x=0), k) for k in range(5)] == want
 
 
 def test_kleene_reads_a_quantified_post_with_the_exit_guard(capsys, tmp_path):
