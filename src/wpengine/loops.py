@@ -84,7 +84,7 @@ from .wp import (
     path_frontier,
     wp_loop_free,
 )
-from .xreal import XReal, ZERO, is_natural
+from .xreal import XReal, ZERO, is_natural, xadd, xmul
 
 
 def primed(var: Var) -> Var:
@@ -368,7 +368,7 @@ class LoopEncoding:
         for source, target in zip(states, states[1:]):
             if value == ZERO:
                 return ZERO
-            value = value * self._factor_cache[source, target]
+            value = xmul(value, self._factor_cache[source, target])
         return value
 
     def plan_eval(self, sigma: State, k: int, *,
@@ -393,7 +393,10 @@ class LoopEncoding:
                                  sigma.restrict(self.varset),
                                  self._factor_cache, k - 1, state_cap)
         finals = self._finals
-        return sum((w * finals[s] for s, w in frontier.items()), ZERO)
+        total = ZERO
+        for s, w in frontier.items():
+            total = xadd(total, xmul(w, finals[s]))
+        return total
 
 
 def encode_loop(loop: While, post: Exp, varset: VarSet) -> LoopEncoding:

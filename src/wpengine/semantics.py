@@ -36,7 +36,12 @@ matrix compiles one ``$cut < total`` atom of 2^n.  An addition of a
 literal 0 compiles to the closure of its other side, which is exact and
 leaves the syntax as it is.  States key their bindings on variable names,
 so a compiled read is a dict lookup on a string that runs in C; the
-``State`` API takes and returns ``Var``s.
+``State`` API takes and returns ``Var``s.  Sums, products and monus
+differences of values go through the slot kernels of ``xreal`` (``add``,
+``mul``, ``sub``, and ``xadd``/``xmul`` where a side may be infinite),
+and a compiled ``<`` cross-multiplies the integer slots: both skip the
+``Fraction`` operators' dispatch, their property reads and the
+constructor's re-normalisation.
 ``eval_aexpr`` and ``eval_bexpr`` compile, then call.  ``eval_exp``'s own
 walk over expectation nodes stays structural.
 """
@@ -77,7 +82,7 @@ from .syntax import (
     VarRef,
     constants,
 )
-from .xreal import XReal, ZERO, is_natural, rat
+from .xreal import XReal, ZERO, add, is_natural, mul, rat, sub, xadd, xmul
 
 Mode = Literal["restricted", "oracle_assisted"]
 
@@ -92,7 +97,10 @@ class State:
     are dropped so that states equal modulo zero-padding compare equal.
     The bindings are keyed on variable names, strings that cache their
     hash, while every method takes and returns ``Var``s.
-    The hash is computed on first use, since most states are never hashed.
+    The hash is computed on first use, since most states are never hashed,
+    from each binding's name and integer slots: values are in lowest terms,
+    so equal bindings give equal triples, and ``Fraction.__hash__`` is not
+    run.
     ``set`` and ``restrict`` start from bindings that are already valid, so
     they skip the constructor's check of every binding; the quantifier
     loops bind domain values, validated by ``QDomain``, through ``_bind``.
@@ -162,7 +170,8 @@ class State:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(frozenset(self._bindings.items()))
+            h = hash(frozenset([(n, q._numerator, q._denominator)
+                                for n, q in self._bindings.items()]))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -272,19 +281,19 @@ def _term(a: AExpr) -> Callable[[State], Fraction]:
                 fn = lf
             else:
                 def fn(s):
-                    return lf(s) + rf(s)
+                    return add(lf(s), rf(s))
         case Mul(l, r):
             lf, rf = _term(l), _term(r)
 
             def fn(s):
-                return lf(s) * rf(s)
+                return mul(lf(s), rf(s))
         case Monus(l, r):
             lf, rf = _term(l), _term(r)
 
             def fn(s):
                 x, y = lf(s), rf(s)
-                if x.numerator * y.denominator > y.numerator * x.denominator:
-                    return x - y
+                if x._numerator * y._denominator > y._numerator * x._denominator:
+                    return sub(x, y)
                 return ZERO
         case _:
             raise TypeError(a)
@@ -344,37 +353,37 @@ def _less(l: AExpr, r: AExpr,
             def fn(s):
                 b = s._bindings
                 x, y = b.get(lname, ZERO), b.get(rname, ZERO)
-                return cmp(x.numerator * y.denominator, y.numerator * x.denominator)
+                return cmp(x._numerator * y._denominator, y._numerator * x._denominator)
         case VarRef(v), RatLit(q):
-            name, n, d = v.name, q.numerator, q.denominator
+            name, n, d = v.name, q._numerator, q._denominator
 
             def fn(s):
                 x = s._bindings.get(name, ZERO)
-                return cmp(x.numerator * d, n * x.denominator)
+                return cmp(x._numerator * d, n * x._denominator)
         case RatLit(q), VarRef(v):
-            name, n, d = v.name, q.numerator, q.denominator
+            name, n, d = v.name, q._numerator, q._denominator
 
             def fn(s):
                 y = s._bindings.get(name, ZERO)
-                return cmp(n * y.denominator, y.numerator * d)
+                return cmp(n * y._denominator, y._numerator * d)
         case _, RatLit(q):
-            lf, n, d = _term(l), q.numerator, q.denominator
+            lf, n, d = _term(l), q._numerator, q._denominator
 
             def fn(s):
                 x = lf(s)
-                return cmp(x.numerator * d, n * x.denominator)
+                return cmp(x._numerator * d, n * x._denominator)
         case RatLit(q), _:
-            rf, n, d = _term(r), q.numerator, q.denominator
+            rf, n, d = _term(r), q._numerator, q._denominator
 
             def fn(s):
                 y = rf(s)
-                return cmp(n * y.denominator, y.numerator * d)
+                return cmp(n * y._denominator, y._numerator * d)
         case _:
             lf, rf = _term(l), _term(r)
 
             def fn(s):
                 x, y = lf(s), rf(s)
-                return cmp(x.numerator * y.denominator, y.numerator * x.denominator)
+                return cmp(x._numerator * y._denominator, y._numerator * x._denominator)
     return fn
 
 
@@ -634,12 +643,12 @@ def eval_exp(f: Exp, sigma: State, dom: QDomain | None = None,
                 # a zero side gives the other side: most sums of guarded
                 # terms add 0, and a Fraction sum reduces by a gcd
                 left, right = rec(l, sig), rec(r, sig)
-                return left + right if left and right else left or right
+                return xadd(left, right) if left and right else left or right
             case Scale(a, body):
                 factor = _term(a)(sig)
                 if not factor:
                     return ZERO
-                return factor * rec(body, sig)
+                return xmul(factor, rec(body, sig))
             case Sup(v, body):
                 best = ZERO
                 for q in domain():

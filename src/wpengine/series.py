@@ -60,7 +60,7 @@ from .syntax import (
 )
 from .goedel import (construction, expand_nat_atoms, fo_prenex, fo_to_exp,
                      logical_var, relem_formula)
-from .xreal import ONE, XReal, ZERO, is_natural
+from .xreal import ONE, XReal, ZERO, is_natural, xadd, xmul
 
 SUM_VAR = Var("$s")
 PROD_VAR = Var("$p")
@@ -144,9 +144,9 @@ def _aggregate(body: Exp, bound, kind: str, agg: Var) -> Aggregate:
         for j in range(n.numerator + 1):
             value = rec(body, sigma.set(agg, Fraction(j)))
             if kind == "sum":
-                total = total + value
+                total = xadd(total, value)
             else:
-                total = total * value
+                total = xmul(total, value)
                 if total == ZERO:
                     return ZERO
         return total

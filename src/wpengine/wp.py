@@ -61,7 +61,7 @@ from .syntax import (
     true_,
     vars_program,
 )
-from .xreal import ONE, XReal, ZERO
+from .xreal import ONE, XReal, ZERO, add, mul, sub, xadd, xmul
 
 DEFAULT_STATE_CAP = 100_000
 
@@ -110,7 +110,9 @@ class Dist:
 
     def __init__(self, weights: dict[State, Fraction]):
         cleaned = {s: w for s, w in weights.items() if w != 0}
-        mass = sum(cleaned.values(), Fraction(0))
+        mass = ZERO
+        for w in cleaned.values():
+            mass = add(mass, w)
         if any(w < 0 for w in cleaned.values()) or mass > 1:
             raise ValueError("weights must be non-negative with mass <= 1")
         self.weights = cleaned
@@ -118,8 +120,10 @@ class Dist:
 
     def expectation(self, f: Exp) -> XReal:
         """Expected value of a quantifier-free postexpectation."""
-        return sum((weight * eval_exp(f, sigma)
-                    for sigma, weight in self.weights.items()), ZERO)
+        total = ZERO
+        for sigma, weight in self.weights.items():
+            total = xadd(total, xmul(weight, eval_exp(f, sigma)))
+        return total
 
     def items(self):
         return self.weights.items()
@@ -175,7 +179,7 @@ def wp_loop_free(prog: Program, post: Exp) -> Exp:
                     return post
                 case PChoice(left, p, right):
                     post = Plus(Scale(RatLit(p), wp_loop_free(left, post)),
-                                Scale(RatLit(1 - p), wp_loop_free(right, post)))
+                                Scale(RatLit(sub(ONE, p)), wp_loop_free(right, post)))
                 case Ite(cond, then, orelse):
                     post = Plus(Guard(cond, wp_loop_free(then, post)),
                                 Guard(Not(cond), wp_loop_free(orelse, post)))
@@ -290,7 +294,7 @@ def _add_weight(dist: dict[State, Fraction], s: State, w: Fraction) -> None:
     """Add ``w`` to the weight of ``s`` in ``dist``; a first weight is
     stored as it is."""
     old = dist.get(s)
-    dist[s] = w if old is None else old + w
+    dist[s] = w if old is None else add(old, w)
 
 
 def _forward(prog: Program, frontier: dict[State, Fraction], varset: VarSet,
@@ -320,9 +324,9 @@ def _forward(prog: Program, frontier: dict[State, Fraction], varset: VarSet,
             if p != 0:
                 branches.append((left, p))
             if p != 1:
-                branches.append((right, 1 - p))
+                branches.append((right, sub(ONE, p)))
             for branch, weight in branches:
-                scaled = {s: w * weight for s, w in frontier.items()}
+                scaled = {s: mul(w, weight) for s, w in frontier.items()}
                 for s, w in _forward(branch, scaled, varset, fuel, state_cap).items():
                     _add_weight(out, s, w)
             _check_cap(out, state_cap)
@@ -397,10 +401,10 @@ def _sem_wp(todo, cont, sigma: State, fuel: int, state_cap: int) -> XReal:
                 todo = (then if eval_bexpr(cond, sigma) else orelse, todo)
             case PChoice(left, p, right):
                 total = ZERO
-                for branch, weight in ((left, p), (right, 1 - p)):
+                for branch, weight in ((left, p), (right, sub(ONE, p))):
                     if weight:
-                        total = total + weight * _sem_wp(
-                            (branch, todo), cont, sigma, fuel, state_cap)
+                        total = xadd(total, xmul(weight, _sem_wp(
+                            (branch, todo), cont, sigma, fuel, state_cap)))
                 return total
             case While():
                 after = lambda tau: _sem_wp(todo, cont, tau, fuel, state_cap)
@@ -558,8 +562,8 @@ def path_frontier(loop: While, varset: VarSet, start: State, factors: Memo,
         frontier: dict = {}
         for s, w in last.items():
             for t in support[s]:
-                pushed = w * factors[s, t]
-                frontier[t] = frontier[t] + pushed if t in frontier else pushed
+                pushed = mul(w, factors[s, t])
+                frontier[t] = add(frontier[t], pushed) if t in frontier else pushed
         entries += len(frontier)
         if entries > cap:
             raise FuelExceeded(
@@ -597,5 +601,7 @@ def path_sum(loop: While, post: Exp, sigma: State, varset: VarSet, k: int,
     last = path_frontier(loop, varset, sigma.restrict(varset), factors,
                          k - 1, state_cap)
     final_guard = Guard(Not(loop.cond), post)
-    return sum((weight * eval_exp(final_guard, s) for s, weight in last.items()),
-               ZERO)
+    total = ZERO
+    for s, weight in last.items():
+        total = xadd(total, xmul(weight, eval_exp(final_guard, s)))
+    return total

@@ -1,15 +1,18 @@
 """Exact evaluation, quantifier domains, and the extended-real laws."""
 
+import ast
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eval_reference import xinf, xsup
-from wpengine import semantics
+from wpengine import semantics, xreal
 from wpengine.checks import rand_exp
 from wpengine.parser import parse_aexpr, parse_bexpr, parse_exp, parse_program
 from wpengine.semantics import (
@@ -428,6 +431,41 @@ def test_state_constructions_agree_fuzz():
         assert (wide == built) == (wide[Var("w")] == 0)
 
 
+def test_state_contract_over_constructions_and_kernel_values():
+    """Every way of building a state gives one contract: states with the
+    same bindings compare equal, hash equal and find each other as dict
+    keys, whether their values came from the constructor or the kernels;
+    states that differ in one binding compare unequal."""
+    rng = random.Random(29)
+    names = [Var(n) for n in "cxyz"]
+    for _ in range(300):
+        want = {v: F(rng.randint(0, 6), rng.randint(1, 6))
+                for v in rng.sample(names, rng.randint(0, 4))}
+        # the same values made by the kernels: sums, products, differences
+        made = {}
+        for v, q in want.items():
+            half = F(q.numerator, 2 * q.denominator)
+            made[v] = rng.choice([xreal.add(half, half), xreal.mul(q, F(1)),
+                                  xreal.sub(xreal.add(q, F(3, 2)), F(3, 2))])
+        builds = [State(want), State(made),
+                  state(**{v.name: q for v, q in want.items()}),
+                  state(**{v.name: q for v, q in made.items()})]
+        chained = bound = State()
+        for v in rng.sample(names, len(names)):
+            chained = chained.set(v, made.get(v, ZERO))
+            bound = bound._bind(v, want.get(v, ZERO))
+        wide = State({**made, Var("w"): F(rng.randint(1, 5), 3)})
+        builds += [chained, bound, wide.restrict(names)]
+        table = {builds[0]: "first"}
+        for got in builds:
+            assert got == builds[0] and hash(got) == hash(builds[0])
+            assert table[got] == "first" and {got: 1}[builds[0]] == 1
+        v = rng.choice(names)
+        changed = builds[0]._bind(v, xreal.add(builds[0][v], F(1, 3)))
+        assert changed != builds[0] and builds[0] != changed
+        assert changed not in table
+
+
 def test_state_set_and_rat_validate():
     x = Var("x")
     assert state(x=1).set(x, 0) == State()
@@ -454,3 +492,84 @@ def test_rat_reads_no_text_and_no_float(value):
         state(x=value)
     with pytest.raises(TypeError):
         QDomain([F(1, 2), value])
+
+
+# ---------------------------------------------------------------------------
+# The exact-rational kernels
+# ---------------------------------------------------------------------------
+
+# denominators with many shared factors reach every gcd branch
+denominators = st.one_of(
+    st.integers(1, 10 ** 20),
+    st.builds(lambda i, j, k: 2 ** i * 3 ** j * 5 ** k,
+              st.integers(0, 12), st.integers(0, 8), st.integers(0, 5)),
+)
+rationals = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(0, 10 ** 20), denominators),
+    st.builds(F, st.integers(0, 60), st.integers(1, 60)),
+)
+
+
+def assert_same_fraction(got, want):
+    """``got`` is a plain Fraction equal to ``want``, in lowest terms with
+    a positive denominator and zero as 0/1, with ``want``'s hash."""
+    assert type(got) is F
+    assert got == want and hash(got) == hash(want)
+    n, d = got._numerator, got._denominator
+    assert (n, d) == (want.numerator, want.denominator)
+    assert d > 0 and math.gcd(n, d) == 1
+    assert n or d == 1
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(rationals, rationals)
+def test_kernels_equal_the_fraction_operators(a, b):
+    assert_same_fraction(xreal.add(a, b), a + b)
+    assert_same_fraction(xreal.mul(a, b), a * b)
+    high, low = max(a, b), min(a, b)
+    assert_same_fraction(xreal.sub(high, low), high - low)
+    assert_same_fraction(xreal.sub(a, a), F(0))
+    assert_same_fraction(xreal.xadd(a, b), a + b)
+    assert_same_fraction(xreal.xmul(a, b), a * b)
+
+
+def test_kernel_wrappers_over_the_infinity_table():
+    """``xadd`` and ``xmul`` give what the operators give when a side is
+    infinite, in both operand orders, ``0 * inf = 0`` included."""
+    inf = XReal.INF
+    for q in (F(0), F(1, 2), F(7)):
+        assert xreal.xadd(q, inf) is inf and xreal.xadd(inf, q) is inf
+    for product in (xreal.xmul(F(0), inf), xreal.xmul(inf, F(0))):
+        assert_same_fraction(product, F(0))
+    for q in (F(1, 2), F(7)):
+        assert xreal.xmul(q, inf) is inf and xreal.xmul(inf, q) is inf
+    assert xreal.xadd(inf, inf) is inf and xreal.xmul(inf, inf) is inf
+
+
+def test_fraction_slot_layout_is_pinned():
+    """The kernels read and fill these two slots; a change of CPython's
+    layout must fail here and not corrupt values."""
+    assert F.__slots__ == ("_numerator", "_denominator")
+    q = F(6, 4)
+    assert (q._numerator, q._denominator) == (3, 2)
+
+
+REFERENCE_ORACLES = ["tests/eval_reference.py", "tests/path_reference.py",
+                     "tests/wp_reference.py", "bench/reference.py"]
+
+
+@pytest.mark.parametrize("path", REFERENCE_ORACLES)
+def test_reference_oracles_import_no_kernel(path):
+    """The reference oracles keep the Fraction operators, so they check the
+    kernels instead of sharing them."""
+    tree = ast.parse((Path(__file__).parent.parent / path).read_text())
+    kernels = {"add", "sub", "mul", "xadd", "xmul"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+            assert "xreal" not in names, path
+            if (node.module or "").endswith("xreal"):
+                assert kernels.isdisjoint(names), path
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.endswith("xreal") for a in node.names), path
